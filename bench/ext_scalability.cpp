@@ -8,7 +8,10 @@
 // dimension fixed at <= 2, and measure RAPMiner with and without the
 // deletion stage.  With deletion, cost should track the RAP dimension
 // (flat-ish); without it, cost should grow with the lattice (2^n - 1).
+#include <algorithm>
 #include <fstream>
+#include <memory>
+#include <thread>
 
 #include "bench/bench_common.h"
 #include "util/strings.h"
@@ -29,8 +32,16 @@ int main(int argc, char** argv) {
                      bench::kDefaultSeed);
   const auto fanout =
       static_cast<std::int32_t>(obs_session.flags().getInt("threads"));
-  const std::int32_t fanout_threads = core::resolveThreads(fanout);
+  const std::int32_t fanout_threads =
+      fanout > 0 ? fanout
+                 : std::max(1, static_cast<std::int32_t>(
+                                   std::thread::hardware_concurrency()));
   const bool with_fanout = fanout_threads > 1;
+  // fanout_threads - 1 pool workers plus the calling thread.
+  const auto pool =
+      with_fanout ? std::make_unique<util::ThreadPool>(
+                        static_cast<std::size_t>(fanout_threads - 1))
+                  : nullptr;
 
   struct SchemaSpec {
     const char* label;
@@ -107,10 +118,13 @@ int main(int argc, char** argv) {
     json.value(eval::aggregateTiming(runs_without).mean());
 
     if (with_fanout) {
-      core::RapMinerConfig fanned = without;
-      fanned.parallel.threads = fanout_threads;
-      const auto runs_fanned = eval::runLocalizer(
-          eval::rapminerLocalizer(fanned, "RAPMiner-mt"), cases, {.k = 5});
+      const eval::NamedLocalizer fanned{
+          "RAPMiner-mt",
+          [&without, &pool](const dataset::LeafTable& leaves, std::int32_t k) {
+            return core::RapMiner(without).localize(leaves, k, pool.get())
+                .patterns;
+          }};
+      const auto runs_fanned = eval::runLocalizer(fanned, cases, {.k = 5});
       row.push_back(
           util::TextTable::duration(eval::aggregateTiming(runs_fanned).mean()));
       json.key("mean_seconds_no_deletion_fanout");

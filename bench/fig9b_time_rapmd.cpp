@@ -18,6 +18,7 @@
 //       --sweep-cases 20 --json-out BENCH_parallel_search.json
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <thread>
 
 #include "bench/bench_common.h"
@@ -66,9 +67,7 @@ struct ReuseStudy {
 };
 
 ReuseStudy runReuseStudy(const std::vector<gen::Case>& cases,
-                         const core::RapMinerConfig& base, int passes) {
-  core::RapMinerConfig config = base;
-  config.parallel.threads = 1;  // isolate allocation cost from fan-out
+                         const core::RapMinerConfig& config, int passes) {
   ReuseStudy study;
   const core::RapMiner warm_miner(config);
   // Warm pass: sizes the retained workspaces (and the caches, for both
@@ -147,16 +146,20 @@ int runThreadSweep(const util::FlagParser& flags) {
   json.key("results");
   json.beginArray();
 
+  const core::RapMiner miner(base);
   for (const auto threads : thread_counts) {
-    core::RapMinerConfig config = base;
-    config.parallel.threads = threads;
-    const core::RapMiner miner(config);
+    // threads - 1 pool workers plus the calling thread; 1 = serial.
+    const auto pool =
+        threads > 1 ? std::make_unique<util::ThreadPool>(
+                          static_cast<std::size_t>(threads - 1))
+                    : nullptr;
 
     util::TimingStats timing;
     bool identical = true;
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const util::WallTimer timer;
-      const auto result = miner.localize(cases[i].table, /*k=*/0);
+      const auto result =
+          miner.localize(cases[i].table, /*k=*/0, pool.get());
       timing.add(timer.elapsedSeconds());
       if (threads == 1) {
         reference.push_back(result.patterns);

@@ -100,21 +100,6 @@ const dataset::LeafTable& sparseTable() {
   return kTable;
 }
 
-void BM_GroupByKernelDenseSweep(benchmark::State& state) {
-  // The seed baseline: zero-fill all 65536 cells, accumulate, sweep the
-  // whole dense array, allocate a fresh result vector.  O(cuboid_size)
-  // regardless of how few cells are live.
-  const auto& table = sparseTable();
-  const dataset::GroupByKernel kernel(table);
-  const auto mask = dataset::allAttributesMask(table.schema());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernel.groupBy(mask));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(table.size()));
-}
-BENCHMARK(BM_GroupByKernelDenseSweep);
-
 void BM_GroupByKernelWorkspace(benchmark::State& state) {
   // The allocation-free path: touched-key tracking + sort, resetting
   // only the cells this cuboid dirtied, into retained buffers.

@@ -6,11 +6,14 @@
 //
 //   $ ./csv_localize --schema schema.csv --data ts.csv [--k 5]
 //                    [--detect-threshold 0.095] [--t-cp 0.001] [--t-conf 0.8]
-//                    [--threads 1]
+//                    [--threads 1]   (search threads; 0 = all cores)
 //
 // Run without flags to see a self-contained demo: the binary writes a
 // sample schema/data pair to /tmp, then localizes it.
+#include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <thread>
 
 #include "rap.h"
 
@@ -62,6 +65,16 @@ int main(int argc, char** argv) {
                  flags.helpText(argv[0]).c_str());
     return 2;
   }
+  const std::int64_t threads_flag = flags.getInt("threads");
+  if (threads_flag < 0) {
+    std::fprintf(stderr, "config: threads must be >= 0 (0 = all cores), "
+                         "got %lld\n", static_cast<long long>(threads_flag));
+    return 2;
+  }
+  const std::int64_t threads =
+      threads_flag > 0
+          ? threads_flag
+          : std::max<std::int64_t>(1, std::thread::hardware_concurrency());
 
   std::string schema_path = flags.getString("schema");
   std::string data_path = flags.getString("data");
@@ -93,15 +106,19 @@ int main(int argc, char** argv) {
   const auto miner = core::RapMiner::Builder()
                          .tCp(flags.getDouble("t-cp"))
                          .tConf(flags.getDouble("t-conf"))
-                         .threads(static_cast<std::int32_t>(
-                             flags.getInt("threads")))
                          .build();
   if (!miner.isOk()) {
     std::fprintf(stderr, "config: %s\n", miner.status().toString().c_str());
     return 2;
   }
-  const auto result = miner->localize(
-      table.value(), static_cast<std::int32_t>(flags.getInt("k")));
+  // The search fans out on a pool the caller owns: threads - 1 workers
+  // plus this thread.  One thread runs the serial search.
+  const auto pool = threads > 1 ? std::make_unique<util::ThreadPool>(
+                                      static_cast<std::size_t>(threads - 1))
+                                : nullptr;
+  const auto result =
+      miner->localize(table.value(),
+                      static_cast<std::int32_t>(flags.getInt("k")), pool.get());
 
   if (flags.getBool("json")) {
     std::printf("%s\n", io::resultToJson(schema.value(), result).c_str());

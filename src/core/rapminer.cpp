@@ -28,13 +28,6 @@ RapMiner::RapMiner(RapMinerConfig config) : config_(config) {
                     << config_.search.deadline_seconds);
   RAP_CHECK_MSG(config_.search.max_layers >= 0,
                 "max_layers must be >= 0, got " << config_.search.max_layers);
-  RAP_CHECK_MSG(config_.parallel.threads >= 0,
-                "threads must be >= 0, got " << config_.parallel.threads);
-  const std::int32_t effective = resolveThreads(config_.parallel.threads);
-  if (effective > 1) {
-    pool_ = std::make_shared<util::ThreadPool>(
-        static_cast<std::size_t>(effective - 1));
-  }
   workspaces_ = std::make_shared<WorkspacePool>();
 }
 
@@ -60,10 +53,6 @@ RapMiner::Builder& RapMiner::Builder::earlyStop(bool enable) {
 }
 RapMiner::Builder& RapMiner::Builder::cuboidOrder(CuboidOrder order) {
   config_.search.order = order;
-  return *this;
-}
-RapMiner::Builder& RapMiner::Builder::threads(std::int32_t threads) {
-  config_.parallel.threads = threads;
   return *this;
 }
 RapMiner::Builder& RapMiner::Builder::deadlineSeconds(double seconds) {
@@ -106,11 +95,6 @@ util::Status RapMiner::Builder::validate() const {
     return util::Status::invalidArgument(util::strFormat(
         "max_layers must be >= 0 (0 = unlimited), got %d",
         config_.search.max_layers));
-  }
-  if (config_.parallel.threads < 0) {
-    return util::Status::invalidArgument(util::strFormat(
-        "threads must be >= 0 (0 = hardware concurrency), got %d",
-        config_.parallel.threads));
   }
   return util::Status::ok();
 }
@@ -172,17 +156,6 @@ void publishLocalizeMetrics(const SearchStats& stats, double total_seconds) {
 }  // namespace
 
 LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
-                                      std::int32_t k) const {
-  return localize(table, k, pool_.get(), /*workspaces=*/nullptr);
-}
-
-LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
-                                      std::int32_t k,
-                                      util::ThreadPool* pool) const {
-  return localize(table, k, pool, /*workspaces=*/nullptr);
-}
-
-LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
                                       std::int32_t k, util::ThreadPool* pool,
                                       WorkspacePool* workspaces) const {
   RAP_TRACE_SPAN("localize",
@@ -234,13 +207,8 @@ LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
     // tables reuse the kernel transpose and aggregation scratch.
     WorkspacePool::Lease lease =
         (workspaces != nullptr ? *workspaces : *workspaces_).lease();
-    if (pool != nullptr && pool->threadCount() > 0) {
-      result.patterns = acGuidedSearchParallel(
-          table, kept, config_.search, *pool, lease.get(), result.stats);
-    } else {
-      result.patterns = acGuidedSearch(table, kept, config_.search,
-                                       lease.get(), result.stats);
-    }
+    result.patterns = acGuidedSearch(table, kept, config_.search,
+                                     lease.get(), result.stats, pool);
   }
   result.stats.seconds_search = stage_timer.elapsedSeconds();
   result.degraded = !result.stats.degraded_reason.empty();

@@ -8,8 +8,9 @@
 // performs:
 //   1. Algorithm 1 — CP-based redundant attribute deletion (cp.t_cp);
 //   2. Algorithm 2 — AC-guided layer-by-layer top-down search
-//      (search.t_conf, early stop), serial or parallel per
-//      parallel.threads — the two schedules are bit-identical;
+//      (search.t_conf, early stop), serial, or fanned out across a
+//      thread pool the caller passes — the two schedules are
+//      bit-identical;
 //   3. RAPScore ranking (Eq. 3) and truncation to the top k patterns.
 //
 // Configuration is nested by pipeline stage:
@@ -17,7 +18,6 @@
 //   RapMinerConfig config;
 //   config.cp.t_cp = 0.001;             // Algorithm 1
 //   config.search.t_conf = 0.9;         // Algorithm 2
-//   config.parallel.threads = 8;        // within-layer fan-out
 //
 // For validated construction (util::Status instead of RAP_CHECK aborts
 // on out-of-range thresholds) use RapMiner::Builder.
@@ -47,35 +47,8 @@ struct CpConfig {
 };
 
 struct RapMinerConfig {
-  CpConfig cp;              ///< Algorithm 1 (Criteria 1)
-  SearchConfig search;      ///< Algorithm 2 (Criteria 2/3, visit order)
-  ParallelConfig parallel;  ///< within-layer cuboid fan-out
-};
-
-/// Pre-PR3 flat configuration shape, kept for one release so downstream
-/// code migrates at its own pace.  Converts to the nested shape; the
-/// conversion is deprecated, the fields map 1:1:
-///   t_cp, enable_attribute_deletion -> cp.*
-///   t_conf, early_stop, cuboid_order -> search.{t_conf, early_stop, order}
-struct LegacyRapMinerConfig {
-  double t_cp = 0.0005;
-  double t_conf = 0.8;
-  bool enable_attribute_deletion = true;
-  bool early_stop = true;
-  CuboidOrder cuboid_order = CuboidOrder::kCpWeighted;
-
-  [[deprecated(
-      "flat RapMinerConfig is deprecated; use the nested "
-      "RapMinerConfig{cp, search, parallel}")]]
-  operator RapMinerConfig() const {  // NOLINT: implicit by design (shim)
-    RapMinerConfig config;
-    config.cp.t_cp = t_cp;
-    config.cp.enable_attribute_deletion = enable_attribute_deletion;
-    config.search.t_conf = t_conf;
-    config.search.early_stop = early_stop;
-    config.search.order = cuboid_order;
-    return config;
-  }
+  CpConfig cp;          ///< Algorithm 1 (Criteria 1)
+  SearchConfig search;  ///< Algorithm 2 (Criteria 2/3, visit order)
 };
 
 class RapMiner {
@@ -87,7 +60,7 @@ class RapMiner {
 
   /// Validating construction for user-supplied (flag/file) thresholds.
   ///
-  ///   auto miner = RapMiner::Builder().tConf(t).threads(n).build();
+  ///   auto miner = RapMiner::Builder().tConf(t).tCp(c).build();
   ///   if (!miner.isOk()) { ... miner.status() ... }
   class Builder {
    public:
@@ -99,17 +72,16 @@ class RapMiner {
     Builder& attributeDeletion(bool enable);
     Builder& earlyStop(bool enable);
     Builder& cuboidOrder(CuboidOrder order);
-    Builder& threads(std::int32_t threads);
     /// Wall-clock budget for Algorithm 2 (seconds; 0 disables).
     Builder& deadlineSeconds(double seconds);
     /// Cuboid-layer cap for Algorithm 2 (0 = unlimited).
     Builder& maxLayers(std::int32_t layers);
 
     /// kInvalidArgument when t_cp is outside [0, 1), t_conf outside
-    /// (0, 1], the deadline is negative, the layer cap is negative, or
-    /// threads is negative.  NaN and infinities are rejected explicitly
-    /// for every floating-point threshold — NaN compares false against
-    /// both ends of a range check, so it must never reach the miner.
+    /// (0, 1], the deadline is negative, or the layer cap is negative.
+    /// NaN and infinities are rejected explicitly for every
+    /// floating-point threshold — NaN compares false against both ends
+    /// of a range check, so it must never reach the miner.
     util::Status validate() const;
 
     /// validate() then construct; never aborts.
@@ -124,41 +96,29 @@ class RapMiner {
   /// Mines the root anomaly patterns of one labeled leaf table and
   /// returns the top `k` by RAPScore (k <= 0 returns all candidates).
   ///
+  /// `pool` (optional) fans each search layer's cuboid aggregations out
+  /// across the caller's workers; results are bit-identical to the
+  /// serial search run without one.  The pool must not run tasks that
+  /// block on this search — give the miner a dedicated search pool, not
+  /// the pool the caller's own blocking task runs on.
+  ///
+  /// `workspaces` (optional) supplies the search workspaces instead of
+  /// the miner's own retained pool: callers that rebuild a miner per
+  /// request (svc::JobManager) share one WorkspacePool across those
+  /// miners so the serving hot path still reuses the kernel transpose
+  /// and scratch capacity.
+  ///
   /// An input with nothing to localize — an empty table, a schema with
   /// no attributes, or no anomalous leaf — returns an empty result
   /// immediately: patterns empty, every counter zero, stats.layers and
   /// stats.classification_power empty and stats.early_stopped false
   /// (the search never started, so it cannot have stopped early).
-  LocalizationResult localize(const dataset::LeafTable& table,
-                              std::int32_t k) const;
-
-  /// Same, but the within-layer fan-out runs on the caller's pool
-  /// (overriding parallel.threads; nullptr falls back to the config).
-  /// The pool must not run tasks that block on this search — give the
-  /// miner a dedicated search pool, not the pool the caller's own
-  /// blocking task runs on (see stream::StreamEngine).
   LocalizationResult localize(const dataset::LeafTable& table, std::int32_t k,
-                              util::ThreadPool* pool) const;
-
-  /// Same, aggregating through workspaces checked out of `workspaces`
-  /// instead of the miner's own retained pool — callers that rebuild a
-  /// miner per request (svc::JobManager) share one WorkspacePool across
-  /// those miners so the serving hot path still reuses the kernel
-  /// transpose and scratch capacity.  nullptr uses the miner's pool.
-  LocalizationResult localize(const dataset::LeafTable& table, std::int32_t k,
-                              util::ThreadPool* pool,
-                              WorkspacePool* workspaces) const;
-
-  /// The miner's own fan-out pool (nullptr when parallel.threads <= 1),
-  /// for callers of the WorkspacePool overload that want the config's
-  /// parallelism rather than an external pool.
-  util::ThreadPool* searchPool() const noexcept { return pool_.get(); }
+                              util::ThreadPool* pool = nullptr,
+                              WorkspacePool* workspaces = nullptr) const;
 
  private:
   RapMinerConfig config_;
-  /// Owned fan-out workers (parallel.threads - 1 of them; the calling
-  /// thread is the last worker).  Shared so RapMiner stays copyable.
-  std::shared_ptr<util::ThreadPool> pool_;
   /// Retained search workspaces: repeated localize() calls (and
   /// concurrent ones — each checks out its own workspace) reuse the
   /// transposed columns and aggregation scratch instead of reallocating

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "dataset/cuboid.h"
@@ -110,20 +109,20 @@ std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
   return helpers;
 }
 
-/// Shared Algorithm 2 driver.  The two schedules differ only in how a
-/// layer's per-cuboid aggregates are produced: the serial path computes
-/// them lazily inside the merge loop (so an early stop skips the rest of
-/// the layer entirely), the parallel path precomputes the whole layer via
-/// aggregateLayer and the merge then consumes the slots in canonical
-/// order.  Everything the result depends on — acceptance, pruning,
-/// early-stop, counters — happens in the single-threaded merge below, in
-/// the exact order of the serial reference, which is what makes the two
-/// schedules bit-identical.  All aggregation memory lives in `ws`, so a
-/// retained workspace makes the steady-state hot path allocation-free.
-std::vector<ScoredPattern> searchImpl(
+}  // namespace
+
+// The two schedules differ only in how a layer's per-cuboid aggregates
+// are produced: the serial path computes them lazily inside the merge
+// loop (so an early stop skips the rest of the layer entirely), the
+// parallel path precomputes the whole layer via aggregateLayer and the
+// merge then consumes the slots in canonical order.  Everything the
+// result depends on — acceptance, pruning, early-stop, counters —
+// happens in the single-threaded merge below, in the exact order of the
+// serial reference, which is what makes the two schedules bit-identical.
+std::vector<ScoredPattern> acGuidedSearch(
     const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool* pool, SearchWorkspace& ws,
-    SearchStats& stats) {
+    const SearchConfig& config, SearchWorkspace& ws, SearchStats& stats,
+    util::ThreadPool* pool) {
   // Deadline bookkeeping: one timer read per cuboid, and only when a
   // deadline is configured — the default (0 = none) costs one branch.
   const util::WallTimer search_timer;
@@ -276,14 +275,6 @@ std::vector<ScoredPattern> searchImpl(
   return candidates;
 }
 
-}  // namespace
-
-std::int32_t resolveThreads(std::int32_t threads) noexcept {
-  if (threads > 0) return threads;
-  return std::max(1, static_cast<std::int32_t>(
-                         std::thread::hardware_concurrency()));
-}
-
 std::unique_ptr<SearchWorkspace> WorkspacePool::acquire() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -305,36 +296,6 @@ void WorkspacePool::release(std::unique_ptr<SearchWorkspace> ws) {
 std::size_t WorkspacePool::retained() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return free_.size();
-}
-
-std::vector<ScoredPattern> acGuidedSearch(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchStats& stats) {
-  SearchWorkspace workspace;
-  return searchImpl(table, kept_attributes, config, /*pool=*/nullptr,
-                    workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearch(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchWorkspace& workspace,
-    SearchStats& stats) {
-  return searchImpl(table, kept_attributes, config, /*pool=*/nullptr,
-                    workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool, SearchStats& stats) {
-  SearchWorkspace workspace;
-  return searchImpl(table, kept_attributes, config, &pool, workspace, stats);
-}
-
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool,
-    SearchWorkspace& workspace, SearchStats& stats) {
-  return searchImpl(table, kept_attributes, config, &pool, workspace, stats);
 }
 
 }  // namespace rap::core

@@ -16,17 +16,16 @@
 // aggregated in a single sparse mixed-radix pass — touched cells only —
 // instead of per-row AttributeCombination probing.
 //
-// Two schedules produce bit-identical results:
-//   * acGuidedSearch        — the serial reference implementation;
-//   * acGuidedSearchParallel — evaluates each layer's cuboids
-//     concurrently on a util::ThreadPool, then replays Criteria 2/3
-//     acceptance, pruning and the early stop in the canonical visit
-//     order during a deterministic single-threaded merge.  Acceptance
-//     decisions only ever depend on candidates from strictly lower
-//     layers (an accepted candidate cannot be an ancestor of a
-//     same-layer combination), so evaluating a layer's cuboids out of
-//     order is safe; the merge re-imposes the canonical order for
-//     acceptance and bookkeeping.
+// One entry point, two bit-identical schedules chosen by the caller:
+//   * no pool — the serial reference implementation;
+//   * a caller-owned util::ThreadPool — each layer's cuboids are
+//     evaluated concurrently, then Criteria 2/3 acceptance, pruning and
+//     the early stop are replayed in the canonical visit order during a
+//     deterministic single-threaded merge.  Acceptance decisions only
+//     ever depend on candidates from strictly lower layers (an accepted
+//     candidate cannot be an ancestor of a same-layer combination), so
+//     evaluating a layer's cuboids out of order is safe; the merge
+//     re-imposes the canonical order for acceptance and bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -64,18 +63,6 @@ struct SearchConfig {
   /// with stats.degraded_reason = "layer-cap".
   std::int32_t max_layers = 0;
 };
-
-/// Concurrency of the within-layer cuboid fan-out.
-struct ParallelConfig {
-  /// Total worker count including the calling thread: 1 runs the serial
-  /// reference path, 0 resolves to the hardware concurrency, N > 1 adds
-  /// N - 1 pool workers next to the caller.
-  std::int32_t threads = 1;
-};
-
-/// Resolves a ParallelConfig::threads value to an actual concurrency
-/// level >= 1 (0 becomes the hardware concurrency).
-std::int32_t resolveThreads(std::int32_t threads) noexcept;
 
 /// Visit order of cuboids within one layer: descending rank-weight of
 /// the member attributes, where the highest-CP attribute (first in
@@ -160,40 +147,24 @@ class WorkspacePool {
 /// output of Algorithm 1; its order determines cuboid visit order).
 /// Returns all candidate RAPs with confidence and layer filled in; the
 /// caller ranks them (Eq. 3) and truncates to k.  `stats` accumulates
-/// search-effort counters.  Serial reference schedule.
-std::vector<ScoredPattern> acGuidedSearch(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, SearchStats& stats);
-
-/// Same, but aggregating through a caller-retained workspace: the
-/// kernel transpose reuses the workspace's column capacity and every
-/// per-cuboid buffer is recycled, so repeated searches over same-shaped
-/// tables allocate nothing in the hot path.  Results are bit-identical
-/// to the workspace-free overload.
+/// search-effort counters.
+///
+/// All aggregation memory comes from `workspace`: the kernel transpose
+/// reuses its column capacity and every per-cuboid buffer is recycled,
+/// so repeated searches over same-shaped tables allocate nothing in the
+/// hot path.
+///
+/// With `pool == nullptr` the search runs the serial reference schedule.
+/// With a pool, each layer's cuboid aggregations fan out across its
+/// workers (the calling thread participates too) and the results are
+/// bit for bit those of the serial schedule; when a layer early-stops
+/// mid-way, aggregations computed past the stop point are discarded, so
+/// the stats match too.  The pool must not run tasks that block on this
+/// search.
 std::vector<ScoredPattern> acGuidedSearch(
     const dataset::LeafTable& table,
     const std::vector<dataset::AttrId>& kept_attributes,
     const SearchConfig& config, SearchWorkspace& workspace,
-    SearchStats& stats);
-
-/// Same search, same results bit for bit, but each layer's cuboid
-/// aggregations fan out across `pool` (the calling thread participates
-/// too).  The pool must not be used for tasks that block on this search.
-/// When the layer early-stops mid-way, aggregations computed past the
-/// stop point are discarded, so stats match the serial schedule exactly.
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool, SearchStats& stats);
-
-/// Parallel schedule through a caller-retained workspace (per-worker
-/// scratches live in the workspace; the kernel is shared read-only by
-/// all fan-out workers).
-std::vector<ScoredPattern> acGuidedSearchParallel(
-    const dataset::LeafTable& table,
-    const std::vector<dataset::AttrId>& kept_attributes,
-    const SearchConfig& config, util::ThreadPool& pool,
-    SearchWorkspace& workspace, SearchStats& stats);
+    SearchStats& stats, util::ThreadPool* pool = nullptr);
 
 }  // namespace rap::core

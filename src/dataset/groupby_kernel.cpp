@@ -35,66 +35,6 @@ void GroupByKernel::rebind(const LeafTable& table) {
   }
 }
 
-std::vector<GroupAggregate> GroupByKernel::groupBy(CuboidMask mask) const {
-  RAP_CHECK(table_ != nullptr);
-  const Schema& schema = table_->schema();
-  const std::uint64_t size = cuboidSize(schema, mask);
-  if (size > kDenseLimit) return table_->groupBy(mask);
-
-  // Mixed-radix strides restricted to the cuboid's attributes, matching
-  // LeafTable::projectionKey: the first member attribute varies slowest.
-  const std::vector<AttrId> attrs = cuboidAttributes(mask);
-  std::vector<std::uint64_t> strides(attrs.size());
-  std::uint64_t stride = 1;
-  for (std::size_t i = attrs.size(); i-- > 0;) {
-    strides[i] = stride;
-    stride *= static_cast<std::uint64_t>(schema.cardinality(attrs[i]));
-  }
-
-  // Column sweeps: one sequential pass per member attribute accumulates
-  // the projection key of every row.
-  const std::size_t n = rowCount();
-  std::vector<std::uint64_t> keys(n, 0);
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const std::uint32_t* column =
-        columns_[static_cast<std::size_t>(attrs[i])].data();
-    const std::uint64_t s = strides[i];
-    for (std::size_t r = 0; r < n; ++r) {
-      keys[r] += s * static_cast<std::uint64_t>(column[r]);
-    }
-  }
-
-  std::vector<GroupCell> dense(static_cast<std::size_t>(size));
-  for (std::size_t r = 0; r < n; ++r) {
-    GroupCell& cell = dense[static_cast<std::size_t>(keys[r])];
-    cell.total += 1;
-    cell.anomalous += anomalous_[r];
-    cell.v_sum += v_[r];
-    cell.f_sum += f_[r];
-  }
-
-  std::vector<GroupAggregate> out;
-  for (std::uint64_t key = 0; key < size; ++key) {
-    const GroupCell& cell = dense[static_cast<std::size_t>(key)];
-    if (cell.total == 0) continue;
-    GroupAggregate g;
-    g.total = cell.total;
-    g.anomalous = cell.anomalous;
-    g.v_sum = cell.v_sum;
-    g.f_sum = cell.f_sum;
-    // Decode the mixed-radix key back into the projected combination.
-    AttributeCombination ac(schema.attributeCount());
-    std::uint64_t rest = key;
-    for (std::size_t i = 0; i < attrs.size(); ++i) {
-      ac.setSlot(attrs[i], static_cast<ElemId>(rest / strides[i]));
-      rest %= strides[i];
-    }
-    g.ac = std::move(ac);
-    out.push_back(std::move(g));
-  }
-  return out;
-}
-
 std::size_t GroupByKernel::groupByInto(CuboidMask mask, GroupByScratch& scratch,
                                        std::vector<GroupAggregate>& out) const {
   RAP_CHECK(table_ != nullptr);
@@ -160,9 +100,9 @@ std::size_t GroupByKernel::groupByInto(CuboidMask mask, GroupByScratch& scratch,
     cell.f_sum += f_[r];
   }
 
-  // Ascending-key output order — exactly the order the one-shot dense
-  // sweep produces; the per-cell sums were accumulated in row order, so
-  // the floats are bit-identical too.
+  // Ascending-key output order — exactly LeafTable::groupBy's; the
+  // per-cell sums were accumulated in row order, so the floats are
+  // bit-identical too.
   std::sort(scratch.touched.begin(), scratch.touched.end());
 
   const std::size_t groups = scratch.touched.size();
@@ -196,28 +136,6 @@ std::size_t GroupByKernel::groupByInto(CuboidMask mask, GroupByScratch& scratch,
   }
   scratch.touched.clear();
   return groups;
-}
-
-GroupAggregate GroupByKernel::aggregateFor(const AttributeCombination& ac) const {
-  RAP_CHECK(table_ != nullptr);
-  GroupAggregate g;
-  g.ac = ac;
-  const std::size_t n = rowCount();
-  for (std::size_t r = 0; r < n; ++r) {
-    bool match = true;
-    for (AttrId a = 0; a < ac.attributeCount() && match; ++a) {
-      const ElemId want = ac.slot(a);
-      match = want == kWildcard ||
-              columns_[static_cast<std::size_t>(a)][r] ==
-                  static_cast<std::uint32_t>(want);
-    }
-    if (!match) continue;
-    g.total += 1;
-    g.anomalous += anomalous_[r];
-    g.v_sum += v_[r];
-    g.f_sum += f_[r];
-  }
-  return g;
 }
 
 }  // namespace rap::dataset

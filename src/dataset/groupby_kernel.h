@@ -10,23 +10,17 @@
 // the mixed-radix projection keys, one final pass to scatter the rows
 // into a flat (total, anomalous, v_sum, f_sum) accumulation array.
 //
-// Two aggregation entry points share that layout:
+// The one aggregation, groupByInto(mask, scratch, out), is allocation
+// free: the caller supplies a GroupByScratch whose dense array is
+// zero-filled only when it grows, a touched-key list records which cells
+// this call wrote, and the output is produced by sorting the touched
+// keys ascending.  Only touched cells are reset afterwards, so a call
+// costs O(rows + groups·log groups) rather than a zero-fill and sweep of
+// all cuboid_size cells.  In steady state (schema, row count and cuboid
+// sizes no larger than already seen) the call performs zero heap
+// allocations — asserted by `micro_primitives --assert-zero-alloc` in CI.
 //
-//   * groupBy(mask) — the original one-shot form: allocates a dense cell
-//     array of cuboidSize(mask) cells, zero-fills it, sweeps every cell
-//     to collect the non-empty groups.  O(rows + cuboid_size) per call.
-//   * groupByInto(mask, scratch, out) — the allocation-free hot path:
-//     the caller supplies a GroupByScratch whose dense array is
-//     zero-filled only when it grows, a touched-key list records which
-//     cells this call wrote, and the output is produced by sorting the
-//     touched keys ascending.  Only touched cells are reset afterwards,
-//     so the O(cuboid_size) zero-fill + full sweep of the one-shot form
-//     becomes O(rows + groups·log groups).  In steady state (schema,
-//     row count and cuboid sizes no larger than already seen) the call
-//     performs zero heap allocations — asserted by
-//     `micro_primitives --assert-zero-alloc` in CI.
-//
-// Output contract: both forms are element-for-element identical to
+// Output contract: element-for-element identical to
 // LeafTable::groupBy(mask) — same ascending-key order, same counts and,
 // because rows are accumulated into per-cell sums in the same row order,
 // bit-identical floating-point sums.  The kernel is immutable between
@@ -86,25 +80,17 @@ class GroupByKernel {
   const LeafTable& table() const noexcept { return *table_; }
   std::size_t rowCount() const noexcept { return anomalous_.size(); }
 
-  /// One-pass aggregation of all leaves by their projection onto `mask`;
-  /// identical to table().groupBy(mask) (see header comment).  One-shot
-  /// form: allocates its dense array per call.
-  std::vector<GroupAggregate> groupBy(CuboidMask mask) const;
-
-  /// Allocation-free form: aggregates into `out[0 .. returned count)`
-  /// using the caller's scratch.  `out` only ever grows — entries past
-  /// the returned count are stale leftovers kept alive so their heap
-  /// buffers (each GroupAggregate owns an AttributeCombination) can be
-  /// reused by later calls.  Element-for-element bit-identical to
-  /// groupBy(mask) over the returned prefix.  Cuboids above the dense
-  /// limit fall back to the table's sort-and-aggregate path (which
-  /// allocates; documented exception to the zero-allocation contract).
+  /// One-pass aggregation of all leaves by their projection onto `mask`
+  /// into `out[0 .. returned count)`, using the caller's scratch.  `out`
+  /// only ever grows — entries past the returned count are stale
+  /// leftovers kept alive so their heap buffers (each GroupAggregate
+  /// owns an AttributeCombination) can be reused by later calls.  The
+  /// returned prefix is element-for-element bit-identical to
+  /// table().groupBy(mask).  Cuboids above the dense limit fall back to
+  /// the table's sort-and-aggregate path (which allocates; documented
+  /// exception to the zero-allocation contract).
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<GroupAggregate>& out) const;
-
-  /// Support counts of a single combination (column scan; used by tests
-  /// to cross-check against InvertedIndex::aggregateFor).
-  GroupAggregate aggregateFor(const AttributeCombination& ac) const;
 
  private:
   const LeafTable* table_ = nullptr;

@@ -7,43 +7,6 @@
 
 namespace rap::io {
 
-std::string escapeJson(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::strFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void JsonWriter::prefix() {
   if (pending_key_) {
     pending_key_ = false;
@@ -91,13 +54,13 @@ void JsonWriter::key(const std::string& name) {
     has_element_.back() = true;
   }
   out_ += '"';
-  out_ += escapeJson(name);
+  out_ += util::escapeJson(name);
   out_ += "\":";
   pending_key_ = true;
 }
 
 void JsonWriter::value(const std::string& text) {
-  rawValue("\"" + escapeJson(text) + "\"");
+  rawValue("\"" + util::escapeJson(text) + "\"");
 }
 
 void JsonWriter::value(const char* text) { value(std::string(text)); }

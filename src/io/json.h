@@ -48,9 +48,6 @@ class JsonWriter {
   bool pending_key_ = false;
 };
 
-/// JSON string escaping per RFC 8259 (quotes, backslash, control chars).
-std::string escapeJson(const std::string& text);
-
 /// Serializes a localization result:
 /// {"patterns":[{"pattern":"(L1, *, *, Site1)","confidence":..,
 ///   "layer":..,"score":..}...],"stats":{...}}

@@ -15,7 +15,6 @@
 #include <cstring>
 
 #include "obs/build_info.h"
-#include "obs/obs_internal.h"
 #include "obs/query_params.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -126,11 +125,11 @@ std::string errorEnvelope(int status, std::string_view code,
                           std::string_view message,
                           std::string_view extra_fields) {
   std::string out = "{\"error\":{\"code\":\"";
-  out += internal::jsonEscape(std::string(code));
+  out += util::escapeJson(code);
   out += "\",\"status\":";
   out += std::to_string(status);
   out += ",\"message\":\"";
-  out += internal::jsonEscape(std::string(message));
+  out += util::escapeJson(message);
   out += "\"";
   if (!extra_fields.empty()) {
     out += ",";
@@ -573,7 +572,7 @@ std::string renderTracez(const TraceRecorder& recorder, std::size_t limit) {
     const TraceEvent& event = events[i];
     if (i > begin) out += ",";
     out += "{\"name\":\"";
-    out += internal::jsonEscape(event.name);
+    out += util::escapeJson(event.name);
     out += "\",\"ph\":\"";
     out += event.phase;
     out += "\",\"ts_us\":" + std::to_string(event.ts_us);

@@ -1,6 +1,6 @@
 #include "obs/build_info.h"
 
-#include "obs/obs_internal.h"
+#include "util/strings.h"
 
 namespace rap::obs {
 
@@ -56,11 +56,11 @@ void registerBuildInfo(MetricsRegistry& registry) {
 std::string buildInfoJson() {
   const BuildInfo& info = buildInfo();
   std::string out = "{\"version\":\"";
-  out += internal::jsonEscape(info.version);
+  out += util::escapeJson(info.version);
   out += "\",\"compiler\":\"";
-  out += internal::jsonEscape(info.compiler);
+  out += util::escapeJson(info.compiler);
   out += "\",\"build_type\":\"";
-  out += internal::jsonEscape(info.build_type);
+  out += util::escapeJson(info.build_type);
   out += "\",\"fault_injection\":";
   out += info.fault_injection ? "true" : "false";
   out += "}";

@@ -6,45 +6,13 @@
 
 #include "obs/obs_internal.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace rap::obs {
 
 namespace internal {
 
 std::atomic<bool> g_metrics_enabled{false};
-
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string promEscapeLabelValue(const std::string& text) {
   std::string out;
@@ -288,7 +256,7 @@ std::string MetricsRegistry::renderJson() const {
   for (const auto& [name, family] : families_) {
     if (!first_family) out += ",";
     first_family = false;
-    out += "{\"name\":\"" + internal::jsonEscape(name) + "\",\"type\":\"" +
+    out += "{\"name\":\"" + util::escapeJson(name) + "\",\"type\":\"" +
            kindName(static_cast<int>(family.kind)) + "\",\"series\":[";
     bool first_series = true;
     for (const auto& series : family.series) {
@@ -302,9 +270,9 @@ std::string MetricsRegistry::renderJson() const {
         // Built with += only: GCC 12 misfires -Wrestrict on the
         // `const char* + std::string&&` concatenation chain here.
         out += "\"";
-        out += internal::jsonEscape(k);
+        out += util::escapeJson(k);
         out += "\":\"";
-        out += internal::jsonEscape(v);
+        out += util::escapeJson(v);
         out += "\"";
       }
       out += "}";

@@ -7,9 +7,6 @@
 
 namespace rap::obs::internal {
 
-/// Minimal RFC 8259 string escaping (quotes, backslash, control chars).
-std::string jsonEscape(const std::string& text);
-
 /// Prometheus text-exposition label-value escaping: exactly backslash,
 /// double-quote, and line feed (the spec's three), everything else —
 /// tabs and other control bytes included — passes through verbatim.

@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "obs/obs_internal.h"
+#include "util/strings.h"
 
 namespace rap::obs {
 
@@ -22,21 +22,21 @@ std::string JsonLineLogSink::formatRecord(const util::LogRecord& record) {
   out += "\",\"level\":\"";
   out += util::logLevelFullName(record.level);
   out += "\",\"src\":\"";
-  out += internal::jsonEscape(record.file);
+  out += util::escapeJson(record.file);
   out += ":";
   out += std::to_string(record.line);
   out += "\",\"msg\":\"";
-  out += internal::jsonEscape(record.message);
+  out += util::escapeJson(record.message);
   out += "\"";
   for (const auto& field : record.fields) {
     out += ",\"";
-    out += internal::jsonEscape(field.key);
+    out += util::escapeJson(field.key);
     out += "\":";
     if (field.quoted) {
       // Built with += only: GCC 12 misfires -Wrestrict on the
       // `const char* + std::string&&` concatenation chain here.
       out += "\"";
-      out += internal::jsonEscape(field.value);
+      out += util::escapeJson(field.value);
       out += "\"";
     } else {
       out += field.value;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "obs/obs_internal.h"
+#include "util/strings.h"
 
 namespace rap::obs {
 
@@ -72,7 +73,7 @@ std::string TraceRecorder::renderChromeTrace() const {
   for (const auto& event : events) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"" + internal::jsonEscape(event.name) +
+    out += "{\"name\":\"" + util::escapeJson(event.name) +
            "\",\"cat\":\"rap\",\"ph\":\"";
     out += event.phase;
     out += "\",\"ts\":" + std::to_string(event.ts_us);
@@ -129,11 +130,11 @@ std::string renderArgs(std::initializer_list<TraceArg> args) {
     // Built with += only: GCC 12 misfires -Wrestrict on the
     // `const char* + std::string&&` concatenation chain here.
     out += "\"";
-    out += internal::jsonEscape(arg.key);
+    out += util::escapeJson(arg.key);
     out += "\":";
     if (arg.quoted) {
       out += "\"";
-      out += internal::jsonEscape(arg.value);
+      out += util::escapeJson(arg.value);
       out += "\"";
     } else {
       out += arg.value;

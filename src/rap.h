@@ -7,9 +7,10 @@
 //   dataset::Schema schema = dataset::Schema::cdn();
 //   dataset::LeafTable table(schema);
 //   ... fill rows, run a detect:: detector for verdicts ...
-//   auto miner = core::RapMiner::Builder().tConf(0.9).threads(8).build();
+//   auto miner = core::RapMiner::Builder().tConf(0.9).build();
 //   if (!miner.isOk()) { /* miner.status() explains why */ }
-//   core::LocalizationResult result = miner->localize(table, 5);
+//   util::ThreadPool pool(7);  // optional: 7 workers + the caller
+//   core::LocalizationResult result = miner->localize(table, 5, &pool);
 //   std::puts(core::renderReport(schema, result).c_str());
 //
 // Subsystems with their own lifecycles (streaming ingestion, evaluation
@@ -20,7 +21,7 @@
 #include "core/classification_power.h"  // Algorithm 1 (Criteria 1)
 #include "core/rapminer.h"              // RapMiner + Builder + configs
 #include "core/report.h"                // human-readable result rendering
-#include "core/search.h"                // Algorithm 2 entry points
+#include "core/search.h"                // Algorithm 2 entry point
 #include "core/types.h"                 // ScoredPattern / LocalizationResult
 #include "dataset/attribute_combination.h"
 #include "dataset/cuboid.h"

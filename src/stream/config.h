@@ -54,10 +54,9 @@ struct StreamConfig {
   double detect_threshold = 0.095;
   bool detect_two_sided = false;
 
-  /// miner.parallel.threads > 1 (or 0 on a multi-core host) makes the
-  /// engine run the within-layer search fan-out on a dedicated pool
-  /// shared by all in-flight localizations — distinct from
-  /// localize_threads, which bounds how many windows localize at once.
+  /// Thresholds of the per-window RapMiner.  Each window's search runs
+  /// serially on its localize_threads worker; localize_threads bounds
+  /// how many windows localize at once.
   core::RapMinerConfig miner;
   /// Patterns kept per localization (RapMiner::localize's k).
   std::int32_t top_k = 5;

@@ -27,13 +27,10 @@ bool rowLess(const dataset::LeafRow& a, const dataset::LeafRow& b) noexcept {
   return a.f < b.f;
 }
 
-/// The engine owns the search fan-out pool (search_pool_) and hands it
-/// to localize() per call, so the miner itself must not spin up a
-/// second, idle pool for the same thread budget.  The stream-level
-/// localization deadline, when set, overrides the miner's own.
+/// The stream-level localization deadline, when set, overrides the
+/// miner's own.
 core::RapMinerConfig minerConfigForStream(const StreamConfig& config) {
   core::RapMinerConfig miner = config.miner;
-  miner.parallel.threads = 1;
   if (config.localize_deadline_seconds > 0.0) {
     miner.search.deadline_seconds = config.localize_deadline_seconds;
   }
@@ -134,12 +131,6 @@ void StreamEngine::setQuarantineCallback(
 void StreamEngine::start() {
   RAP_CHECK_MSG(!started_.load(), "engine started twice");
   RAP_CHECK_MSG(!stopped_.load(), "engine is terminal after stop()");
-  const std::int32_t search_threads =
-      core::resolveThreads(config_.miner.parallel.threads);
-  if (search_threads > 1) {
-    search_pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<std::size_t>(search_threads - 1));
-  }
   pool_ = std::make_unique<util::ThreadPool>(config_.localize_threads);
   for (auto& shard : shards_) shard->start();
   sealer_ = std::thread([this] { sealerLoop(); });
@@ -428,7 +419,7 @@ void StreamEngine::processWindow(SealedWindow window) {
       // retains the search kernel + scratch: steady-state epochs reuse
       // capacity instead of reallocating, and concurrent localize_pool_
       // workers each lease their own workspace from it.
-      out.result = miner_.localize(table, config_.top_k, search_pool_.get());
+      out.result = miner_.localize(table, config_.top_k);
     } catch (const std::exception& e) {
       localize_failures_.fetch_add(1, std::memory_order_relaxed);
       if (obs::metricsEnabled()) metrics_.localize_failures->increment();

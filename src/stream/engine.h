@@ -255,14 +255,6 @@ class StreamEngine {
   detect::RelativeDeviationDetector detector_;
   core::RapMiner miner_;
   std::unique_ptr<alarm::AlarmManager> alarm_;  ///< sealer thread only
-  /// Dedicated pool for the within-layer search fan-out (sized by
-  /// config.miner.parallel.threads), shared by every in-flight
-  /// localization.  Deliberately distinct from pool_: localize tasks
-  /// block on their layer fan-outs, so running both task kinds on one
-  /// pool could deadlock with every worker blocked waiting.  Declared
-  /// before pool_ so it is destroyed after the localize tasks that
-  /// borrow it.
-  std::unique_ptr<util::ThreadPool> search_pool_;
   std::unique_ptr<util::ThreadPool> pool_;
   /// Background gauge sampler, owned iff
   /// config.lag_sample_interval_seconds > 0 (see stream/lag_collector.h).

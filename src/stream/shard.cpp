@@ -154,6 +154,11 @@ void Shard::consumerLoop() {
       const std::int64_t sealable =
           watermark_.sealableEpoch(config_.window_width);
       if (sealable != WatermarkTracker::kNone && sealable > sealed_up_to_) {
+        // offer() queues events before it advances the watermark, so
+        // every event backing the observed watermark is drainable now;
+        // bucket them before sealing or they would count as late.
+        queue_.drainNow(batch);
+        bucketEvents(batch);
         sealUpTo(sealable);
       }
     }

@@ -340,12 +340,14 @@ JobManager::ExecOutcome JobManager::executeImpl(const JobRequest& request,
   }
 
   if (cache_ != nullptr && request.cache_key != 0) {
-    if (auto hit = cache_->get(request.cache_key)) {
-      if (cache_hits_ != nullptr) cache_hits_->increment();
-      outcome.ok = true;
-      outcome.cache_hit = true;
-      outcome.result_json = std::move(*hit);
-      return outcome;
+    if (!request.cache_checked) {
+      if (auto hit = cache_->get(request.cache_key)) {
+        if (cache_hits_ != nullptr) cache_hits_->increment();
+        outcome.ok = true;
+        outcome.cache_hit = true;
+        outcome.result_json = std::move(*hit);
+        return outcome;
+      }
     }
     if (cache_misses_ != nullptr) cache_misses_->increment();
   }
@@ -365,7 +367,7 @@ JobManager::ExecOutcome JobManager::executeImpl(const JobRequest& request,
   }
 
   const core::LocalizationResult result = miner.value().localize(
-      table, request.k, miner.value().searchPool(), &localize_workspaces_);
+      table, request.k, /*pool=*/nullptr, &localize_workspaces_);
   outcome.ok = true;
   outcome.result_json = io::resultToJson(table.schema(), result);
   if (cache_ != nullptr && request.cache_key != 0) {

@@ -83,6 +83,11 @@ struct JobRequest {
   std::int32_t priority = 0;  ///< higher runs sooner
   /// Content hash of the originating request (cache key); 0 = uncached.
   std::uint64_t cache_key = 0;
+  /// The caller already looked cache_key up and missed (the service's
+  /// pre-parse fast path), so execution skips its own lookup and the
+  /// request counts one lookup in ResultCache::stats(), not two.  The
+  /// result is still stored under cache_key.
+  bool cache_checked = false;
   /// Durable journal record backing this job; 0 = not journaled.  The
   /// on_terminal callback hands it back so the service can write the
   /// completion marker.

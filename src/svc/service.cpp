@@ -254,6 +254,7 @@ obs::HttpResponse LocalizeService::handleLocalize(
   job.detect_threshold = knobs->detect_threshold;
   job.priority = knobs->priority;
   job.cache_key = key;
+  job.cache_checked = knobs->mode != "async";  // the fast path above missed
 
   if (sync) {
     auto result = jobs_->executeInline(std::move(job));
@@ -364,7 +365,7 @@ obs::HttpResponse LocalizeService::handleJobGet(
     out += status->result_json;
   } else if (status->state == JobState::kFailed) {
     out += ",\"error\":\"";
-    out += io::escapeJson(status->error);
+    out += util::escapeJson(status->error);
     out += "\"";
   }
   out += "}\n";

@@ -8,6 +8,7 @@
 #include "core/rapminer.h"
 #include "core/search.h"
 #include "dataset/cuboid.h"
+#include "util/thread_pool.h"
 
 namespace rap::core {
 namespace {
@@ -125,10 +126,18 @@ TEST(DecreaseRatio, MatchesLatticeCounts) {
 
 // ------------------------------------------------------------- AC search
 
+/// Algorithm 2's serial schedule on a fresh workspace.
+std::vector<ScoredPattern> serialSearch(
+    const LeafTable& table, const std::vector<dataset::AttrId>& kept,
+    const SearchConfig& config, SearchStats& stats) {
+  SearchWorkspace workspace;
+  return acGuidedSearch(table, kept, config, workspace, stats);
+}
+
 TEST(AcSearch, FindsSingleLayer1Rap) {
   const LeafTable table = makeTable({"(a2, *, *, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0].ac.toString(table.schema()), "(a2, *, *, *)");
   EXPECT_DOUBLE_EQ(patterns[0].confidence, 1.0);
@@ -139,7 +148,7 @@ TEST(AcSearch, FindsSingleLayer1Rap) {
 TEST(AcSearch, PrunesDescendantsOfAcceptedRap) {
   const LeafTable table = makeTable({"(a1, *, *, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   // Only the root pattern — none of its (fully anomalous) descendants.
   ASSERT_EQ(patterns.size(), 1u);
   for (const auto& p : patterns) {
@@ -152,7 +161,7 @@ TEST(AcSearch, FindsRapsInDifferentCuboids) {
   SearchStats stats;
   SearchConfig config;
   config.early_stop = false;  // exhaustive, to check the full candidate set
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, config, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, config, stats);
   std::vector<std::string> found;
   for (const auto& p : patterns) found.push_back(p.ac.toString(table.schema()));
   EXPECT_NE(std::find(found.begin(), found.end(), "(a1, *, *, *)"),
@@ -164,7 +173,7 @@ TEST(AcSearch, FindsRapsInDifferentCuboids) {
 TEST(AcSearch, CandidatesPairwiseNonAncestral) {
   const LeafTable table = makeTable({"(a1, *, *, *)", "(*, b2, c1, *)"});
   SearchStats stats;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, {}, stats);
   for (const auto& a : patterns) {
     for (const auto& b : patterns) {
       if (a.ac == b.ac) continue;
@@ -187,7 +196,7 @@ TEST(AcSearch, ConfidenceThresholdIsStrict) {
   SearchStats stats;
   SearchConfig config;
   config.t_conf = 0.5;
-  const auto patterns = acGuidedSearch(table, {0, 1, 2, 3}, config, stats);
+  const auto patterns = serialSearch(table, {0, 1, 2, 3}, config, stats);
   for (const auto& p : patterns) {
     EXPECT_GT(p.confidence, 0.5);
     EXPECT_FALSE(p.ac == a1);  // 0.5 is not > 0.5
@@ -200,7 +209,7 @@ TEST(AcSearch, RestrictedAttributesNeverAppear) {
   // Attribute 0 deleted: the true RAP is unreachable; whatever is found
   // must not constrain attribute 0, and nothing of confidence 1 at layer
   // 1 exists among {1, 2, 3}.
-  const auto patterns = acGuidedSearch(table, {1, 2, 3}, {}, stats);
+  const auto patterns = serialSearch(table, {1, 2, 3}, {}, stats);
   for (const auto& p : patterns) {
     EXPECT_TRUE(p.ac.isWildcard(0));
   }
@@ -209,7 +218,7 @@ TEST(AcSearch, RestrictedAttributesNeverAppear) {
 TEST(AcSearch, EmptyKeptAttributesFindsNothing) {
   const LeafTable table = makeTable({"(a1, *, *, *)"});
   SearchStats stats;
-  EXPECT_TRUE(acGuidedSearch(table, {}, {}, stats).empty());
+  EXPECT_TRUE(serialSearch(table, {}, {}, stats).empty());
   EXPECT_EQ(stats.cuboids_visited, 0u);
 }
 
@@ -218,12 +227,12 @@ TEST(AcSearch, EarlyStopSkipsRemainingWork) {
   SearchStats eager_stats;
   SearchConfig eager;
   eager.early_stop = true;
-  acGuidedSearch(table, {0, 1, 2, 3}, eager, eager_stats);
+  serialSearch(table, {0, 1, 2, 3}, eager, eager_stats);
 
   SearchStats full_stats;
   SearchConfig full;
   full.early_stop = false;
-  acGuidedSearch(table, {0, 1, 2, 3}, full, full_stats);
+  serialSearch(table, {0, 1, 2, 3}, full, full_stats);
 
   EXPECT_TRUE(eager_stats.early_stopped);
   EXPECT_FALSE(full_stats.early_stopped);
@@ -316,8 +325,8 @@ TEST(AcSearch, NumericOrderFindsTheSameCandidates) {
 
   SearchStats s1;
   SearchStats s2;
-  auto a = acGuidedSearch(table, {0, 1, 2, 3}, cp_order, s1);
-  auto b = acGuidedSearch(table, {0, 1, 2, 3}, numeric, s2);
+  auto a = serialSearch(table, {0, 1, 2, 3}, cp_order, s1);
+  auto b = serialSearch(table, {0, 1, 2, 3}, numeric, s2);
   auto key = [](const ScoredPattern& p) { return p.ac; };
   std::vector<AttributeCombination> acs_a;
   std::vector<AttributeCombination> acs_b;
@@ -358,8 +367,6 @@ TEST(RapMinerBuilder, ValidateRejectsOutOfRangeKnobs) {
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(RapMiner::Builder().tConf(1.5).validate().code(),
             util::StatusCode::kInvalidArgument);
-  EXPECT_EQ(RapMiner::Builder().threads(-1).validate().code(),
-            util::StatusCode::kInvalidArgument);
 
   const auto bad = RapMiner::Builder().tConf(2.0).build();
   ASSERT_FALSE(bad.isOk());
@@ -396,32 +403,13 @@ TEST(RapMinerBuilder, BuildsWorkingMinerOnBoundaryValues) {
                          .attributeDeletion(false)
                          .earlyStop(false)
                          .cuboidOrder(CuboidOrder::kNumeric)
-                         .threads(2)
                          .build();
   ASSERT_TRUE(miner.isOk());
-  const auto result = miner->localize(makeTable({"(a1, *, *, *)"}), 0);
+  util::ThreadPool pool(1);  // one worker + the caller
+  const auto result = miner->localize(makeTable({"(a1, *, *, *)"}), 0, &pool);
   // Confidence can never exceed 1.0, so t_conf = 1.0 accepts nothing.
   EXPECT_TRUE(result.patterns.empty());
   EXPECT_EQ(result.stats.search_threads, 2);
-}
-
-TEST(RapMinerConfig, LegacyFlatConfigConvertsToNested) {
-  LegacyRapMinerConfig flat;
-  flat.t_cp = 0.01;
-  flat.t_conf = 0.75;
-  flat.enable_attribute_deletion = false;
-  flat.early_stop = false;
-  flat.cuboid_order = CuboidOrder::kNumeric;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const RapMinerConfig nested = flat;
-#pragma GCC diagnostic pop
-  EXPECT_EQ(nested.cp.t_cp, 0.01);
-  EXPECT_EQ(nested.search.t_conf, 0.75);
-  EXPECT_FALSE(nested.cp.enable_attribute_deletion);
-  EXPECT_FALSE(nested.search.early_stop);
-  EXPECT_EQ(nested.search.order, CuboidOrder::kNumeric);
-  EXPECT_EQ(nested.parallel.threads, 1);
 }
 
 }  // namespace

@@ -504,14 +504,6 @@ TEST(Checkpoint, MissingFileIsNotFound) {
 
 // ------------------------------------------------------------------ JSON
 
-TEST(Json, EscapesSpecialCharacters) {
-  EXPECT_EQ(escapeJson("plain"), "plain");
-  EXPECT_EQ(escapeJson("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(escapeJson("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(escapeJson("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(escapeJson(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(Json, WriterBuildsNestedDocument) {
   JsonWriter w;
   w.beginObject();

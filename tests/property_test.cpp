@@ -82,29 +82,6 @@ TEST_P(RandomTableProperty, IndexAgreesWithScanOnRandomProbes) {
   }
 }
 
-TEST_P(RandomTableProperty, KernelMatchesTableGroupByBitExactly) {
-  // The dense kernel's contract: element-for-element identical to
-  // LeafTable::groupBy on every cuboid, including the float sums
-  // (compared with ==, not a tolerance — the parallel search's
-  // bit-identity guarantee rests on this).
-  util::Rng rng(GetParam() ^ 0xC0DE);
-  const LeafTable table = randomTable(rng);
-  const dataset::GroupByKernel kernel(table);
-  for (const auto mask :
-       dataset::allCuboidsByLayer(dataset::allAttributesMask(table.schema()))) {
-    const auto expected = table.groupBy(mask);
-    const auto actual = kernel.groupBy(mask);
-    ASSERT_EQ(expected.size(), actual.size()) << "mask=" << mask;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(expected[i].ac, actual[i].ac);
-      EXPECT_EQ(expected[i].total, actual[i].total);
-      EXPECT_EQ(expected[i].anomalous, actual[i].anomalous);
-      EXPECT_EQ(expected[i].v_sum, actual[i].v_sum);
-      EXPECT_EQ(expected[i].f_sum, actual[i].f_sum);
-    }
-  }
-}
-
 TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
   // The allocation-free path's contract under REUSE: one kernel, one
   // scratch, and one grow-only output vector driven across two random
@@ -138,27 +115,6 @@ TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
         }
       }
     }
-  }
-}
-
-TEST_P(RandomTableProperty, KernelAggregateAgreesWithIndexOnRandomProbes) {
-  util::Rng rng(GetParam() ^ 0xBEEF);
-  const LeafTable table = randomTable(rng);
-  const dataset::GroupByKernel kernel(table);
-  const dataset::InvertedIndex index(table);
-  const Schema& schema = table.schema();
-  for (int probe = 0; probe < 20; ++probe) {
-    AttributeCombination ac(schema.attributeCount());
-    for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
-      if (rng.bernoulli(0.5)) {
-        ac.setSlot(a, static_cast<dataset::ElemId>(
-                          rng.uniformInt(0, schema.cardinality(a) - 1)));
-      }
-    }
-    const auto agg_kernel = kernel.aggregateFor(ac);
-    const auto agg_index = index.aggregateFor(ac);
-    EXPECT_EQ(agg_kernel.total, agg_index.total);
-    EXPECT_EQ(agg_kernel.anomalous, agg_index.anomalous);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -68,53 +69,56 @@ std::vector<gen::Case> rapmdCases(std::uint64_t seed, std::int32_t n,
   return generator.generate();
 }
 
+/// A caller-owned fan-out pool giving `threads` search threads in all
+/// (its workers plus the calling thread); none for a single thread, which
+/// runs the serial reference schedule.
+std::unique_ptr<util::ThreadPool> fanOutPool(std::int32_t threads) {
+  if (threads <= 1) return nullptr;
+  return std::make_unique<util::ThreadPool>(
+      static_cast<std::size_t>(threads - 1));
+}
+
 class ThreadSweep : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(ThreadSweep, BitIdenticalOnRapmdCases) {
   const std::int32_t threads = GetParam();
-  RapMinerConfig serial_config;
-  RapMinerConfig parallel_config;
-  parallel_config.parallel.threads = threads;
-  const RapMiner serial(serial_config);
-  const RapMiner parallel(parallel_config);
-  // search_threads reports the concurrency actually used, so the
-  // configured budget is an upper bound, not the reported value: a layer
-  // with c cuboids enlists at most c - 1 helpers.  (The exact-width
-  // cases live in the SearchThreads suite below.)
-  const auto reported =
-      parallel.localize(rapmdCases(1, 1)[0].table, 0).stats.search_threads;
+  const auto pool = fanOutPool(threads);
+  const RapMiner miner;
+  // search_threads reports the concurrency actually used, so the pool's
+  // width is an upper bound, not the reported value: a layer with c
+  // cuboids enlists at most c - 1 helpers.  (The exact-width cases live
+  // in the SearchThreads suite below.)
+  const auto reported = miner.localize(rapmdCases(1, 1)[0].table, 0, pool.get())
+                            .stats.search_threads;
   EXPECT_GE(reported, threads == 1 ? 1 : 2);
   EXPECT_LE(reported, threads);
 
   for (const auto& c : rapmdCases(20220627, 8)) {
-    expectBitIdentical(serial.localize(c.table, 0),
-                       parallel.localize(c.table, 0));
+    expectBitIdentical(miner.localize(c.table, 0),
+                       miner.localize(c.table, 0, pool.get()));
   }
 }
 
 TEST_P(ThreadSweep, BitIdenticalOnExhaustiveSearch) {
   // Deletion off + early stop off: every layer of the full lattice goes
   // through the merge, the worst case for ordering bugs.
-  const std::int32_t threads = GetParam();
-  RapMinerConfig base;
-  base.cp.enable_attribute_deletion = false;
-  base.search.early_stop = false;
-  RapMinerConfig fanned = base;
-  fanned.parallel.threads = threads;
-  const RapMiner serial(base);
-  const RapMiner parallel(fanned);
+  const auto pool = fanOutPool(GetParam());
+  RapMinerConfig config;
+  config.cp.enable_attribute_deletion = false;
+  config.search.early_stop = false;
+  const RapMiner miner(config);
   for (const auto& c : rapmdCases(7, 4, /*label_noise=*/0.05)) {
-    expectBitIdentical(serial.localize(c.table, 0),
-                       parallel.localize(c.table, 0));
+    expectBitIdentical(miner.localize(c.table, 0),
+                       miner.localize(c.table, 0, pool.get()));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
                          ::testing::Values(1, 2, 4, 8));
 
-TEST(ParallelSearch, ExternalPoolOverridesConfig) {
+TEST(ParallelSearch, CallerPoolSetsTheFanOutWidth) {
   util::ThreadPool pool(3);
-  const RapMiner miner;  // parallel.threads = 1: no owned pool
+  const RapMiner miner;
   const auto c = rapmdCases(99, 1)[0];
   const auto serial = miner.localize(c.table, 0);
   const auto fanned = miner.localize(c.table, 0, &pool);
@@ -145,17 +149,6 @@ TEST(ParallelSearch, SharedPoolSurvivesConcurrentLocalizations) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     expectBitIdentical(serial[i], parallel[i]);
   }
-}
-
-TEST(ParallelSearch, ZeroThreadsResolvesToHardwareConcurrency) {
-  EXPECT_GE(core::resolveThreads(0), 1);
-  EXPECT_EQ(core::resolveThreads(1), 1);
-  EXPECT_EQ(core::resolveThreads(8), 8);
-  RapMinerConfig config;
-  config.parallel.threads = 0;
-  const auto c = rapmdCases(5, 1)[0];
-  expectBitIdentical(RapMiner().localize(c.table, 0),
-                     RapMiner(config).localize(c.table, 0));
 }
 
 // ------------------------------------------ threads actually used

@@ -466,6 +466,34 @@ TEST(StreamEngine, LateEventForSealedWindowIsDroppedAndCounted) {
   engine.stop();
 }
 
+TEST(StreamEngine, InOrderProducerWithZeroLatenessSealsFullWindows) {
+  // Stress for the watermark-seal race: one in-order producer, one
+  // event per ingest call, many small windows.  Every event of window w
+  // is queued before the first event of w + 1 advances the watermark,
+  // so none may be dropped as late and every window must seal whole.
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamConfig config = testConfig();
+  config.shards = 1;
+  config.window_width = 12;  // healthyGrid puts its 12 leaves at ts 0..11
+  StreamEngine engine(schema, config);
+  WindowCollector collector;
+  collector.install(engine);
+  engine.start();
+
+  constexpr int kWindows = 400;
+  const auto events = healthyGrid(config.window_width, kWindows);
+  for (const auto& event : events) engine.ingest(event);
+  engine.drain();
+
+  const auto windows = collector.windows();
+  ASSERT_EQ(windows.size(), static_cast<std::size_t>(kWindows));
+  for (const auto& [epoch, rows] : windows) {
+    EXPECT_EQ(rows.size(), 12u) << "epoch " << epoch;
+  }
+  EXPECT_EQ(engine.stats().late_dropped, 0u);
+  engine.stop();
+}
+
 TEST(StreamEngine, StopDrainsBufferedWindows) {
   const auto schema = dataset::Schema::synthetic({4, 3});
   StreamConfig config = testConfig();

@@ -431,6 +431,26 @@ TEST(LocalizeService, IdenticalResubmissionIsABitIdenticalCacheHit) {
   obs::setMetricsEnabled(false);
 }
 
+TEST(LocalizeService, SyncMissThenResubmitCountsOneLookupEach) {
+  // The pre-parse fast path and the job path both consult the cache; a
+  // sync request must still count exactly one lookup.
+  const auto schema = dataset::Schema::tiny();
+  svc::LocalizeService service(schema, core::RapMinerConfig{},
+                               smallServiceOptions());
+  const std::string body = csvBodyOf(demoTable(schema));
+
+  const auto first = service.handleLocalize(postRequest(body, "mode=sync"));
+  ASSERT_EQ(first.status, 200) << first.body;
+  EXPECT_EQ(*headerOf(first, "X-Rap-Cache"), "miss");
+  const auto second = service.handleLocalize(postRequest(body, "mode=sync"));
+  ASSERT_EQ(second.status, 200) << second.body;
+  EXPECT_EQ(*headerOf(second, "X-Rap-Cache"), "hit");
+
+  const auto stats = service.cache().stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
 TEST(LocalizeService, JsonBodyProducesTheSameResultAsCsv) {
   const auto schema = dataset::Schema::tiny();
   svc::LocalizeService service(schema, core::RapMinerConfig{},

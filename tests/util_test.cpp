@@ -139,6 +139,17 @@ TEST(Strings, ToLower) {
   EXPECT_EQ(toLower(""), "");
 }
 
+TEST(Strings, EscapeJson) {
+  EXPECT_EQ(escapeJson("plain"), "plain");
+  EXPECT_EQ(escapeJson("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(escapeJson("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(escapeJson("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(escapeJson(std::string(1, '\x01')), "\\u0001");
+  // Short forms for backspace and form feed, \u00XX for the rest.
+  EXPECT_EQ(escapeJson("a\bb\fc"), "a\\bb\\fc");
+  EXPECT_EQ(escapeJson(std::string(1, '\x1f')), "\\u001f");
+}
+
 // ------------------------------------------------------------------- rng
 
 TEST(Rng, DeterministicForSameSeed) {
