@@ -10,7 +10,11 @@
 // table with the allocation probe armed and exits non-zero if the
 // steady state performed a single heap allocation — the CI bench-smoke
 // job's enforcement of the allocation-free hot-path contract
-// (docs/algorithms.md, "Workspace reuse").  The probe's replacement
+// (docs/algorithms.md, "Workspace reuse").  The same mode then decodes
+// a ~9k-row cdn CSV snapshot and fails if the warm decode makes more
+// than rows + 64 heap allocations: one per row for its
+// AttributeCombination, and nothing per row or per field for the
+// document (docs/service.md, "Snapshot decoding").  The probe's replacement
 // operator new/delete are compiled into this binary only (see
 // src/util/alloc_probe.h).
 #include <benchmark/benchmark.h>
@@ -19,11 +23,13 @@
 #include <cstdio>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "alarm/monitor.h"
 #include "baselines/fp_rap.h"
 #include "forecast/forecaster.h"
+#include "io/csv.h"
 #include "io/json.h"
 #include "core/classification_power.h"
 #include "core/rapminer.h"
@@ -34,8 +40,10 @@
 #include "mining/fpgrowth.h"
 #include "obs/metrics.h"
 #include "stats/histogram.h"
+#include "svc/snapshot.h"
 #include "util/alloc_probe.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -316,6 +324,76 @@ void BM_JsonResultSerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonResultSerialization);
 
+/// The rapmd case as an unlabeled `attr...,real,predict` CSV request
+/// body, KPIs at %.6g — the shape of the svc_incident snapshots.
+const std::string& snapshotBody() {
+  static const std::string kBody = [] {
+    const auto& table = rapmdCase().table;
+    const auto& schema = table.schema();
+    std::vector<io::CsvRow> rows;
+    io::CsvRow header;
+    for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+      header.push_back(schema.attribute(a).name());
+    }
+    header.emplace_back("real");
+    header.emplace_back("predict");
+    rows.push_back(std::move(header));
+    for (const auto& row : table.rows()) {
+      io::CsvRow out;
+      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+        out.push_back(schema.attribute(a).elementName(row.ac.slot(a)));
+      }
+      out.push_back(util::strFormat("%.6g", row.v));
+      out.push_back(util::strFormat("%.6g", row.f));
+      rows.push_back(std::move(out));
+    }
+    return io::writeCsv(rows);
+  }();
+  return kBody;
+}
+
+void BM_DecodeCsvSnapshot(benchmark::State& state) {
+  const auto& schema = rapmdCase().table.schema();
+  const std::string& body = snapshotBody();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc::parseCsvSnapshot(schema, body));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rapmdCase().table.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+}
+BENCHMARK(BM_DecodeCsvSnapshot);
+
+/// The decode half of --assert-zero-alloc: a warm single-pass decode
+/// may allocate once per row (its AttributeCombination) plus a fixed
+/// allowance, never per field or for a materialized document.
+int assertDecodeAllocBudget() {
+  const auto& schema = rapmdCase().table.schema();
+  const std::string& body = snapshotBody();
+  if (!svc::parseCsvSnapshot(schema, body).isOk()) {  // warm-up
+    std::fprintf(stderr, "FAIL: the snapshot body does not decode\n");
+    return 1;
+  }
+  util::allocProbeArm();
+  const auto table = svc::parseCsvSnapshot(schema, body);
+  const std::uint64_t allocs = util::allocProbeDisarm();
+  const std::uint64_t rows = table.isOk() ? table->size() : 0;
+  const std::uint64_t budget = rows + 64;
+  std::printf("decode alloc check: %llu heap allocations decoding %llu rows "
+              "(%zu bytes), budget %llu\n",
+              static_cast<unsigned long long>(allocs),
+              static_cast<unsigned long long>(rows), body.size(),
+              static_cast<unsigned long long>(budget));
+  if (!table.isOk() || allocs > budget) {
+    std::fprintf(stderr,
+                 "FAIL: snapshot decoding exceeded its allocation budget\n");
+    return 1;
+  }
+  std::printf("OK: snapshot decoding is within rows + 64 allocations\n");
+  return 0;
+}
+
 /// --assert-zero-alloc: drive the warmed-up workspace group-by over
 /// every cuboid with the allocation probe armed.  Exit 0 iff the steady
 /// state allocated nothing.
@@ -365,7 +443,11 @@ int main(int argc, char** argv) {
     }
     args.push_back(argv[i]);
   }
-  if (assert_zero_alloc) return assertZeroAlloc();
+  if (assert_zero_alloc) {
+    const int groupby = assertZeroAlloc();
+    const int decode = assertDecodeAllocBudget();
+    return groupby != 0 ? groupby : decode;
+  }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {

@@ -23,38 +23,39 @@ const std::string& Attribute::elementName(ElemId id) const {
   return elements_[static_cast<std::size_t>(id)];
 }
 
-util::Result<ElemId> Attribute::elementId(const std::string& element_name) const {
+util::Result<ElemId> Attribute::elementId(std::string_view element_name) const {
   auto it = index_.find(element_name);
   if (it == index_.end()) {
-    return util::Status::notFound("element '" + element_name +
+    return util::Status::notFound("element '" + std::string(element_name) +
                                   "' not in attribute '" + name_ + "'");
   }
   return it->second;
 }
 
-Schema::Schema(std::vector<Attribute> attributes)
-    : attributes_(std::move(attributes)) {
-  RAP_CHECK_MSG(!attributes_.empty(), "schema needs at least one attribute");
-  RAP_CHECK_MSG(attributes_.size() <= 32,
-                "cuboid masks are 32-bit; got " << attributes_.size()
-                                                << " attributes");
-  for (std::size_t i = 0; i < attributes_.size(); ++i) {
+Schema::Schema(std::vector<Attribute> attributes) {
+  auto dict = std::make_shared<Dictionary>();
+  dict->attributes = std::move(attributes);
+  const auto& attrs = dict->attributes;
+  RAP_CHECK_MSG(!attrs.empty(), "schema needs at least one attribute");
+  RAP_CHECK_MSG(attrs.size() <= 32, "cuboid masks are 32-bit; got "
+                                        << attrs.size() << " attributes");
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
     const bool inserted =
-        index_.emplace(attributes_[i].name(), static_cast<AttrId>(i)).second;
-    RAP_CHECK_MSG(inserted,
-                  "duplicate attribute '" << attributes_[i].name() << "'");
+        dict->index.emplace(attrs[i].name(), static_cast<AttrId>(i)).second;
+    RAP_CHECK_MSG(inserted, "duplicate attribute '" << attrs[i].name() << "'");
   }
+  dict_ = std::move(dict);
 }
 
 const Attribute& Schema::attribute(AttrId id) const {
   RAP_CHECK_MSG(id >= 0 && id < attributeCount(),
                 "attribute id " << id << " out of range");
-  return attributes_[static_cast<std::size_t>(id)];
+  return dict_->attributes[static_cast<std::size_t>(id)];
 }
 
 util::Result<AttrId> Schema::attributeId(const std::string& name) const {
-  auto it = index_.find(name);
-  if (it == index_.end()) {
+  auto it = dict_->index.find(name);
+  if (it == dict_->index.end()) {
     return util::Status::notFound("attribute '" + name + "' not in schema");
   }
   return it->second;
@@ -62,7 +63,7 @@ util::Result<AttrId> Schema::attributeId(const std::string& name) const {
 
 std::uint64_t Schema::leafCount() const noexcept {
   std::uint64_t product = 1;
-  for (const auto& attr : attributes_) {
+  for (const auto& attr : dict_->attributes) {
     product *= static_cast<std::uint64_t>(attr.cardinality());
   }
   return product;

@@ -8,7 +8,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +21,15 @@ namespace rap::dataset {
 
 using AttrId = std::int32_t;
 using ElemId = std::int32_t;
+
+/// Hash for string-keyed maps that look up by std::string_view without
+/// building a temporary std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
 
 /// One dimension of the KPI space: a name plus an element dictionary.
 class Attribute {
@@ -30,21 +42,28 @@ class Attribute {
   }
   const std::string& elementName(ElemId id) const;
   /// Returns the element id, or an error if the name is unknown.
-  util::Result<ElemId> elementId(const std::string& element_name) const;
+  util::Result<ElemId> elementId(std::string_view element_name) const;
 
  private:
   std::string name_;
   std::vector<std::string> elements_;
-  std::unordered_map<std::string, ElemId> index_;
+  std::unordered_map<std::string, ElemId, StringViewHash, std::equal_to<>>
+      index_;
 };
 
-/// Ordered set of attributes.  Immutable once constructed.
+/// Ordered set of attributes.  Immutable once constructed, so copies
+/// share one dictionary: copying a Schema (every LeafTable owns one) is
+/// a reference-count bump, not a rebuild of every element index.
 class Schema {
  public:
   explicit Schema(std::vector<Attribute> attributes);
+  // Copy only: a move would leave a Schema without a dictionary, and a
+  // copy costs no more than a move here.
+  Schema(const Schema&) = default;
+  Schema& operator=(const Schema&) = default;
 
   std::int32_t attributeCount() const noexcept {
-    return static_cast<std::int32_t>(attributes_.size());
+    return static_cast<std::int32_t>(dict_->attributes.size());
   }
   const Attribute& attribute(AttrId id) const;
   util::Result<AttrId> attributeId(const std::string& name) const;
@@ -71,8 +90,11 @@ class Schema {
   static Schema synthetic(const std::vector<std::int32_t>& cardinalities);
 
  private:
-  std::vector<Attribute> attributes_;
-  std::unordered_map<std::string, AttrId> index_;
+  struct Dictionary {
+    std::vector<Attribute> attributes;
+    std::unordered_map<std::string, AttrId> index;
+  };
+  std::shared_ptr<const Dictionary> dict_;
 };
 
 }  // namespace rap::dataset

@@ -1,5 +1,6 @@
 #include "io/csv.h"
 
+#include <array>
 #include <fstream>
 #include <sstream>
 
@@ -8,16 +9,36 @@
 
 namespace rap::io {
 
+namespace {
+
+/// Bytes that end a run of plain field content outside quotes.
+constexpr auto kUnquotedStop = [] {
+  std::array<bool, 256> stop{};
+  for (const unsigned char c : {',', '"', '\r', '\n', '\0'}) stop[c] = true;
+  return stop;
+}();
+
+constexpr bool isUnquotedStop(char c) noexcept {
+  return kUnquotedStop[static_cast<unsigned char>(c)];
+}
+
+/// Bytes that end a run of field content inside quotes.
+constexpr bool isQuotedStop(char c) noexcept { return c == '"' || c == '\0'; }
+
+}  // namespace
+
 util::Status CsvStreamParser::feed(std::string_view chunk,
                                    const CsvRowCallback& callback) {
   auto endField = [this] {
-    current_.push_back(std::move(field_));
-    field_.clear();
+    ++count_;
+    if (count_ == fields_.size()) fields_.emplace_back();
+    fields_[count_].clear();
   };
   auto endRow = [this, &endField, &callback] {
     endField();
-    callback(std::move(current_));
-    current_.clear();
+    callback(CsvFields(fields_.data(), count_));
+    count_ = 0;
+    fields_[0].clear();
     row_has_content_ = false;
     row_ += 1;
   };
@@ -27,36 +48,61 @@ util::Status CsvStreamParser::feed(std::string_view chunk,
                         static_cast<unsigned long long>(row_),
                         static_cast<unsigned long long>(offset_)));
   };
-  auto appendToField = [this](char c) {
-    if (field_.size() >= kMaxFieldBytes) return false;
-    field_ += c;
+  // Appends chunk[i, i + n) to the open field, or points offset_ at the
+  // first byte past the field cap and returns false.
+  auto appendRun = [this, chunk](std::size_t i, std::size_t n) {
+    std::string& field = fields_[count_];
+    const std::size_t room = kMaxFieldBytes - field.size();
+    if (n > room) {
+      offset_ += room;
+      return false;
+    }
+    field.append(chunk.data() + i, n);
+    offset_ += n;
     return true;
   };
 
-  for (std::size_t i = 0; i < chunk.size(); ++i, ++offset_) {
+  std::size_t i = 0;
+  while (i < chunk.size()) {
     const char c = chunk[i];
-    if (c == '\0') return rowError("embedded NUL byte");
     if (pending_quote_) {
       pending_quote_ = false;
       if (c == '"') {
         // Escaped quote, possibly split across chunks.
-        if (!appendToField('"')) return rowError("over-long field");
+        if (!appendRun(i, 1)) return rowError("over-long field");
+        ++i;
         continue;
       }
       in_quotes_ = false;  // the pending quote closed the field
       // c falls through to ordinary processing below.
     }
     if (in_quotes_) {
-      if (c == '"') {
-        pending_quote_ = true;
-      } else if (!appendToField(c)) {
-        return rowError("over-long field");
+      std::size_t end = i;
+      while (end < chunk.size() && !isQuotedStop(chunk[end])) ++end;
+      if (end > i) {
+        if (!appendRun(i, end - i)) return rowError("over-long field");
+        i = end;
+        continue;
       }
+      if (c == '\0') return rowError("embedded NUL byte");
+      pending_quote_ = true;
+      ++i;
+      ++offset_;
+      continue;
+    }
+    if (!isUnquotedStop(c)) {
+      std::size_t end = i + 1;
+      while (end < chunk.size() && !isUnquotedStop(chunk[end])) ++end;
+      if (!appendRun(i, end - i)) return rowError("over-long field");
+      row_has_content_ = true;
+      i = end;
       continue;
     }
     switch (c) {
+      case '\0':
+        return rowError("embedded NUL byte");
       case '"':
-        if (!field_.empty()) {
+        if (!fields_[count_].empty()) {
           return rowError("quote inside unquoted field");
         }
         in_quotes_ = true;
@@ -68,18 +114,16 @@ util::Status CsvStreamParser::feed(std::string_view chunk,
         break;
       case '\r':
         break;  // swallow; LF handles the row break
-      case '\n':
-        if (row_has_content_ || !field_.empty() || !current_.empty()) {
+      default:  // '\n'
+        if (row_has_content_) {
           endRow();
         } else {
           row_ += 1;  // blank line still advances the row count
         }
         break;
-      default:
-        if (!appendToField(c)) return rowError("over-long field");
-        row_has_content_ = true;
-        break;
     }
+    ++i;
+    ++offset_;
   }
   return util::Status::ok();
 }
@@ -93,23 +137,28 @@ util::Status CsvStreamParser::finish(const CsvRowCallback& callback) {
   if (in_quotes_) {
     return util::Status::invalidArgument("unterminated quoted field");
   }
-  if (row_has_content_ || !field_.empty() || !current_.empty()) {
-    current_.push_back(std::move(field_));
-    callback(std::move(current_));
+  if (row_has_content_) {
+    callback(CsvFields(fields_.data(), count_ + 1));
   }
-  *this = CsvStreamParser();
+  // Reset for reuse, keeping the field buffers' capacity.
+  count_ = 0;
+  fields_[0].clear();
+  row_has_content_ = false;
+  offset_ = 0;
+  row_ = 1;
   return util::Status::ok();
+}
+
+util::Status streamCsv(std::string_view text, const CsvRowCallback& callback) {
+  CsvStreamParser parser;
+  RAP_RETURN_IF_ERROR(parser.feed(text, callback));
+  return parser.finish(callback);
 }
 
 util::Result<std::vector<CsvRow>> parseCsv(const std::string& text) {
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
-  };
-  CsvStreamParser parser;
-  util::Status status = parser.feed(text, collect);
-  if (!status.isOk()) return status;
-  status = parser.finish(collect);
+  const util::Status status = streamCsv(
+      text, [&rows](CsvFields row) { rows.emplace_back(row.begin(), row.end()); });
   if (!status.isOk()) return status;
   return rows;
 }
@@ -117,7 +166,7 @@ util::Result<std::vector<CsvRow>> parseCsv(const std::string& text) {
 util::Result<std::vector<CsvRow>> readCsvFile(const std::string& path) {
   std::vector<CsvRow> rows;
   const util::Status status = streamCsvFile(
-      path, [&rows](CsvRow&& row) { rows.push_back(std::move(row)); });
+      path, [&rows](CsvFields row) { rows.emplace_back(row.begin(), row.end()); });
   if (!status.isOk()) return status;
   return rows;
 }

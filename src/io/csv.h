@@ -3,15 +3,18 @@
 // the paper's datasets ship as plain CSV (one file per timestamp with
 // columns  attr1,...,attrN,real,predict).
 //
-// Two read paths share one state machine:
-//   * streaming — CsvStreamParser::feed() arbitrary chunks (rows are
-//     delivered through a callback as they complete, O(row) memory), or
-//     streamCsvFile() which feeds a file chunk by chunk;
-//   * batch — parseCsv()/readCsvFile(), thin wrappers that collect the
+// One tokenizer, CsvStreamParser, serves every read path:
+//   * streaming — CsvStreamParser::feed() arbitrary chunks, or
+//     streamCsv() / streamCsvFile() over a whole text or file; each row
+//     reaches the callback as views of the parser's reused field
+//     buffers, so a steady stream of rows allocates nothing;
+//   * batch — parseCsv()/readCsvFile(), thin wrappers that copy the
 //     streamed rows into a vector.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,13 +25,17 @@ namespace rap::io {
 
 using CsvRow = std::vector<std::string>;
 
-/// Receives each completed row; the row may be consumed (moved from).
-using CsvRowCallback = std::function<void(CsvRow&&)>;
+/// A completed row as handed to a callback: the parser's own field
+/// buffers, valid only until the callback returns (copy what you keep).
+using CsvFields = std::span<const std::string>;
+
+/// Receives each completed row.
+using CsvRowCallback = std::function<void(CsvFields)>;
 
 /// Incremental CSV parser.  Chunk boundaries may fall anywhere —
 /// mid-field, mid-CRLF, even between the two quotes of an escaped
-/// quote.  Errors report the same messages and global byte offsets as
-/// the batch parser.  After an error the parser must be discarded.
+/// quote.  Errors report the same messages and global byte offsets
+/// whatever the chunking.  After an error the parser must be discarded.
 ///
 /// Hostile-input hardening (a daemon fed by arbitrary producers must
 /// fail with a Status, never by exhausting memory or corrupting rows):
@@ -51,9 +58,16 @@ class CsvStreamParser {
   /// resets the parser for reuse.
   util::Status finish(const CsvRowCallback& callback);
 
+  /// 1-based row number of the row a callback is receiving (blank lines
+  /// count; a quoted line break does not start a new row).
+  std::uint64_t row() const noexcept { return row_; }
+
  private:
-  CsvRow current_;
-  std::string field_;
+  /// Field buffers of the current row: [0, count_) are complete and
+  /// fields_[count_] is being filled.  Buffers keep their capacity from
+  /// row to row; the vector grows only for a row wider than any before.
+  std::vector<std::string> fields_ = std::vector<std::string>(1);
+  std::size_t count_ = 0;
   bool in_quotes_ = false;
   /// A '"' was seen inside a quoted field; whether it closes the field
   /// or starts an escaped quote depends on the next byte, which may be
@@ -63,6 +77,9 @@ class CsvStreamParser {
   std::uint64_t offset_ = 0;  ///< global byte offset of the next char
   std::uint64_t row_ = 1;     ///< 1-based row of the next char
 };
+
+/// Tokenizes a whole in-memory document row by row (feed + finish).
+util::Status streamCsv(std::string_view text, const CsvRowCallback& callback);
 
 /// Parse an entire CSV document from a string.
 util::Result<std::vector<CsvRow>> parseCsv(const std::string& text);

@@ -41,60 +41,143 @@ util::Status saveLeafTable(const LeafTable& table, const std::string& path) {
 
 util::Result<LeafTable> loadLeafTable(const Schema& schema,
                                       const std::string& path) {
-  auto parsed = readCsvFile(path);
-  if (!parsed) return parsed.status();
-  return leafTableFromCsvRows(schema, parsed.value(), path);
+  LeafRowDecoder decoder(schema, path, /*csv_header=*/true);
+  RAP_RETURN_IF_ERROR(streamCsvFile(
+      path, [&decoder](CsvFields row) { (void)decoder.add(row); }));
+  return std::move(decoder).finish();
 }
 
 util::Result<LeafTable> leafTableFromCsvRows(const Schema& schema,
                                              const std::vector<CsvRow>& rows,
                                              const std::string& source) {
-  if (rows.empty()) {
-    return util::Status::invalidArgument("'" + source + "' is empty");
+  LeafRowDecoder decoder(schema, source, /*csv_header=*/true);
+  decoder.reserve(rows.empty() ? 0 : rows.size() - 1);
+  for (const CsvRow& row : rows) {
+    if (!decoder.add(CsvFields(row)).isOk()) break;
   }
+  return std::move(decoder).finish();
+}
 
+namespace {
+
+/// Renders a cell for an error message: its text, or its number.
+std::string cellText(const LeafCell& cell) {
+  if (!cell.number) return std::string(cell.text);
+  return util::strFormat("%.17g", *cell.number);
+}
+
+}  // namespace
+
+LeafRowDecoder::LeafRowDecoder(const Schema& schema, std::string source,
+                               bool csv_header)
+    : source_(std::move(source)),
+      table_(schema),
+      header_pending_(csv_header),
+      last_slots_(static_cast<std::size_t>(schema.attributeCount()),
+                  dataset::kWildcard) {}
+
+util::Status LeafRowDecoder::add(CsvFields fields) {
+  if (header_pending_) {
+    header_pending_ = false;
+    return util::Status::ok();
+  }
+  cells_.resize(fields.size());
+  for (std::size_t c = 0; c < fields.size(); ++c) {
+    cells_[c] = LeafCell{fields[c], std::nullopt};
+  }
+  return add(std::span<const LeafCell>(cells_));
+}
+
+util::Status LeafRowDecoder::add(std::span<const LeafCell> cells) {
+  if (!status_.isOk()) return status_;
+  line_ += 1;
+  status_ = decode(cells);
+  if (!status_.isOk()) {
+    status_ = util::Status(
+        status_.code(),
+        util::strFormat("%s:%zu: ", source_.c_str(), line_) + status_.message());
+  }
+  return status_;
+}
+
+util::Status LeafRowDecoder::decode(std::span<const LeafCell> cells) {
+  const Schema& schema = table_.schema();
   const auto n_attrs = static_cast<std::size_t>(schema.attributeCount());
   const std::size_t min_cols = n_attrs + 2;  // + real + predict
-  LeafTable table(schema);
-  table.reserve(rows.size() - 1);
-
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    const CsvRow& row = rows[r];
-    if (row.size() < min_cols) {
-      return util::Status::invalidArgument(
-          util::strFormat("%s:%zu: expected >= %zu columns, got %zu",
-                          source.c_str(), r + 1, min_cols, row.size()));
-    }
-    std::vector<dataset::ElemId> slots(n_attrs, dataset::kWildcard);
-    for (std::size_t a = 0; a < n_attrs; ++a) {
-      auto elem = schema.attribute(static_cast<AttrId>(a)).elementId(row[a]);
-      if (!elem) {
-        return util::Status::invalidArgument(
-            util::strFormat("%s:%zu: %s", source.c_str(), r + 1,
-                            elem.status().message().c_str()));
-      }
-      slots[a] = elem.value();
-    }
-    auto v = util::parseDouble(row[n_attrs]);
-    if (!v) return v.status();
-    auto f = util::parseDouble(row[n_attrs + 1]);
-    if (!f) return f.status();
-    // NaN/Inf KPI values poison every ratio downstream (deviation,
-    // RAPScore); reject them here with the row that carried them.
-    if (!std::isfinite(v.value()) || !std::isfinite(f.value())) {
-      return util::Status::invalidArgument(
-          util::strFormat("%s:%zu: non-finite KPI value (real=%s predict=%s)",
-                          source.c_str(), r + 1, row[n_attrs].c_str(),
-                          row[n_attrs + 1].c_str()));
-    }
-    bool anomalous = false;
-    if (row.size() > min_cols) {
-      anomalous = util::trim(row[n_attrs + 2]) == "1";
-    }
-    table.addRow(AttributeCombination(std::move(slots)), v.value(), f.value(),
-                 anomalous);
+  if (cells.size() < min_cols) {
+    return util::Status::invalidArgument(util::strFormat(
+        "expected >= %zu columns, got %zu", min_cols, cells.size()));
   }
-  return table;
+
+  std::vector<dataset::ElemId> slots(n_attrs);
+  for (std::size_t a = 0; a < n_attrs; ++a) {
+    const dataset::Attribute& attr = schema.attribute(static_cast<AttrId>(a));
+    // Snapshots list leaves mostly in order, so a slot usually repeats
+    // the previous row's element: one string compare instead of a hash.
+    const dataset::ElemId last = last_slots_[a];
+    if (last != dataset::kWildcard && cells[a].text == attr.elementName(last)) {
+      slots[a] = last;
+      continue;
+    }
+    auto elem = attr.elementId(cells[a].text);
+    if (!elem) return util::Status::invalidArgument(elem.status().message());
+    slots[a] = last_slots_[a] = elem.value();
+  }
+
+  double kpi[2];
+  for (std::size_t k = 0; k < 2; ++k) {
+    const LeafCell& cell = cells[n_attrs + k];
+    if (cell.number) {
+      // The accept set of the number's text form: strtod reports a
+      // subnormal as out of range.
+      if (std::fpclassify(*cell.number) == FP_SUBNORMAL) {
+        return util::Status::outOfRange("number out of range: '" +
+                                        cellText(cell) + "'");
+      }
+      kpi[k] = *cell.number;
+      continue;
+    }
+    auto value = util::parseDouble(cell.text);
+    if (!value) return value.status();
+    kpi[k] = value.value();
+  }
+  // NaN/Inf KPI values poison every ratio downstream (deviation,
+  // RAPScore); reject them here with the row that carried them.
+  if (!std::isfinite(kpi[0]) || !std::isfinite(kpi[1])) {
+    return util::Status::invalidArgument(
+        util::strFormat("non-finite KPI value (real=%s predict=%s)",
+                        cellText(cells[n_attrs]).c_str(),
+                        cellText(cells[n_attrs + 1]).c_str()));
+  }
+
+  bool anomalous = false;
+  if (cells.size() > min_cols) {
+    const LeafCell& label = cells[min_cols];
+    bool valid = true;
+    if (label.number) {
+      valid = *label.number == 0.0 || *label.number == 1.0;
+      anomalous = *label.number == 1.0;
+    } else {
+      const std::string_view text = util::trim(label.text);
+      valid = text.empty() || text == "0" || text == "1";
+      anomalous = text == "1";
+    }
+    if (!valid) {
+      return util::Status::invalidArgument(
+          "label must be 0, 1 or empty, got '" + cellText(label) + "'");
+    }
+  }
+  table_.addRow(AttributeCombination(std::move(slots)), kpi[0], kpi[1],
+                anomalous);
+  return util::Status::ok();
+}
+
+util::Result<LeafTable> LeafRowDecoder::finish() && {
+  if (!status_.isOk()) return status_;
+  if (header_pending_) {
+    return util::Status::invalidArgument("'" + source_ + "' is empty");
+  }
+  return std::move(table_);
 }
 
 util::Status saveSchema(const Schema& schema, const std::string& path) {

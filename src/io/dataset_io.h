@@ -7,7 +7,10 @@
 // table round-trips without external knowledge.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataset/leaf_table.h"
@@ -24,18 +27,65 @@ util::Status saveLeafTable(const dataset::LeafTable& table,
 
 /// Reads a leaf table against a known schema.  Accepts files with or
 /// without the trailing label column (absent -> all rows normal).
+/// Streams the file through LeafRowDecoder; no row vector is built.
 util::Result<dataset::LeafTable> loadLeafTable(const dataset::Schema& schema,
                                                const std::string& path);
 
 /// Builds a leaf table from already-parsed CSV rows (header row first,
-/// then one leaf per row) — the shared back end of loadLeafTable and
-/// the localization service's POST bodies.  `source` names the origin
-/// in error messages ("<path>" / "request body").  Applies the same
-/// hardening as the file path: element names must exist in the schema
-/// and KPI values must be finite.
+/// then one leaf per row): LeafRowDecoder over a row vector, for callers
+/// that hold one.  `source` names the origin in error messages.
 util::Result<dataset::LeafTable> leafTableFromCsvRows(
     const dataset::Schema& schema, const std::vector<CsvRow>& rows,
     const std::string& source);
+
+/// One cell of a leaf row: its text, or (a JSON number) its value.
+struct LeafCell {
+  std::string_view text;
+  std::optional<double> number;
+};
+
+/// The one leaf-row decoder.  Every snapshot source — a CSV file, a CSV
+/// or JSON request body, a vector of parsed rows — feeds it row by row,
+/// so all of them apply the same checks with the same messages:
+///   * at least N + 2 cells: N element names, real, predict, then an
+///     optional label (further cells are ignored);
+///   * each element name, taken verbatim, is in its attribute;
+///   * real and predict parse (util::parseDouble; numbers pass through)
+///     and are finite;
+///   * the label, after trimming, is empty or "0" (normal) or "1"
+///     (anomalous); a number label must equal 0 or 1.
+/// Row errors read "<source>:<line>: <what>", where line 1 is the
+/// header (a JSON body's first row is line 2 too).
+class LeafRowDecoder {
+ public:
+  /// `csv_header`: the first CSV row handed to add() is a header and is
+  /// skipped; a source with no rows at all is an error.
+  LeafRowDecoder(const dataset::Schema& schema, std::string source,
+                 bool csv_header);
+
+  void reserve(std::size_t rows) { table_.reserve(rows); }
+
+  /// Decodes the next data row.  After the first error every later row
+  /// is ignored and the error is returned again.
+  util::Status add(std::span<const LeafCell> cells);
+  /// A CSV row: every cell is text.
+  util::Status add(CsvFields fields);
+
+  /// The decoded table, or the first error.
+  util::Result<dataset::LeafTable> finish() &&;
+
+ private:
+  /// Checks and appends one row; errors without the source:line prefix.
+  util::Status decode(std::span<const LeafCell> cells);
+
+  std::string source_;
+  dataset::LeafTable table_;
+  bool header_pending_;
+  std::size_t line_ = 1;  ///< the header's line; data rows start at 2
+  util::Status status_;
+  std::vector<LeafCell> cells_;  ///< add(CsvFields)'s reused row
+  std::vector<dataset::ElemId> last_slots_;  ///< previous row's elements
+};
 
 /// Schema sidecar: one row per attribute, "name,elem1,elem2,...".
 util::Status saveSchema(const dataset::Schema& schema, const std::string& path);

@@ -306,7 +306,7 @@ void JobManager::finishJob(std::shared_ptr<Job> job, ExecOutcome outcome) {
   idle_.notify_all();
 }
 
-JobManager::ExecOutcome JobManager::execute(const JobRequest& request,
+JobManager::ExecOutcome JobManager::execute(JobRequest& request,
                                             std::uint64_t id) {
   ExecOutcome outcome = executeImpl(request, id);
   if (options_.breaker != nullptr) {
@@ -321,7 +321,7 @@ JobManager::ExecOutcome JobManager::execute(const JobRequest& request,
   return outcome;
 }
 
-JobManager::ExecOutcome JobManager::executeImpl(const JobRequest& request,
+JobManager::ExecOutcome JobManager::executeImpl(JobRequest& request,
                                                 std::uint64_t id) {
   RAP_TRACE_SPAN("svc/execute", {{"job", id}, {"rows", request.table.size()}});
   if (id != 0) obs::traceFlow('t', "svc/job", id);
@@ -361,7 +361,9 @@ JobManager::ExecOutcome JobManager::executeImpl(const JobRequest& request,
 
   // A raw real/predict upload carries no verdicts; run the default
   // leaf-level detector so the pipeline is end-to-end, like csv_localize.
-  dataset::LeafTable table = request.table;
+  // The table moves out of the request: a finished job keeps only its
+  // result document, not the snapshot.
+  dataset::LeafTable table = std::move(request.table);
   if (table.anomalousCount() == 0) {
     detect::RelativeDeviationDetector(request.detect_threshold).run(table);
   }

@@ -214,8 +214,9 @@ class JobManager {
     std::string error;
   };
   /// executeImpl + circuit-breaker outcome recording.
-  ExecOutcome execute(const JobRequest& request, std::uint64_t id);
-  ExecOutcome executeImpl(const JobRequest& request, std::uint64_t id);
+  /// Both consume request.table (moved into the search, not copied).
+  ExecOutcome execute(JobRequest& request, std::uint64_t id);
+  ExecOutcome executeImpl(JobRequest& request, std::uint64_t id);
 
   /// Shared admission tail of submit()/resubmit(); `privileged` skips
   /// the capacity and overload gates.

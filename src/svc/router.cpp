@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "io/csv.h"
 #include "obs/build_info.h"
 #include "stream/event.h"
 #include "stream/queue.h"
@@ -94,10 +95,10 @@ std::string tenantJson(const DatasetCatalog::Tenant& tenant) {
   return out;
 }
 
-/// Parses one ingest CSV row: ts,elem1,...,elemN,real,predict.
-util::Result<stream::StreamEvent> parseIngestRow(
-    const dataset::Schema& schema, const std::string& line) {
-  const std::vector<std::string> fields = util::split(line, ',');
+/// Parses one ingest CSV row: ts,elem1,...,elemN,real,predict, each
+/// field trimmed of surrounding whitespace.
+util::Result<stream::StreamEvent> parseIngestRow(const dataset::Schema& schema,
+                                                 io::CsvFields fields) {
   const std::size_t expected =
       static_cast<std::size_t>(schema.attributeCount()) + 3;
   if (fields.size() != expected) {
@@ -106,7 +107,7 @@ util::Result<stream::StreamEvent> parseIngestRow(
         fields.size()));
   }
   stream::StreamEvent event;
-  const auto ts = util::parseInt(util::trim(fields[0]));
+  const auto ts = util::parseInt(fields[0]);
   RAP_RETURN_IF_ERROR(ts.status());
   event.ts = ts.value();
 
@@ -114,15 +115,15 @@ util::Result<stream::StreamEvent> parseIngestRow(
   slots.reserve(static_cast<std::size_t>(schema.attributeCount()));
   for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
     const auto elem = schema.attribute(a).elementId(
-        std::string(util::trim(fields[static_cast<std::size_t>(a) + 1])));
+        util::trim(fields[static_cast<std::size_t>(a) + 1]));
     RAP_RETURN_IF_ERROR(elem.status());
     slots.push_back(elem.value());
   }
   event.leaf = dataset::AttributeCombination(std::move(slots));
 
-  const auto v = util::parseDouble(util::trim(fields[expected - 2]));
+  const auto v = util::parseDouble(fields[expected - 2]);
   RAP_RETURN_IF_ERROR(v.status());
-  const auto f = util::parseDouble(util::trim(fields[expected - 1]));
+  const auto f = util::parseDouble(fields[expected - 1]);
   RAP_RETURN_IF_ERROR(f.status());
   event.v = v.value();
   event.f = f.value();
@@ -354,19 +355,29 @@ obs::HttpResponse TenantRouter::handleIngest(DatasetCatalog::Tenant& tenant,
   // a 400 with its line number and NOTHING ingested, so a client can fix
   // and resubmit without double-counting the good rows.
   std::vector<stream::StreamEvent> events;
-  std::size_t line_no = 0;
-  for (const std::string& line : util::split(request.body, '\n')) {
-    ++line_no;
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed.empty()) continue;
-    if (line_no == 1 && util::startsWith(trimmed, "ts,")) continue;  // header
-    auto event = parseIngestRow(tenant.spec.schema, line);
+  util::Status row_error;
+  io::CsvStreamParser parser;
+  const io::CsvRowCallback decode = [&](io::CsvFields fields) {
+    if (!row_error.isOk()) return;
+    const std::uint64_t row = parser.row();
+    if (fields.size() == 1 && util::trim(fields[0]).empty()) return;  // blank
+    if (row == 1 && fields.size() > 1 && util::trim(fields[0]) == "ts") {
+      return;  // header
+    }
+    auto event = parseIngestRow(tenant.spec.schema, fields);
     if (!event.isOk()) {
-      return obs::errorResponse(
-          400, "bad_request",
-          util::strFormat("row %zu: ", line_no) + event.status().message());
+      row_error = util::Status::invalidArgument(
+          util::strFormat("row %llu: ", static_cast<unsigned long long>(row)) +
+          event.status().message());
+      return;
     }
     events.push_back(std::move(event.value()));
+  };
+  util::Status parsed = parser.feed(request.body, decode);
+  if (parsed.isOk()) parsed = parser.finish(decode);
+  if (parsed.isOk()) parsed = row_error;
+  if (!parsed.isOk()) {
+    return obs::errorResponse(400, "bad_request", parsed.message());
   }
   if (events.empty()) {
     return obs::errorResponse(400, "bad_request", "no data rows in body");

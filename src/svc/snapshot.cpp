@@ -1,7 +1,7 @@
 #include "svc/snapshot.h"
 
+#include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <cstring>
 
 #include "io/csv.h"
@@ -16,21 +16,17 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Renders a JSON number the way the CSV reader expects a KPI field, with
-/// enough digits to round-trip a double exactly.
-std::string numberToField(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return std::string(buf);
-}
-
 }  // namespace
 
 util::Result<dataset::LeafTable> parseCsvSnapshot(
     const dataset::Schema& schema, const std::string& body) {
-  auto rows = io::parseCsv(body);
-  if (!rows.isOk()) return rows.status();
-  return io::leafTableFromCsvRows(schema, rows.value(), "request body");
+  io::LeafRowDecoder decoder(schema, "request body", /*csv_header=*/true);
+  // One row per line at most; the header line's slot is slack.
+  decoder.reserve(
+      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')));
+  RAP_RETURN_IF_ERROR(io::streamCsv(
+      body, [&decoder](io::CsvFields row) { (void)decoder.add(row); }));
+  return std::move(decoder).finish();
 }
 
 util::Result<dataset::LeafTable> parseJsonSnapshot(
@@ -44,21 +40,13 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
         "array");
   }
 
-  // Re-shape into the CSV row layout and funnel through the shared
-  // validator so JSON and CSV bodies hit identical schema/finite checks.
+  // Each row goes through the same decoder as a CSV row (JSON row i is
+  // line i + 2, as if a header preceded it); numbers pass straight
+  // through as values.
   const auto attr_count = static_cast<std::size_t>(schema.attributeCount());
-  std::vector<io::CsvRow> csv_rows;
-  csv_rows.reserve(rows->array_value.size() + 1);
-  io::CsvRow header;
-  header.reserve(attr_count + 3);
-  for (std::size_t a = 0; a < attr_count; ++a) {
-    header.push_back(schema.attribute(static_cast<dataset::AttrId>(a)).name());
-  }
-  header.push_back("real");
-  header.push_back("predict");
-  header.push_back("label");
-  csv_rows.push_back(std::move(header));
-
+  io::LeafRowDecoder decoder(schema, "request body", /*csv_header=*/false);
+  decoder.reserve(rows->array_value.size());
+  std::vector<io::LeafCell> cells;
   for (std::size_t i = 0; i < rows->array_value.size(); ++i) {
     const JsonValue& row = rows->array_value[i];
     if (!row.isArray()) {
@@ -71,8 +59,7 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
           "request body: rows[%zu] has %zu fields, expected %zu or %zu", i,
           n, attr_count + 2, attr_count + 3));
     }
-    io::CsvRow out;
-    out.reserve(attr_count + 3);
+    cells.resize(n);
     for (std::size_t c = 0; c < n; ++c) {
       const JsonValue& cell = row.array_value[c];
       if (c < attr_count) {
@@ -81,23 +68,21 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
               "request body: rows[%zu][%zu] must be an element-name string",
               i, c));
         }
-        out.push_back(cell.string_value);
+        cells[c] = io::LeafCell{cell.string_value, std::nullopt};
       } else if (cell.isNumber()) {
-        out.push_back(numberToField(cell.number_value));
+        cells[c] = io::LeafCell{{}, cell.number_value};
       } else if (cell.isString()) {
         // Numeric strings are accepted so a proxy can forward CSV fields
-        // without re-typing them; the CSV validator rejects non-numeric
-        // content downstream.
-        out.push_back(cell.string_value);
+        // without re-typing them; the decoder parses them like CSV text.
+        cells[c] = io::LeafCell{cell.string_value, std::nullopt};
       } else {
         return util::Status::invalidArgument(util::strFormat(
             "request body: rows[%zu][%zu] must be a number", i, c));
       }
     }
-    if (n == attr_count + 2) out.push_back("0");
-    csv_rows.push_back(std::move(out));
+    RAP_RETURN_IF_ERROR(decoder.add(std::span<const io::LeafCell>(cells)));
   }
-  return io::leafTableFromCsvRows(schema, csv_rows, "request body");
+  return std::move(decoder).finish();
 }
 
 std::uint64_t fnv1a(std::string_view bytes) noexcept {

@@ -6,12 +6,14 @@
 //
 //   * CSV (text/csv, the default): the saveLeafTable layout,
 //       attr1,...,attrN,real,predict[,label]
-//     with a header row, parsed through the hardened io CSV path
-//     (field-size caps, NUL rejection, finite-KPI checks);
+//     with a header row, decoded in one pass: io::CsvStreamParser hands
+//     each row to io::LeafRowDecoder (field-size caps, NUL rejection,
+//     schema, finite-KPI and label checks), with no row vector between;
 //
 //   * JSON (application/json): {"rows": [[...], ...]} where each inner
 //     array mirrors one CSV data row — N element-name strings followed
-//     by real and predict numbers and an optional 0/1 label.
+//     by real and predict numbers and an optional 0/1 label — and goes
+//     through the same decoder, numbers as values.
 //
 // Content hashes key the ResultCache:
 //   * contentHash(body) hashes the raw request bytes — the service's

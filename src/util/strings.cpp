@@ -2,9 +2,12 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace rap::util {
 
@@ -54,7 +57,23 @@ bool endsWith(std::string_view text, std::string_view suffix) noexcept {
 }
 
 Result<double> parseDouble(std::string_view text) {
-  const std::string buf{trim(text)};
+  const std::string_view field = trim(text);
+  // Fast path: no copy, no NUL terminator, no errno.  Taken only when
+  // from_chars consumes the whole field and lands on a finite number
+  // above the smallest normal, where it and strtod agree bit for bit
+  // (both round correctly).  Zero, subnormals, DBL_MIN itself (glibc's
+  // strtod reports ERANGE for a tiny input that rounds up to it), inf,
+  // nan, a leading '+', hex and every partial or failed parse fall
+  // through to strtod, which owns the accept set and the error messages.
+  double fast = 0.0;
+  const auto [stop, ec] =
+      std::from_chars(field.data(), field.data() + field.size(), fast);
+  if (ec == std::errc() && stop == field.data() + field.size() &&
+      std::isfinite(fast) &&
+      std::fabs(fast) > std::numeric_limits<double>::min()) {
+    return fast;
+  }
+  const std::string buf{field};
   if (buf.empty()) return Status::invalidArgument("empty number");
   errno = 0;
   char* end = nullptr;

@@ -21,7 +21,10 @@ std::string_view trim(std::string_view text) noexcept;
 bool startsWith(std::string_view text, std::string_view prefix) noexcept;
 bool endsWith(std::string_view text, std::string_view suffix) noexcept;
 
-/// Strict parse of a double / integer; rejects trailing garbage.
+/// Strict parse of a double / integer; rejects trailing garbage.  Both
+/// trim ASCII whitespace first.  parseDouble accepts exactly what strtod
+/// accepts over the whole trimmed field (hex, inf and nan included) and
+/// returns strtod's value; a result out of range is kOutOfRange.
 Result<double> parseDouble(std::string_view text);
 Result<std::int64_t> parseInt(std::string_view text);
 

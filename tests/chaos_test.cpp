@@ -564,7 +564,7 @@ TEST_F(TempDir, CsvChunkFaultSurfacesAsStatus) {
   spec.action = fault::Action::kError;
   fault::Registry::instance().arm("io.csv_chunk", spec);
   const auto status =
-      io::streamCsvFile(path("data.csv"), [](io::CsvRow&&) {});
+      io::streamCsvFile(path("data.csv"), [](io::CsvFields) {});
   EXPECT_EQ(status.code(), util::StatusCode::kInternal);
   EXPECT_NE(status.message().find("io.csv_chunk"), std::string::npos);
 }

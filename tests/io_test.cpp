@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
+#include <bit>
+#include <cerrno>
 #include <cmath>
-
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 
@@ -14,6 +15,9 @@
 #include "io/csv.h"
 #include "io/dataset_io.h"
 #include "io/json.h"
+#include "svc/snapshot.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace rap::io {
 namespace {
@@ -111,8 +115,8 @@ TEST(CsvFile, MissingFileIsNotFound) {
 util::Result<std::vector<CsvRow>> streamInChunks(const std::string& text,
                                                  std::size_t chunk_size) {
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
+  const CsvRowCallback collect = [&rows](CsvFields row) {
+    rows.emplace_back(row.begin(), row.end());
   };
   CsvStreamParser parser;
   for (std::size_t i = 0; i < text.size(); i += chunk_size) {
@@ -142,8 +146,8 @@ TEST(CsvStream, EveryChunkSizeMatchesBatchParse) {
 TEST(CsvStream, RowsArriveAsTheyComplete) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
+  const CsvRowCallback collect = [&rows](CsvFields row) {
+    rows.emplace_back(row.begin(), row.end());
   };
   ASSERT_TRUE(parser.feed("a,b\nc,", collect).isOk());
   EXPECT_EQ(rows.size(), 1u);  // the second row is still open
@@ -156,7 +160,7 @@ TEST(CsvStream, RowsArriveAsTheyComplete) {
 
 TEST(CsvStream, ErrorsCarryGlobalOffsets) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](CsvFields) {};
   ASSERT_TRUE(parser.feed("x,y\na", ignore).isOk());
   const auto status = parser.feed("b\"c", ignore);
   ASSERT_FALSE(status.isOk());
@@ -170,7 +174,7 @@ TEST(CsvStream, ErrorsCarryGlobalOffsets) {
 
 TEST(CsvStream, UnterminatedQuoteFailsAtFinish) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](CsvFields) {};
   ASSERT_TRUE(parser.feed("\"open", ignore).isOk());
   const auto status = parser.finish(ignore);
   ASSERT_FALSE(status.isOk());
@@ -180,8 +184,8 @@ TEST(CsvStream, UnterminatedQuoteFailsAtFinish) {
 TEST(CsvStream, FinishResetsForReuse) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
+  const CsvRowCallback collect = [&rows](CsvFields row) {
+    rows.emplace_back(row.begin(), row.end());
   };
   ASSERT_TRUE(parser.feed("a,b", collect).isOk());
   ASSERT_TRUE(parser.finish(collect).isOk());
@@ -197,14 +201,14 @@ TEST_F(TempDir, StreamCsvFileDeliversEveryRow) {
       {"h1", "h2"}, {"quoted,comma", "line\nbreak"}, {"1", "2"}};
   ASSERT_TRUE(writeCsvFile(path("s.csv"), rows).isOk());
   std::vector<CsvRow> streamed;
-  ASSERT_TRUE(streamCsvFile(path("s.csv"), [&streamed](CsvRow&& row) {
-                streamed.push_back(std::move(row));
+  ASSERT_TRUE(streamCsvFile(path("s.csv"), [&streamed](CsvFields row) {
+                streamed.emplace_back(row.begin(), row.end());
               }).isOk());
   EXPECT_EQ(streamed, rows);
 }
 
 TEST(CsvStreamFile, MissingFileIsNotFound) {
-  const auto status = streamCsvFile("/nonexistent/file.csv", [](CsvRow&&) {});
+  const auto status = streamCsvFile("/nonexistent/file.csv", [](CsvFields) {});
   EXPECT_EQ(status.code(), util::StatusCode::kNotFound);
 }
 
@@ -212,7 +216,7 @@ TEST(CsvStreamFile, MissingFileIsNotFound) {
 
 TEST(CsvHardening, EmbeddedNulIsRejectedWithRowContext) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](CsvFields) {};
   const std::string input = std::string("ok,row\nbad") + '\0' + "field";
   const auto status = parser.feed(input, ignore);
   ASSERT_EQ(status.code(), util::StatusCode::kInvalidArgument);
@@ -221,7 +225,7 @@ TEST(CsvHardening, EmbeddedNulIsRejectedWithRowContext) {
 
 TEST(CsvHardening, OverLongFieldIsRejectedNotBuffered) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](CsvFields) {};
   // Stay a hair under the limit, then push one byte past it in a later
   // chunk: the limit spans chunk boundaries.
   const std::string almost(CsvStreamParser::kMaxFieldBytes, 'x');
@@ -234,7 +238,7 @@ TEST(CsvHardening, OverLongFieldIsRejectedNotBuffered) {
 
 TEST(CsvHardening, OverLongQuotedFieldIsRejected) {
   CsvStreamParser parser;
-  const CsvRowCallback ignore = [](CsvRow&&) {};
+  const CsvRowCallback ignore = [](CsvFields) {};
   ASSERT_TRUE(parser.feed("\"", ignore).isOk());
   const std::string big(CsvStreamParser::kMaxFieldBytes + 1, 'y');
   const auto status = parser.feed(big, ignore);
@@ -244,8 +248,8 @@ TEST(CsvHardening, OverLongQuotedFieldIsRejected) {
 TEST(CsvHardening, FieldAtTheLimitStillParses) {
   CsvStreamParser parser;
   std::vector<CsvRow> rows;
-  const CsvRowCallback collect = [&rows](CsvRow&& row) {
-    rows.push_back(std::move(row));
+  const CsvRowCallback collect = [&rows](CsvFields row) {
+    rows.emplace_back(row.begin(), row.end());
   };
   const std::string max_field(CsvStreamParser::kMaxFieldBytes, 'z');
   ASSERT_TRUE(parser.feed(max_field + ",b\n", collect).isOk());
@@ -312,6 +316,193 @@ TEST_F(TempDir, LeafTableRejectsNonNumericKpi) {
                                  {"a1", "b1", "c1", "d1", "x", "2"}};
   ASSERT_TRUE(writeCsvFile(path("nan.csv"), rows).isOk());
   EXPECT_FALSE(loadLeafTable(Schema::tiny(), path("nan.csv")).isOk());
+}
+
+// ------------------------------------- single-pass decode vs batch decode
+
+/// A snapshot body in the saveLeafTable layout with random leaves, KPIs
+/// printed at %.6g or %.17g, and labels 0, 1 or empty.
+std::string randomLeafBody(const Schema& schema, std::uint64_t& rng,
+                           std::size_t rows) {
+  std::string body;
+  for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+    body += schema.attribute(a).name() + ",";
+  }
+  body += "real,predict,label\n";
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+      const auto e = static_cast<dataset::ElemId>(
+          util::splitmix64(rng) %
+          static_cast<std::uint64_t>(schema.cardinality(a)));
+      body += schema.attribute(a).elementName(e) + ",";
+    }
+    const char* format = util::splitmix64(rng) % 2 == 0 ? "%.6g" : "%.17g";
+    for (int k = 0; k < 2; ++k) {
+      const double value =
+          static_cast<double>(util::splitmix64(rng) % 1000000) / 7.0;
+      body += util::strFormat(format, value) + ",";
+    }
+    static const char* const kLabels[] = {"0", "1", ""};
+    body += kLabels[util::splitmix64(rng) % 3];
+    body += '\n';
+  }
+  return body;
+}
+
+/// One random corruption: a byte flip, an inserted quote / CR / NUL, a
+/// truncation, an extra column or a missing one.
+void mutateBody(std::string& body, std::uint64_t& rng) {
+  if (body.empty()) return;
+  const std::size_t pos = util::splitmix64(rng) % body.size();
+  switch (util::splitmix64(rng) % 7) {
+    case 0:
+      body[pos] = static_cast<char>(body[pos] ^ (1 << (util::splitmix64(rng) % 8)));
+      break;
+    case 1:
+      body.insert(pos, 1, '"');
+      break;
+    case 2:
+      body.insert(pos, 1, '\r');
+      break;
+    case 3:
+      body.insert(pos, 1, '\0');
+      break;
+    case 4:
+      body.resize(pos);
+      break;
+    case 5: {
+      const std::size_t eol = body.find('\n', pos);
+      body.insert(eol == std::string::npos ? body.size() : eol, ",7");
+      break;
+    }
+    default: {
+      const std::size_t comma = body.find(',', pos);
+      if (comma == std::string::npos) break;
+      const std::size_t next = body.find_first_of(",\n", comma + 1);
+      body.erase(comma, (next == std::string::npos ? body.size() : next) - comma);
+      break;
+    }
+  }
+}
+
+/// "hash <snapshotHash>" for a decoded table, "error <message>" else.
+std::string decodeOutcome(const util::Result<LeafTable>& decoded) {
+  if (!decoded.isOk()) return "error " + decoded.status().message();
+  return "hash " + std::to_string(svc::snapshotHash(decoded.value()));
+}
+
+/// The batch path: materialize every row, then build the table.
+util::Result<LeafTable> batchDecode(const Schema& schema,
+                                    const std::string& body,
+                                    const std::string& source) {
+  auto rows = parseCsv(body);
+  if (!rows.isOk()) return rows.status();
+  return leafTableFromCsvRows(schema, rows.value(), source);
+}
+
+/// loadLeafTable's pipeline (tokenizer -> decoder) fed `chunk` bytes at
+/// a time.
+util::Result<LeafTable> decodeInChunks(const Schema& schema,
+                                       const std::string& body,
+                                       std::size_t chunk) {
+  LeafRowDecoder decoder(schema, "request body", /*csv_header=*/true);
+  const CsvRowCallback sink = [&decoder](CsvFields row) {
+    (void)decoder.add(row);
+  };
+  CsvStreamParser parser;
+  for (std::size_t i = 0; i < body.size(); i += chunk) {
+    RAP_RETURN_IF_ERROR(
+        parser.feed(std::string_view(body).substr(i, chunk), sink));
+  }
+  RAP_RETURN_IF_ERROR(parser.finish(sink));
+  return std::move(decoder).finish();
+}
+
+TEST_F(TempDir, SinglePassDecodeMatchesBatchDecodeUnderMutation) {
+  const Schema schemas[] = {Schema::cdn(), Schema::tiny()};
+  std::uint64_t rng = 20220627;
+  int decoded = 0;
+  int rejected = 0;
+  constexpr int kCases = 1200;
+  for (int c = 0; c < kCases; ++c) {
+    const Schema& schema = schemas[c % 2];
+    std::string body =
+        randomLeafBody(schema, rng, 1 + util::splitmix64(rng) % 40);
+    const auto mutations = util::splitmix64(rng) % 3;
+    for (std::uint64_t m = 0; m < mutations; ++m) mutateBody(body, rng);
+
+    const std::string expected =
+        decodeOutcome(batchDecode(schema, body, "request body"));
+    EXPECT_EQ(decodeOutcome(svc::parseCsvSnapshot(schema, body)), expected)
+        << "case " << c;
+    for (const std::size_t chunk : {1, 7, 65536}) {
+      EXPECT_EQ(decodeOutcome(decodeInChunks(schema, body, chunk)), expected)
+          << "case " << c << " chunk " << chunk;
+    }
+    std::ofstream(path("m.csv"), std::ios::binary | std::ios::trunc) << body;
+    EXPECT_EQ(decodeOutcome(loadLeafTable(schema, path("m.csv"))),
+              decodeOutcome(batchDecode(schema, body, path("m.csv"))))
+        << "case " << c;
+    (expected.rfind("hash", 0) == 0 ? decoded : rejected) += 1;
+  }
+  // Both outcomes are exercised in earnest.
+  EXPECT_GT(decoded, kCases / 5);
+  EXPECT_GT(rejected, kCases / 5);
+}
+
+/// util::parseDouble's contract, spelled out with strtod alone.
+util::Result<double> strtodReference(std::string_view text) {
+  const std::string buf{util::trim(text)};
+  if (buf.empty()) return util::Status::invalidArgument("empty number");
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(buf.c_str(), &end);
+  if (errno == ERANGE) {
+    return util::Status::outOfRange("number out of range: '" + buf + "'");
+  }
+  if (end != buf.c_str() + buf.size()) {
+    return util::Status::invalidArgument("not a number: '" + buf + "'");
+  }
+  return value;
+}
+
+void expectParsesLikeStrtod(const std::string& text) {
+  const auto got = util::parseDouble(text);
+  const auto want = strtodReference(text);
+  ASSERT_EQ(got.isOk(), want.isOk()) << "'" << text << "'";
+  if (want.isOk()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value()),
+              std::bit_cast<std::uint64_t>(want.value()))
+        << "'" << text << "'";
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << "'" << text << "'";
+    EXPECT_EQ(got.status().message(), want.status().message());
+  }
+}
+
+TEST(ParseDouble, AgreesWithStrtodBitForBit) {
+  for (const char* edge :
+       {"+1", " 1 ", ".5", "5.", "-0", "0", "1e-400", "4.9e-324", "1e309",
+        "0x1p3", "inf", "-inf", "nan", "1e", "--1", "", " ", "1e5x",
+        "\t3\n", "2.2250738585072011e-308", "2.2250738585072012e-308",
+        "2.2250738585072014e-308", "1.7976931348623157e308",
+        "1.7976931348623159e308", "1e-310", "infinity", "1,5"}) {
+    expectParsesLikeStrtod(edge);
+  }
+  std::uint64_t rng = 918273;
+  for (int i = 0; i < 20000; ++i) {
+    // Every bit pattern (subnormals, inf and nan included), plus doubles
+    // within a few ulps of DBL_MIN and plain KPI-sized values.
+    double value = std::bit_cast<double>(util::splitmix64(rng));
+    if (i % 3 == 1) {
+      value = std::bit_cast<double>(0x0010000000000000ull -
+                                    8 + util::splitmix64(rng) % 16);
+    } else if (i % 3 == 2) {
+      value = static_cast<double>(util::splitmix64(rng) % 100000000) / 97.0;
+    }
+    expectParsesLikeStrtod(util::strFormat("%.6g", value));
+    expectParsesLikeStrtod(util::strFormat("%.17g", value));
+  }
 }
 
 // ----------------------------------------------------------------- Schema

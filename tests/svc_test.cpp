@@ -216,6 +216,74 @@ TEST(Snapshot, RejectsMalformedBodies) {
           .isOk());
 }
 
+TEST(Snapshot, KpiErrorsNameTheRowInCsvAndJson) {
+  const auto schema = dataset::Schema::tiny();
+  const auto csv = svc::parseCsvSnapshot(
+      schema, "A,B,C,D,real,predict\na1,b1,c1,d1,1,1\na2,b1,c1,d1,x,1\n");
+  ASSERT_FALSE(csv.isOk());
+  EXPECT_EQ(csv.status().message(), "request body:3: not a number: 'x'");
+
+  // JSON row i is line i + 2, as if a header preceded it.
+  const auto json = svc::parseJsonSnapshot(
+      schema,
+      "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,1],"
+      "[\"a2\",\"b1\",\"c1\",\"d1\",\"x\",1]]}");
+  ASSERT_FALSE(json.isOk());
+  EXPECT_EQ(json.status().message(), csv.status().message());
+
+  const auto empty = svc::parseCsvSnapshot(
+      schema, "A,B,C,D,real,predict\na1,b1,c1,d1,1, \n");
+  ASSERT_FALSE(empty.isOk());
+  EXPECT_EQ(empty.status().message(), "request body:2: empty number");
+}
+
+TEST(Snapshot, LabelsMustBeZeroOneOrEmpty) {
+  const auto schema = dataset::Schema::tiny();
+  const std::string header = "A,B,C,D,real,predict,label\n";
+  for (const char* label : {"1.0", "true", "2", "-1", "01", "yes"}) {
+    const auto csv = svc::parseCsvSnapshot(
+        schema, header + "a1,b1,c1,d1,1,1," + label + "\n");
+    ASSERT_FALSE(csv.isOk()) << label;
+    EXPECT_EQ(csv.status().message(),
+              std::string("request body:2: label must be 0, 1 or empty, "
+                          "got '") +
+                  label + "'");
+    const auto json = svc::parseJsonSnapshot(
+        schema, std::string("{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,1,\"") +
+                    label + "\"]]}");
+    ASSERT_FALSE(json.isOk()) << label;
+    EXPECT_EQ(json.status().message(), csv.status().message());
+  }
+  // A JSON number label must be 0 or 1.
+  const auto two = svc::parseJsonSnapshot(
+      schema, "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,1,2]]}");
+  ASSERT_FALSE(two.isOk());
+  EXPECT_EQ(two.status().message(),
+            "request body:2: label must be 0, 1 or empty, got '2'");
+
+  // Accepted: 1 (trimmed) is anomalous; 0 and empty are normal.
+  const auto csv = svc::parseCsvSnapshot(
+      schema, header +
+                  "a1,b1,c1,d1,1,1, 1 \n"
+                  "a2,b1,c1,d1,1,1,0\n"
+                  "a3,b1,c1,d1,1,1,\n"
+                  "a1,b2,c1,d1,1,1,\"1\"\n");
+  ASSERT_TRUE(csv.isOk()) << csv.status().toString();
+  ASSERT_EQ(csv->size(), 4u);
+  EXPECT_TRUE(csv->row(0).anomalous);
+  EXPECT_FALSE(csv->row(1).anomalous);
+  EXPECT_FALSE(csv->row(2).anomalous);
+  EXPECT_TRUE(csv->row(3).anomalous);
+  const auto json = svc::parseJsonSnapshot(
+      schema,
+      "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,1,\" 1 \"],"
+      "[\"a2\",\"b1\",\"c1\",\"d1\",1,1,0],"
+      "[\"a3\",\"b1\",\"c1\",\"d1\",1,1,\"\"],"
+      "[\"a1\",\"b2\",\"c1\",\"d1\",1,1,1]]}");
+  ASSERT_TRUE(json.isOk()) << json.status().toString();
+  EXPECT_EQ(svc::snapshotHash(*json), svc::snapshotHash(*csv));
+}
+
 TEST(Snapshot, ContentHashSeparatesBodies) {
   EXPECT_EQ(svc::contentHash("abc"), svc::contentHash("abc"));
   EXPECT_NE(svc::contentHash("abc"), svc::contentHash("abd"));
@@ -869,6 +937,72 @@ TEST(TenantCatalog, StreamingTenantIngestsThroughTheRouter) {
   engine->drain();
   EXPECT_EQ(engine->stats().ingested, 3u);
   EXPECT_GE(engine->stats().windows_sealed, 1u);
+}
+
+TEST(LocalizeService, BadLabelIsA400NamingTheRow) {
+  const auto schema = dataset::Schema::tiny();
+  svc::LocalizeService service(schema, core::RapMinerConfig{});
+  const auto csv = service.handleLocalize(postRequest(
+      "A,B,C,D,real,predict,label\na1,b1,c1,d1,1,1,0\na2,b1,c1,d1,1,1,true\n",
+      "mode=sync"));
+  EXPECT_EQ(csv.status, 400);
+  EXPECT_NE(csv.body.find("request body:3: label must be 0, 1 or empty"),
+            std::string::npos)
+      << csv.body;
+  const auto json = service.handleLocalize(postRequest(
+      "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,1,1.5]]}", "mode=sync",
+      "application/json"));
+  EXPECT_EQ(json.status, 400);
+  EXPECT_NE(json.body.find("request body:2: label must be 0, 1 or empty"),
+            std::string::npos)
+      << json.body;
+}
+
+TEST(TenantCatalog, IngestUsesTheHardenedCsvTokenizer) {
+  svc::DatasetCatalog catalog({.pool_threads = 2});
+  svc::TenantRouter router(catalog);
+  const auto doc = svc::JsonValue::parse(
+      "{\"schema\":{\"builtin\":\"tiny\"},"
+      "\"streaming\":{\"shards\":1,\"window_width\":60,"
+      "\"trigger\":\"every-window\",\"localize_threads\":1}}");
+  ASSERT_TRUE(doc.isOk());
+  auto spec = svc::parseTenantSpec(*doc, "edge");
+  ASSERT_TRUE(spec.isOk()) << spec.status().toString();
+  ASSERT_TRUE(catalog.put(std::move(spec.value())).isOk());
+  const auto engine = catalog.find("edge")->engine();
+  ASSERT_NE(engine, nullptr);
+  const std::string path = "/api/v1/tenants/edge/ingest";
+
+  // CRLF line ends, a quoted element name and padded fields.
+  const auto crlf = router.route(routerRequest(
+      "POST", path,
+      "ts,A,B,C,D,real,predict\r\n"
+      "10,a1,b1,c1,d1,30,100\r\n"
+      "\r\n"
+      "10,\"a2\", b1 ,c1,d1, 95 ,100\r\n"));
+  ASSERT_EQ(crlf.status, 200) << crlf.body;
+  EXPECT_NE(crlf.body.find("\"accepted\":2"), std::string::npos);
+
+  // A quoted comma stays inside its field: one unknown element, named
+  // with its row (blank lines count).
+  const auto quoted = router.route(routerRequest(
+      "POST", path, "10,a1,b1,c1,d1,1,2\n\n10,\"a1,b1\",b1,c1,d1,1,2\n"));
+  EXPECT_EQ(quoted.status, 400);
+  EXPECT_NE(quoted.body.find("row 3: element 'a1,b1' not in attribute 'A'"),
+            std::string::npos)
+      << quoted.body;
+
+  // An embedded NUL rejects the whole batch with its row and offset.
+  const auto nul = router.route(routerRequest(
+      "POST", path, std::string("10,a1,b1,c1,d1,1,2\n10,a") + '\0' +
+                        "1,b1,c1,d1,1,2\n"));
+  EXPECT_EQ(nul.status, 400);
+  EXPECT_NE(nul.body.find("embedded NUL byte at row 2 near offset 23"),
+            std::string::npos)
+      << nul.body;
+
+  engine->drain();
+  EXPECT_EQ(engine->stats().ingested, 2u);
 }
 
 // ---------------------------------------------------------------------------
