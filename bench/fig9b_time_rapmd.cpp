@@ -55,9 +55,9 @@ bool samePatterns(const std::vector<core::ScoredPattern>& a,
 }
 
 /// Cold-vs-warm workspace study (--reuse): the same cases localized by
-/// a fresh serial miner per call (cold — every call pays the kernel
-/// transpose and aggregation-scratch allocations, the per-request shape
-/// the svc job path had before workspace pooling) and by one retained
+/// a fresh serial miner per call (cold — every call pays the
+/// aggregation-scratch allocations, the per-request shape the svc job
+/// path had before workspace pooling) and by one retained
 /// miner (warm — its WorkspacePool keeps the buffers, so steady-state
 /// calls are allocation-free).  The patterns must match exactly.
 struct ReuseStudy {

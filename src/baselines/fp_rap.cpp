@@ -50,12 +50,11 @@ std::vector<core::ScoredPattern> fpGrowthLocalize(
 
   // Transactions = anomalous leaves.
   std::vector<mining::Transaction> transactions;
-  for (const auto& row : table.rows()) {
-    if (!row.anomalous) continue;
+  for (const dataset::RowId id : table.anomalousRows()) {
     mining::Transaction txn;
     txn.reserve(static_cast<std::size_t>(schema.attributeCount()));
     for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-      txn.push_back(codec.encode(a, row.ac.slot(a)));
+      txn.push_back(codec.encode(a, table.elem(id, a)));
     }
     transactions.push_back(std::move(txn));
   }

@@ -33,17 +33,15 @@ double potentialScore(const dataset::LeafTable& table,
   double v_sum = 0.0;
   double f_sum = 0.0;
   for (const RowId id : covered) {
-    const auto& row = table.row(id);
-    sel_dev += std::fabs(row.v - row.f);
-    v_sum += row.v;
-    f_sum += row.f;
+    sel_dev += std::fabs(table.v(id) - table.f(id));
+    v_sum += table.v(id);
+    f_sum += table.f(id);
   }
   if (f_sum <= 0.0) return 0.0;
   const double ratio = v_sum / f_sum;
   double sel_ripple = 0.0;
   for (const RowId id : covered) {
-    const auto& row = table.row(id);
-    sel_ripple += std::fabs(row.v - row.f * ratio);
+    sel_ripple += std::fabs(table.v(id) - table.f(id) * ratio);
   }
   return (sel_dev - sel_ripple) / total_dev;
 }
@@ -175,7 +173,9 @@ std::vector<core::ScoredPattern> hotspotLocalize(const dataset::LeafTable& table
   util::Rng rng(config.seed);
 
   double total_dev = 0.0;
-  for (const auto& row : table.rows()) total_dev += std::fabs(row.v - row.f);
+  for (RowId id = 0; id < table.size(); ++id) {
+    total_dev += std::fabs(table.v(id) - table.f(id));
+  }
   if (total_dev <= 0.0) return {};
 
   double best_ps = 0.0;

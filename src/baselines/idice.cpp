@@ -32,9 +32,8 @@ VolumeStats volumesFor(const dataset::LeafTable& table,
                        const std::vector<dataset::RowId>& rows) {
   VolumeStats s;
   for (const auto id : rows) {
-    const auto& row = table.row(id);
-    s.drop += std::max(0.0, row.f - row.v);
-    s.total += row.f;
+    s.drop += std::max(0.0, table.f(id) - table.v(id));
+    s.total += table.f(id);
   }
   return s;
 }

@@ -16,10 +16,10 @@ using dataset::RowId;
 
 namespace {
 
-double deviationScore(const dataset::LeafRow& row) noexcept {
-  const double denom = row.f + row.v;
+double deviationScore(double v, double f) noexcept {
+  const double denom = f + v;
   if (denom <= 0.0) return 0.0;
-  return 2.0 * (row.f - row.v) / denom;
+  return 2.0 * (f - v) / denom;
 }
 
 struct Selection {
@@ -37,10 +37,9 @@ double gpsOf(const dataset::LeafTable& table,
   double v_sum = 0.0;
   double f_sum = 0.0;
   for (const RowId id : covered_rows) {
-    const auto& row = table.row(id);
-    sel_dev += std::fabs(row.v - row.f);
-    v_sum += row.v;
-    f_sum += row.f;
+    sel_dev += std::fabs(table.v(id) - table.f(id));
+    v_sum += table.v(id);
+    f_sum += table.f(id);
   }
   if (f_sum <= 0.0) return 0.0;
   // Ripple effect: if the selection were the root cause, every covered
@@ -48,8 +47,7 @@ double gpsOf(const dataset::LeafTable& table,
   const double ratio = v_sum / f_sum;
   double sel_ripple = 0.0;
   for (const RowId id : covered_rows) {
-    const auto& row = table.row(id);
-    sel_ripple += std::fabs(row.v - row.f * ratio);
+    sel_ripple += std::fabs(table.v(id) - table.f(id) * ratio);
   }
   return (sel_dev - sel_ripple) / total_dev;
 }
@@ -65,7 +63,7 @@ std::vector<core::ScoredPattern> squeezeLocalize(
   std::vector<double> scores(table.size(), 0.0);
   std::vector<RowId> deviating;
   for (RowId id = 0; id < table.size(); ++id) {
-    scores[id] = deviationScore(table.row(id));
+    scores[id] = deviationScore(table.v(id), table.f(id));
     if (std::fabs(scores[id]) >= config.min_deviation) {
       deviating.push_back(id);
     }
@@ -79,7 +77,9 @@ std::vector<core::ScoredPattern> squeezeLocalize(
       stats::densityClusters(hist, config.smooth_radius, config.valley_ratio);
 
   double total_dev = 0.0;
-  for (const auto& row : table.rows()) total_dev += std::fabs(row.v - row.f);
+  for (RowId id = 0; id < table.size(); ++id) {
+    total_dev += std::fabs(table.v(id) - table.f(id));
+  }
 
   const dataset::InvertedIndex index(table);
   const CuboidMask all_mask = dataset::allAttributesMask(table.schema());

@@ -14,7 +14,9 @@ std::vector<double> classificationPowers(const LeafTable& table) {
   const auto& schema = table.schema();
   const auto n_attrs = schema.attributeCount();
 
-  // One pass: per-attribute per-element branch counts.
+  // One pass: per-attribute per-element branch counts.  Row by row, so
+  // consecutive updates go to different attributes' counters; a sweep
+  // per column would chain increments of one counter through memory.
   std::vector<std::vector<stats::BranchCounts>> branches(
       static_cast<std::size_t>(n_attrs));
   for (AttrId a = 0; a < n_attrs; ++a) {
@@ -22,13 +24,14 @@ std::vector<double> classificationPowers(const LeafTable& table) {
         static_cast<std::size_t>(schema.cardinality(a)));
   }
   std::uint64_t positives = 0;
-  for (const auto& row : table.rows()) {
-    positives += row.anomalous ? 1 : 0;
+  for (dataset::RowId id = 0; id < table.size(); ++id) {
+    const std::uint64_t positive = table.isAnomalous(id) ? 1 : 0;
+    positives += positive;
     for (AttrId a = 0; a < n_attrs; ++a) {
       auto& b = branches[static_cast<std::size_t>(a)]
-                        [static_cast<std::size_t>(row.ac.slot(a))];
+                        [static_cast<std::size_t>(table.elem(id, a))];
       b.total += 1;
-      b.positives += row.anomalous ? 1 : 0;
+      b.positives += positive;
     }
   }
 

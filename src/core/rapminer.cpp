@@ -204,7 +204,7 @@ LocalizationResult RapMiner::localize(const dataset::LeafTable& table,
                      static_cast<std::int64_t>(kept.size())}});
     // Check a workspace out of the retained pool (the miner's own, or
     // the caller's shared one) so repeated localizations of same-shaped
-    // tables reuse the kernel transpose and aggregation scratch.
+    // tables reuse the aggregation scratch.
     WorkspacePool::Lease lease =
         (workspaces != nullptr ? *workspaces : *workspaces_).lease();
     result.patterns = acGuidedSearch(table, kept, config_.search,

@@ -105,8 +105,8 @@ class RapMiner {
   /// `workspaces` (optional) supplies the search workspaces instead of
   /// the miner's own retained pool: callers that rebuild a miner per
   /// request (svc::JobManager) share one WorkspacePool across those
-  /// miners so the serving hot path still reuses the kernel transpose
-  /// and scratch capacity.
+  /// miners so the serving hot path still reuses the aggregation scratch
+  /// capacity.
   ///
   /// An input with nothing to localize — an empty table, a schema with
   /// no attributes, or no anomalous leaf — returns an empty result
@@ -121,8 +121,8 @@ class RapMiner {
   RapMinerConfig config_;
   /// Retained search workspaces: repeated localize() calls (and
   /// concurrent ones — each checks out its own workspace) reuse the
-  /// transposed columns and aggregation scratch instead of reallocating
-  /// per call.  Shared so RapMiner stays copyable.
+  /// aggregation scratch instead of reallocating per call.  Shared so
+  /// RapMiner stays copyable.
   std::shared_ptr<WorkspacePool> workspaces_;
 };
 

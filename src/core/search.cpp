@@ -17,7 +17,6 @@ namespace rap::core {
 using dataset::AttributeCombination;
 using dataset::CuboidMask;
 using dataset::GroupAggregate;
-using dataset::GroupByKernel;
 using dataset::LeafTable;
 
 std::vector<CuboidMask> orderedCuboids(
@@ -69,7 +68,8 @@ namespace {
 /// helpers + 1 threads), and only once every helper task has exited, so
 /// the borrowed stack state cannot dangle even if the caller early-stops
 /// the layer right after.
-std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
+std::size_t aggregateLayer(const LeafTable& table,
+                           const std::vector<CuboidMask>& cuboids,
                            util::ThreadPool& pool, SearchWorkspace& ws) {
   const std::size_t n = cuboids.size();
   if (ws.layer_groups.size() < n) ws.layer_groups.resize(n);
@@ -78,13 +78,13 @@ std::size_t aggregateLayer(const std::vector<CuboidMask>& cuboids,
   if (ws.scratch.size() < helpers + 1) ws.scratch.resize(helpers + 1);
 
   std::atomic<std::size_t> cursor{0};
-  const auto work = [&cuboids, &cursor, &ws, n](std::size_t worker) {
+  const auto work = [&table, &cuboids, &cursor, &ws, n](std::size_t worker) {
     dataset::GroupByScratch& scratch = ws.scratch[worker];
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       ws.layer_counts[i] =
-          ws.kernel.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
+          table.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
     }
   };
 
@@ -132,7 +132,6 @@ std::vector<ScoredPattern> acGuidedSearch(
            search_timer.elapsedSeconds() > config.deadline_seconds;
   };
 
-  ws.kernel.rebind(table);
   if (ws.scratch.empty()) ws.scratch.resize(1);
   std::vector<ScoredPattern> candidates;
   std::vector<AttributeCombination> candidate_acs;  // for pruning
@@ -197,7 +196,7 @@ std::vector<ScoredPattern> acGuidedSearch(
     const bool parallel = pool != nullptr && cuboids.size() > 1;
     if (parallel) {
       const util::WallTimer aggregate_timer;
-      const std::size_t helpers = aggregateLayer(cuboids, *pool, ws);
+      const std::size_t helpers = aggregateLayer(table, cuboids, *pool, ws);
       stats.search_threads =
           std::max(stats.search_threads,
                    static_cast<std::int32_t>(helpers) + 1);
@@ -223,7 +222,7 @@ std::vector<ScoredPattern> acGuidedSearch(
       } else {
         const util::WallTimer aggregate_timer;
         group_count =
-            ws.kernel.groupByInto(cuboids[i], ws.scratch[0], ws.serial_groups);
+            table.groupByInto(cuboids[i], ws.scratch[0], ws.serial_groups);
         groups = &ws.serial_groups;
         layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
       }
@@ -257,7 +256,7 @@ std::vector<ScoredPattern> acGuidedSearch(
           // already explains every anomalous leaf.
           if (config.early_stop) {
             std::erase_if(uncovered, [&](dataset::RowId id) {
-              return group.ac.matchesLeaf(table.row(id).ac);
+              return table.rowMatches(id, group.ac);
             });
             if (uncovered.empty()) {
               stats.early_stopped = true;

@@ -10,11 +10,10 @@
 // descendant sub-DAG is pruned (Criteria 3).  The search early-stops as
 // soon as the candidates cover every anomalous leaf.
 //
-// Support counts come from dataset::GroupByKernel: per-attribute element
-// code columns are transposed once per search (reusing the capacity of a
-// retained SearchWorkspace across searches), and each cuboid is then
-// aggregated in a single sparse mixed-radix pass — touched cells only —
-// instead of per-row AttributeCombination probing.
+// Support counts come from LeafTable::groupByInto, which sweeps the
+// table's own element-code columns: each cuboid is aggregated in a single
+// sparse mixed-radix pass — touched cells only — through the scratch
+// memory of a SearchWorkspace retained across searches.
 //
 // One entry point, two bit-identical schedules chosen by the caller:
 //   * no pool — the serial reference implementation;
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "core/types.h"
-#include "dataset/groupby_kernel.h"
 #include "dataset/leaf_table.h"
 #include "util/thread_pool.h"
 
@@ -74,12 +72,12 @@ std::vector<dataset::CuboidMask> orderedCuboids(
     const std::vector<dataset::AttrId>& kept, std::int32_t layer,
     CuboidOrder order);
 
-/// Reusable memory plane for one Algorithm-2 search: the transposed
-/// group-by kernel, one GroupByScratch per fan-out worker (slot 0 is
-/// the calling thread) and the per-cuboid output buffers of the layer
-/// prefetch.  Every buffer grows to its workload's high-water mark and
-/// is then reused, so repeated searches over same-shaped tables perform
-/// no steady-state heap allocation in the aggregation hot path.  A
+/// Reusable memory plane for one Algorithm-2 search: one GroupByScratch
+/// per fan-out worker (slot 0 is the calling thread) and the per-cuboid
+/// output buffers of the layer prefetch.  Every buffer grows to its
+/// workload's high-water mark and is then reused, so repeated searches
+/// over same-shaped tables perform no steady-state heap allocation in
+/// the aggregation hot path.  A
 /// workspace serves one search at a time; the members are implementation
 /// state — treat them as opaque outside src/core and tests.
 struct SearchWorkspace {
@@ -87,7 +85,6 @@ struct SearchWorkspace {
   SearchWorkspace(const SearchWorkspace&) = delete;
   SearchWorkspace& operator=(const SearchWorkspace&) = delete;
 
-  dataset::GroupByKernel kernel;
   /// Per-worker scratches; sized to the widest fan-out seen so far.
   std::vector<dataset::GroupByScratch> scratch;
   /// Parallel schedule: slot i holds cuboid i's groups for the layer
@@ -102,9 +99,9 @@ struct SearchWorkspace {
 /// Thread-safe checkout/return pool of SearchWorkspaces.  RapMiner owns
 /// one across localize() calls (and svc::JobManager shares one across
 /// per-request miners), so the steady-state serving path reuses the
-/// kernel transpose and scratch capacity instead of reallocating them
-/// per localization.  Concurrent localizations each check out their own
-/// workspace; returned workspaces are retained up to a small cap.
+/// scratch capacity instead of reallocating it per localization.
+/// Concurrent localizations each check out their own workspace;
+/// returned workspaces are retained up to a small cap.
 class WorkspacePool {
  public:
   /// RAII checkout: holds a workspace for one search and returns it to
@@ -149,10 +146,9 @@ class WorkspacePool {
 /// caller ranks them (Eq. 3) and truncates to k.  `stats` accumulates
 /// search-effort counters.
 ///
-/// All aggregation memory comes from `workspace`: the kernel transpose
-/// reuses its column capacity and every per-cuboid buffer is recycled,
-/// so repeated searches over same-shaped tables allocate nothing in the
-/// hot path.
+/// All aggregation memory comes from `workspace`: every per-cuboid
+/// buffer is recycled, so repeated searches over same-shaped tables
+/// allocate nothing in the hot path.
 ///
 /// With `pool == nullptr` the search runs the serial reference schedule.
 /// With a pool, each layer's cuboid aggregations fan out across its

@@ -26,10 +26,11 @@ struct LayerSearchStats {
   std::uint64_t combinations_pruned = 0;
   std::uint64_t candidates_found = 0;
   double seconds = 0.0;  ///< wall time spent in this layer
-  /// Wall time spent aggregating the layer's cuboids (the dense group-by
-  /// kernel).  Under the parallel schedule this is the fan-out + join
-  /// time of the whole layer, so seconds / seconds_aggregate exposes the
-  /// per-layer speedup next to the serial baseline.
+  /// Wall time spent aggregating the layer's cuboids
+  /// (LeafTable::groupByInto).  Under the parallel schedule this is the
+  /// fan-out + join time of the whole layer, so seconds /
+  /// seconds_aggregate exposes the per-layer speedup next to the serial
+  /// baseline.
   double seconds_aggregate = 0.0;
 };
 

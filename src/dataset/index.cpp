@@ -12,10 +12,9 @@ InvertedIndex::InvertedIndex(const LeafTable& table) : table_(&table) {
         static_cast<std::size_t>(schema.cardinality(a)));
   }
   for (RowId id = 0; id < table.size(); ++id) {
-    const auto& ac = table.row(id).ac;
     for (AttrId a = 0; a < schema.attributeCount(); ++a) {
       postings_[static_cast<std::size_t>(a)]
-               [static_cast<std::size_t>(ac.slot(a))]
+               [static_cast<std::size_t>(table.elem(id, a))]
                    .push_back(id);
     }
   }
@@ -61,11 +60,10 @@ GroupAggregate InvertedIndex::aggregateFor(
   GroupAggregate g;
   g.ac = ac;
   for (const RowId id : rowsMatching(ac)) {
-    const LeafRow& row = table_->row(id);
     g.total += 1;
-    g.anomalous += row.anomalous ? 1 : 0;
-    g.v_sum += row.v;
-    g.f_sum += row.f;
+    g.anomalous += table_->isAnomalous(id) ? 1 : 0;
+    g.v_sum += table_->v(id);
+    g.f_sum += table_->f(id);
   }
   return g;
 }

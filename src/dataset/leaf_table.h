@@ -3,14 +3,17 @@
 // and the per-leaf anomaly-detection verdict.  This is the only input the
 // RAPMiner algorithm consumes (paper §IV-B).
 //
-// The table owns a copy of the Schema and offers the group-by aggregation
-// that both RAPMiner and the baselines are built on: projecting every leaf
-// onto a cuboid and accumulating counts / KPI sums per projected
-// combination is one O(rows) pass with a dense or hashed key.
+// The table is stored column by column: one element-code column per
+// attribute, a v column, an f column and a 0/1 verdict column.  That is
+// the layout the counting wants — every quantity of Algorithms 1-2 is a
+// sweep over a few of these columns — so the table is also the one
+// aggregation plane: groupByInto projects every leaf onto a cuboid and
+// accumulates counts and KPI sums per projected combination.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "dataset/attribute_combination.h"
@@ -21,6 +24,7 @@ namespace rap::dataset {
 
 using RowId = std::uint32_t;
 
+/// One leaf as generators and parsers hand it to the table.
 struct LeafRow {
   AttributeCombination ac;  ///< fully concrete combination
   double v = 0.0;           ///< actual KPI value
@@ -52,9 +56,32 @@ struct GroupWithRows {
   std::vector<RowId> rows;
 };
 
+/// One accumulation cell of the group-by.
+struct GroupCell {
+  std::uint32_t total = 0;
+  std::uint32_t anomalous = 0;
+  double v_sum = 0.0;
+  double f_sum = 0.0;
+};
+
+/// Caller-owned scratch memory for LeafTable::groupByInto.  All buffers
+/// grow to the high-water mark of the cuboids aggregated through them
+/// and are then reused without reallocation.  Invariant between calls:
+/// every cell of `dense` is zero (groupByInto restores it before
+/// returning).  After a call, `keys` and `group_keys` describe it.  A
+/// scratch serves one thread at a time; give each worker its own.
+struct GroupByScratch {
+  std::vector<std::uint64_t> keys;        ///< [row] projection keys
+  std::vector<std::uint64_t> group_keys;  ///< [group] keys, ascending
+  std::vector<GroupCell> dense;           ///< accumulation cells
+  std::vector<RowId> order;               ///< sort fallback: rows by key
+  std::vector<AttrId> attrs;              ///< member attributes of the mask
+  std::vector<std::uint64_t> strides;     ///< mixed-radix strides of attrs
+};
+
 class LeafTable {
  public:
-  explicit LeafTable(Schema schema) : schema_(std::move(schema)) {}
+  explicit LeafTable(Schema schema);
 
   const Schema& schema() const noexcept { return schema_; }
 
@@ -66,44 +93,80 @@ class LeafTable {
   /// Convenience used heavily by tests and generators.
   void addRow(AttributeCombination ac, double v, double f, bool anomalous);
 
-  void reserve(std::size_t n) { rows_.reserve(n); }
+  /// The same from the leaf's element ids, one per attribute — what
+  /// parsers hold, without building an AttributeCombination.
+  void addRow(std::span<const ElemId> slots, double v, double f,
+              bool anomalous);
 
-  std::size_t size() const noexcept { return rows_.size(); }
-  bool empty() const noexcept { return rows_.empty(); }
-  const LeafRow& row(RowId id) const {
-    RAP_CHECK(id < rows_.size());
-    return rows_[id];
+  void reserve(std::size_t n);
+
+  std::size_t size() const noexcept { return v_.size(); }
+  bool empty() const noexcept { return v_.empty(); }
+
+  /// Column accessors — what every hot path reads.
+  ElemId elem(RowId id, AttrId attr) const {
+    return columns_[static_cast<std::size_t>(attr)][id];
   }
-  const std::vector<LeafRow>& rows() const noexcept { return rows_; }
+  double v(RowId id) const { return v_[id]; }
+  double f(RowId id) const { return f_[id]; }
+  bool isAnomalous(RowId id) const { return anomalous_[id] != 0; }
+
+  /// True iff row `id`'s leaf is covered by `ac` (agrees on every
+  /// concrete slot).
+  bool rowMatches(RowId id, const AttributeCombination& ac) const;
+
+  /// Row `id` as a LeafRow, or just its leaf combination.  Both allocate
+  /// an AttributeCombination: for tests, generators and reports, not for
+  /// hot paths.
+  LeafRow row(RowId id) const;
+  AttributeCombination leaf(RowId id) const;
+
+  /// Every row in order, as LeafRows by value (one allocation per row):
+  /// `for (const auto& row : table.rows())`.  The view reads the table,
+  /// so it must not outlive it.
+  auto rows() const {
+    return std::views::iota(RowId{0}, static_cast<RowId>(size())) |
+           std::views::transform([this](RowId id) { return row(id); });
+  }
 
   /// Overwrite the verdict of one row (used by detectors).
   void setAnomalous(RowId id, bool anomalous) {
-    RAP_CHECK(id < rows_.size());
-    rows_[id].anomalous = anomalous;
+    RAP_CHECK(id < size());
+    anomalous_[id] = anomalous ? 1 : 0;
   }
 
   std::uint32_t anomalousCount() const noexcept;
   double totalV() const noexcept;
   double totalF() const noexcept;
 
-  /// Mixed-radix projection key of a row onto the cuboid `mask`;
-  /// keys are dense in [0, cuboidSize(mask)).
-  std::uint64_t projectionKey(RowId id, CuboidMask mask) const;
+  /// Aggregation of all leaves by their projection onto `mask` into
+  /// `out[0 .. returned count)`, one group per combination with at least
+  /// one supporting leaf (the table may be sparse), in ascending
+  /// mixed-radix key order; each group's sums accumulate in row order.
+  /// `out` only ever grows: entries past the returned count are stale
+  /// leftovers kept so their AttributeCombination storage is reused.  In
+  /// steady state (row count and cuboid sizes no larger than already seen
+  /// through `scratch`) the call performs no heap allocation.  Cuboids
+  /// with more than kDenseLimit cells are aggregated by sorting the rows
+  /// by key instead of through the dense cell array.  Safe to call from
+  /// several threads at once, each with its own scratch.
+  std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
+                          std::vector<GroupAggregate>& out) const;
 
-  /// One-pass aggregation of all leaves by their projection onto `mask`.
-  /// Only combinations with at least one supporting leaf are returned
-  /// (the table may be sparse).  Deterministic order (ascending key).
+  /// groupByInto into fresh memory.
   std::vector<GroupAggregate> groupBy(CuboidMask mask) const;
 
   /// Same, with member row ids attached.
   std::vector<GroupWithRows> groupByWithRows(CuboidMask mask) const;
 
   /// Aggregation restricted to a subset of rows (e.g. one Squeeze
-  /// deviation cluster).
+  /// deviation cluster); sums accumulate and member rows are listed in
+  /// subset order.
   std::vector<GroupWithRows> groupByWithRows(
       CuboidMask mask, const std::vector<RowId>& subset) const;
 
-  /// Support counts for a single combination by a scan over the table.
+  /// Support counts for a single combination by a scan over the table —
+  /// the definition-level reference the group-by is tested against.
   GroupAggregate aggregateFor(const AttributeCombination& ac) const;
 
   /// True iff every anomalous leaf is covered by at least one of the
@@ -113,9 +176,15 @@ class LeafTable {
   /// Row ids of anomalous leaves.
   std::vector<RowId> anomalousRows() const;
 
+  /// Largest cuboid (in cells) aggregated through the dense array.
+  static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
+
  private:
   Schema schema_;
-  std::vector<LeafRow> rows_;
+  std::vector<std::vector<ElemId>> columns_;  ///< [attr][row] element ids
+  std::vector<double> v_;                     ///< [row] actual values
+  std::vector<double> f_;                     ///< [row] forecast values
+  std::vector<std::uint8_t> anomalous_;       ///< [row] 0/1 verdicts
 };
 
 }  // namespace rap::dataset

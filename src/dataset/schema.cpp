@@ -1,5 +1,8 @@
 #include "dataset/schema.h"
 
+#include <string_view>
+#include <unordered_set>
+
 #include "util/strings.h"
 
 namespace rap::dataset {
@@ -39,12 +42,54 @@ Schema::Schema(std::vector<Attribute> attributes) {
   RAP_CHECK_MSG(!attrs.empty(), "schema needs at least one attribute");
   RAP_CHECK_MSG(attrs.size() <= 32, "cuboid masks are 32-bit; got "
                                         << attrs.size() << " attributes");
+  std::uint64_t leaves = 1;
   for (std::size_t i = 0; i < attrs.size(); ++i) {
     const bool inserted =
         dict->index.emplace(attrs[i].name(), static_cast<AttrId>(i)).second;
     RAP_CHECK_MSG(inserted, "duplicate attribute '" << attrs[i].name() << "'");
+    const bool wraps = __builtin_mul_overflow(
+        leaves, static_cast<std::uint64_t>(attrs[i].cardinality()), &leaves);
+    RAP_CHECK_MSG(!wraps, "leaf space of 2^64 or more leaves");
   }
   dict_ = std::move(dict);
+}
+
+util::Result<Schema> Schema::fromSpec(std::vector<AttributeSpec> attributes) {
+  const auto invalid = [](const std::string& why) {
+    return util::Status::invalidArgument("schema: " + why);
+  };
+  if (attributes.empty()) return invalid("needs at least one attribute");
+  if (attributes.size() > 32) {
+    return invalid(util::strFormat("at most 32 attributes, got %zu",
+                                   attributes.size()));
+  }
+  std::unordered_set<std::string_view> names;
+  std::uint64_t leaves = 1;
+  for (const AttributeSpec& attr : attributes) {
+    if (!names.insert(attr.name).second) {
+      return invalid("duplicate attribute '" + attr.name + "'");
+    }
+    if (attr.elements.empty()) {
+      return invalid("attribute '" + attr.name + "' has no elements");
+    }
+    std::unordered_set<std::string_view> elements;
+    for (const std::string& element : attr.elements) {
+      if (!elements.insert(element).second) {
+        return invalid("duplicate element '" + element + "' in attribute '" +
+                       attr.name + "'");
+      }
+    }
+    const auto cardinality = static_cast<std::uint64_t>(attr.elements.size());
+    if (__builtin_mul_overflow(leaves, cardinality, &leaves)) {
+      return invalid("the leaf space (product of cardinalities) reaches 2^64");
+    }
+  }
+  std::vector<Attribute> built;
+  built.reserve(attributes.size());
+  for (AttributeSpec& attr : attributes) {
+    built.emplace_back(std::move(attr.name), std::move(attr.elements));
+  }
+  return Schema(std::move(built));
 }
 
 const Attribute& Schema::attribute(AttrId id) const {

@@ -51,12 +51,26 @@ class Attribute {
       index_;
 };
 
+/// One attribute as outside input (a tenant spec, a schema file) states
+/// it: a name and its element names.
+struct AttributeSpec {
+  std::string name;
+  std::vector<std::string> elements;
+};
+
 /// Ordered set of attributes.  Immutable once constructed, so copies
 /// share one dictionary: copying a Schema (every LeafTable owns one) is
 /// a reference-count bump, not a rebuild of every element index.
 class Schema {
  public:
   explicit Schema(std::vector<Attribute> attributes);
+
+  /// Builds a schema from outside input.  Where the constructors abort,
+  /// this returns invalidArgument: no attribute or more than 32, an
+  /// attribute without elements, a repeated attribute or element name,
+  /// or a leaf space (product of cardinalities) of 2^64 or more, where
+  /// the mixed-radix keys of leaves and cuboids would wrap.
+  static util::Result<Schema> fromSpec(std::vector<AttributeSpec> attributes);
   // Copy only: a move would leave a Schema without a dictionary, and a
   // copy costs no more than a move here.
   Schema(const Schema&) = default;

@@ -21,16 +21,16 @@ void publishDetectMetrics(const std::string& detector, std::uint64_t rows,
 
 }  // namespace
 
-double relativeDeviation(const dataset::LeafRow& row, double eps) noexcept {
-  const double denom = std::max(std::fabs(row.f), eps);
-  return (row.f - row.v) / denom;
+double relativeDeviation(double v, double f, double eps) noexcept {
+  const double denom = std::max(std::fabs(f), eps);
+  return (f - v) / denom;
 }
 
 std::uint32_t RelativeDeviationDetector::run(dataset::LeafTable& table) const {
   RAP_TRACE_SPAN("detect/relative_deviation");
   std::uint32_t flagged = 0;
   for (dataset::RowId id = 0; id < table.size(); ++id) {
-    const double dev = relativeDeviation(table.row(id), eps_);
+    const double dev = relativeDeviation(table.v(id), table.f(id), eps_);
     const bool anomalous =
         two_sided_ ? std::fabs(dev) > threshold_ : dev > threshold_;
     table.setAnomalous(id, anomalous);
@@ -44,7 +44,9 @@ std::uint32_t NSigmaDetector::run(dataset::LeafTable& table) const {
   RAP_TRACE_SPAN("detect/n_sigma");
   std::vector<double> residuals;
   residuals.reserve(table.size());
-  for (const auto& row : table.rows()) residuals.push_back(row.v - row.f);
+  for (dataset::RowId id = 0; id < table.size(); ++id) {
+    residuals.push_back(table.v(id) - table.f(id));
+  }
   const double mu = stats::mean(residuals);
   const double sigma = stats::stddev(residuals);
   std::uint32_t flagged = 0;

@@ -66,8 +66,9 @@ class NSigmaDetector final : public Detector {
   double n_sigma_;
 };
 
-/// Relative deviation of one row, as the detectors and the Squeeze
-/// baseline compute it: (f - v) / max(f, eps).
-double relativeDeviation(const dataset::LeafRow& row, double eps = 1e-9) noexcept;
+/// Relative deviation of one row's actual value v from its forecast f,
+/// as the detectors and the Squeeze baseline compute it:
+/// (f - v) / max(|f|, eps).
+double relativeDeviation(double v, double f, double eps = 1e-9) noexcept;
 
 }  // namespace rap::detect

@@ -25,15 +25,15 @@ util::Status saveLeafTable(const LeafTable& table, const std::string& path) {
   header.emplace_back("label");
   rows.push_back(std::move(header));
 
-  for (const auto& row : table.rows()) {
+  for (dataset::RowId id = 0; id < table.size(); ++id) {
     CsvRow out;
     out.reserve(static_cast<std::size_t>(schema.attributeCount()) + 3);
     for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-      out.push_back(schema.attribute(a).elementName(row.ac.slot(a)));
+      out.push_back(schema.attribute(a).elementName(table.elem(id, a)));
     }
-    out.push_back(util::strFormat("%.6g", row.v));
-    out.push_back(util::strFormat("%.6g", row.f));
-    out.push_back(row.anomalous ? "1" : "0");
+    out.push_back(util::strFormat("%.6g", table.v(id)));
+    out.push_back(util::strFormat("%.6g", table.f(id)));
+    out.push_back(table.isAnomalous(id) ? "1" : "0");
     rows.push_back(std::move(out));
   }
   return writeCsvFile(path, rows);
@@ -73,8 +73,8 @@ LeafRowDecoder::LeafRowDecoder(const Schema& schema, std::string source,
     : source_(std::move(source)),
       table_(schema),
       header_pending_(csv_header),
-      last_slots_(static_cast<std::size_t>(schema.attributeCount()),
-                  dataset::kWildcard) {}
+      slots_(static_cast<std::size_t>(schema.attributeCount()),
+             dataset::kWildcard) {}
 
 util::Status LeafRowDecoder::add(CsvFields fields) {
   if (header_pending_) {
@@ -109,19 +109,17 @@ util::Status LeafRowDecoder::decode(std::span<const LeafCell> cells) {
         "expected >= %zu columns, got %zu", min_cols, cells.size()));
   }
 
-  std::vector<dataset::ElemId> slots(n_attrs);
   for (std::size_t a = 0; a < n_attrs; ++a) {
     const dataset::Attribute& attr = schema.attribute(static_cast<AttrId>(a));
     // Snapshots list leaves mostly in order, so a slot usually repeats
     // the previous row's element: one string compare instead of a hash.
-    const dataset::ElemId last = last_slots_[a];
+    const dataset::ElemId last = slots_[a];
     if (last != dataset::kWildcard && cells[a].text == attr.elementName(last)) {
-      slots[a] = last;
       continue;
     }
     auto elem = attr.elementId(cells[a].text);
     if (!elem) return util::Status::invalidArgument(elem.status().message());
-    slots[a] = last_slots_[a] = elem.value();
+    slots_[a] = elem.value();
   }
 
   double kpi[2];
@@ -167,8 +165,7 @@ util::Status LeafRowDecoder::decode(std::span<const LeafCell> cells) {
           "label must be 0, 1 or empty, got '" + cellText(label) + "'");
     }
   }
-  table_.addRow(AttributeCombination(std::move(slots)), kpi[0], kpi[1],
-                anomalous);
+  table_.addRow(slots_, kpi[0], kpi[1], anomalous);
   return util::Status::ok();
 }
 
@@ -196,19 +193,24 @@ util::Status saveSchema(const Schema& schema, const std::string& path) {
 util::Result<Schema> loadSchema(const std::string& path) {
   auto parsed = readCsvFile(path);
   if (!parsed) return parsed.status();
-  std::vector<dataset::Attribute> attrs;
+  std::vector<dataset::AttributeSpec> attrs;
   for (const auto& row : parsed.value()) {
     if (row.size() < 2) {
       return util::Status::invalidArgument(
           "schema row needs a name and at least one element in '" + path + "'");
     }
-    attrs.emplace_back(row[0],
-                       std::vector<std::string>(row.begin() + 1, row.end()));
+    attrs.push_back(
+        {row[0], std::vector<std::string>(row.begin() + 1, row.end())});
   }
   if (attrs.empty()) {
     return util::Status::invalidArgument("schema file '" + path + "' is empty");
   }
-  return Schema(std::move(attrs));
+  auto schema = Schema::fromSpec(std::move(attrs));
+  if (!schema) {
+    return util::Status::invalidArgument(schema.status().message() + " in '" +
+                                         path + "'");
+  }
+  return schema;
 }
 
 util::Status saveGroundTruth(const Schema& schema,

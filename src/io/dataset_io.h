@@ -84,7 +84,9 @@ class LeafRowDecoder {
   std::size_t line_ = 1;  ///< the header's line; data rows start at 2
   util::Status status_;
   std::vector<LeafCell> cells_;  ///< add(CsvFields)'s reused row
-  std::vector<dataset::ElemId> last_slots_;  ///< previous row's elements
+  /// The row being decoded; a slot not yet decoded holds the previous
+  /// row's element (kWildcard before the first row).
+  std::vector<dataset::ElemId> slots_;
 };
 
 /// Schema sidecar: one row per attribute, "name,elem1,elem2,...".

@@ -25,8 +25,7 @@
 #include "core/types.h"                 // ScoredPattern / LocalizationResult
 #include "dataset/attribute_combination.h"
 #include "dataset/cuboid.h"
-#include "dataset/groupby_kernel.h"     // dense cuboid aggregation
-#include "dataset/leaf_table.h"
+#include "dataset/leaf_table.h"         // columnar dataset D + group-by
 #include "dataset/schema.h"
 #include "detect/detector.h"            // per-leaf verdicts
 #include "util/status.h"

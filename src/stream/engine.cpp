@@ -339,10 +339,14 @@ void StreamEngine::processWindow(SealedWindow window) {
   }
   std::sort(window.rows.begin(), window.rows.end(), rowLess);
 
+  // The rows outlive the table build: their combinations are freed when
+  // `window` goes out of scope, after the window callback, not inside
+  // the seal latency.
   dataset::LeafTable table(schema_);
   table.reserve(window.rows.size());
-  for (auto& row : window.rows) table.addRow(std::move(row));
-  window.rows.clear();
+  for (const auto& row : window.rows) {
+    table.addRow(row.ac.slots(), row.v, row.f, row.anomalous);
+  }
 
   const std::uint32_t flagged = detector_.run(table);
   bool alarmed = false;
@@ -416,9 +420,9 @@ void StreamEngine::processWindow(SealedWindow window) {
           break;
       }
       // miner_ persists across epochs, so its internal WorkspacePool
-      // retains the search kernel + scratch: steady-state epochs reuse
-      // capacity instead of reallocating, and concurrent localize_pool_
-      // workers each lease their own workspace from it.
+      // retains the search scratch: steady-state epochs reuse capacity
+      // instead of reallocating, and concurrent localize_pool_ workers
+      // each lease their own workspace from it.
       out.result = miner_.localize(table, config_.top_k);
     } catch (const std::exception& e) {
       localize_failures_.fetch_add(1, std::memory_order_relaxed);

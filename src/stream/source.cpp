@@ -16,12 +16,12 @@ std::vector<StreamEvent> eventsFromCase(const gen::Case& c,
   const std::int64_t start = config.epoch * config.window_width;
   std::vector<StreamEvent> events;
   events.reserve(c.table.size());
-  for (const auto& row : c.table.rows()) {
+  for (dataset::RowId id = 0; id < c.table.size(); ++id) {
     StreamEvent event;
-    event.leaf = row.ac;
+    event.leaf = c.table.leaf(id);
     event.ts = start + rng.uniformInt(0, config.window_width - 1);
-    event.v = row.v;
-    event.f = row.f;
+    event.v = c.table.v(id);
+    event.f = c.table.f(id);
     events.push_back(std::move(event));
   }
   rng.shuffle(events);

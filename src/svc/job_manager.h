@@ -235,10 +235,10 @@ class JobManager {
   ResultCache* cache_;  ///< not owned; may be null
 
   /// Search workspaces retained across jobs.  Each execute() builds a
-  /// fresh per-request RapMiner (the config is per-job), but the kernel
-  /// transpose + aggregation scratch are shape-keyed, not config-keyed,
-  /// so leasing them from a manager-wide pool makes the steady-state
-  /// localize path allocation-free even though the miner is ephemeral.
+  /// fresh per-request RapMiner (the config is per-job), but the
+  /// aggregation scratch is shape-keyed, not config-keyed, so leasing
+  /// it from a manager-wide pool makes the steady-state localize path
+  /// allocation-free even though the miner is ephemeral.
   core::WorkspacePool localize_workspaces_;
 
   mutable std::mutex mutex_;

@@ -125,14 +125,15 @@ std::uint64_t hashMix(std::uint64_t h, std::uint64_t word) noexcept {
 std::uint64_t snapshotHash(const dataset::LeafTable& table) noexcept {
   std::uint64_t h = kFnvOffset;
   h = hashMix(h, static_cast<std::uint64_t>(table.schema().attributeCount()));
-  for (const dataset::LeafRow& row : table.rows()) {
-    for (const dataset::ElemId slot : row.ac.slots()) {
+  const dataset::AttrId attrs = table.schema().attributeCount();
+  for (dataset::RowId id = 0; id < table.size(); ++id) {
+    for (dataset::AttrId a = 0; a < attrs; ++a) {
       h = hashMix(h, static_cast<std::uint64_t>(
-                         static_cast<std::uint32_t>(slot)));
+                         static_cast<std::uint32_t>(table.elem(id, a))));
     }
-    h = hashMix(h, std::bit_cast<std::uint64_t>(row.v));
-    h = hashMix(h, std::bit_cast<std::uint64_t>(row.f));
-    h = hashMix(h, row.anomalous ? 1u : 0u);
+    h = hashMix(h, std::bit_cast<std::uint64_t>(table.v(id)));
+    h = hashMix(h, std::bit_cast<std::uint64_t>(table.f(id)));
+    h = hashMix(h, table.isAnomalous(id) ? 1u : 0u);
   }
   return h;
 }

@@ -65,7 +65,7 @@ util::Result<dataset::Schema> parseSchemaField(const JsonValue& value,
     if (!attrs->isArray() || attrs->array_value.empty()) {
       return badField("schema.attributes", "expected a non-empty array");
     }
-    std::vector<dataset::Attribute> attributes;
+    std::vector<dataset::AttributeSpec> attributes;
     attributes.reserve(attrs->array_value.size());
     for (const JsonValue& attr : attrs->array_value) {
       const JsonValue* name = attr.find("name");
@@ -84,9 +84,9 @@ util::Result<dataset::Schema> parseSchemaField(const JsonValue& value,
         }
         names.push_back(element.string_value);
       }
-      attributes.emplace_back(name->string_value, std::move(names));
+      attributes.push_back({name->string_value, std::move(names)});
     }
-    return dataset::Schema(std::move(attributes));
+    return dataset::Schema::fromSpec(std::move(attributes));
   }
   return badField("schema",
                   "expected one of \"builtin\", \"path\", \"attributes\"");

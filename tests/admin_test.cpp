@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -426,6 +427,15 @@ TEST(EngineAdmin, HealthzTracksEngineLifecycleAndStatuszIsLive) {
   for (std::int64_t ts = 0; ts < 300; ++ts) {
     engine.ingest(eventAt(ts, static_cast<dataset::ElemId>(ts % 3),
                           static_cast<dataset::ElemId>(ts % 2), 1.0, 1.0));
+  }
+  // Let a scrape land while the shards are still busy before draining:
+  // on a loaded machine the whole ingest + drain can otherwise finish
+  // before the scraper's first request does.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (scrapes_ok.load() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   engine.drain();
   scraping.store(false);

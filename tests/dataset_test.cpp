@@ -9,6 +9,7 @@
 #include "dataset/index.h"
 #include "dataset/leaf_table.h"
 #include "dataset/schema.h"
+#include "util/rng.h"
 
 namespace rap::dataset {
 namespace {
@@ -352,6 +353,128 @@ TEST(LeafTable, DuplicateLeavesAccumulate) {
   EXPECT_EQ(agg.anomalous, 1u);
   EXPECT_DOUBLE_EQ(agg.v_sum, 4.0);
   EXPECT_DOUBLE_EQ(agg.f_sum, 6.0);
+}
+
+TEST(LeafTable, RowsReturnWhatAddRowReceived) {
+  const Schema schema = Schema::tiny();
+  const std::vector<LeafRow> added = {
+      {leafFromIndex(schema, 7), 1.5, 2.5, true},
+      {leafFromIndex(schema, 0), -3.0, 0.0, false},
+      {leafFromIndex(schema, 7), 1.5, 2.5, true},  // duplicate leaf
+      {leafFromIndex(schema, 23), 1e300, 5e-324, false},
+  };
+  LeafTable table(schema);
+  table.addRow(added[0]);
+  table.addRow(added[1].ac, added[1].v, added[1].f, added[1].anomalous);
+  table.addRow(added[2].ac.slots(), added[2].v, added[2].f, added[2].anomalous);
+  table.addRow(added[3]);
+
+  const auto expectRows = [](const LeafTable& t,
+                             const std::vector<LeafRow>& want) {
+    ASSERT_EQ(t.size(), want.size());
+    RowId id = 0;
+    for (const auto& row : t.rows()) {
+      for (const LeafRow& got : {row, t.row(id)}) {
+        EXPECT_EQ(got.ac, want[id].ac) << "row " << id;
+        EXPECT_EQ(got.v, want[id].v) << "row " << id;
+        EXPECT_EQ(got.f, want[id].f) << "row " << id;
+        EXPECT_EQ(got.anomalous, want[id].anomalous) << "row " << id;
+      }
+      ++id;
+    }
+    EXPECT_EQ(id, want.size());
+  };
+  expectRows(table, added);
+
+  LeafTable copy = table;
+  expectRows(copy, added);
+  const LeafTable moved = std::move(copy);
+  expectRows(moved, added);
+
+  table.setAnomalous(1, true);
+  table.setAnomalous(2, false);
+  std::vector<LeafRow> flipped = added;
+  flipped[1].anomalous = true;
+  flipped[2].anomalous = false;
+  expectRows(table, flipped);
+  expectRows(moved, added);  // the copy is independent
+}
+
+/// 400 random rows cycling over 60 random leaves of a schema whose full
+/// cuboid (64^4 cells) exceeds LeafTable::kDenseLimit: each leaf's group
+/// sums six or seven values, so an accumulation order other than row
+/// order shows in the low bits.
+LeafTable aboveDenseLimitTable() {
+  const Schema schema = Schema::synthetic({64, 64, 64, 64});
+  util::Rng rng(515);
+  std::vector<AttributeCombination> leaves;
+  for (int i = 0; i < 60; ++i) {
+    leaves.push_back(leafFromIndex(
+        schema, static_cast<std::uint64_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(schema.leafCount()) - 1))));
+  }
+  LeafTable table(schema);
+  for (int r = 0; r < 400; ++r) {
+    table.addRow(leaves[static_cast<std::size_t>(r % 60)],
+                 rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0),
+                 rng.bernoulli(0.3));
+  }
+  return table;
+}
+
+TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
+  const LeafTable table = aboveDenseLimitTable();
+  const CuboidMask full = allAttributesMask(table.schema());
+  ASSERT_GT(cuboidSize(table.schema(), full), LeafTable::kDenseLimit);
+  // One scratch across every cuboid, twice: the dense and the sort
+  // paths must each leave it clean for the other.
+  GroupByScratch scratch;
+  std::vector<GroupAggregate> out;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto mask : allCuboidsByLayer(full)) {
+      const std::size_t count = table.groupByInto(mask, scratch, out);
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto expected = table.aggregateFor(out[i].ac);
+        EXPECT_EQ(out[i].ac.cuboidMask(), mask);
+        EXPECT_EQ(out[i].total, expected.total) << "mask=" << mask;
+        EXPECT_EQ(out[i].anomalous, expected.anomalous);
+        EXPECT_EQ(out[i].v_sum, expected.v_sum);  // bit for bit
+        EXPECT_EQ(out[i].f_sum, expected.f_sum);
+        if (i > 0) {
+          EXPECT_LT(out[i - 1].ac, out[i].ac);
+        }
+        total += out[i].total;
+      }
+      EXPECT_EQ(total, table.size()) << "mask=" << mask;
+    }
+  }
+  EXPECT_EQ(table.groupBy(full).size(), 60u);
+}
+
+TEST(LeafTable, GroupByWithRowsListsMembersAboveDenseLimit) {
+  const LeafTable table = aboveDenseLimitTable();
+  const CuboidMask full = allAttributesMask(table.schema());
+  std::vector<RowId> subset;
+  for (RowId id = table.size(); id-- > 0;) {
+    if (id % 3 != 0) subset.push_back(id);  // descending: order must hold
+  }
+  for (const auto& rows : {std::vector<RowId>{}, subset}) {
+    const auto groups = rows.empty() ? table.groupByWithRows(full)
+                                     : table.groupByWithRows(full, rows);
+    std::size_t members = 0;
+    for (const auto& g : groups) {
+      ASSERT_EQ(g.rows.size(), g.agg.total);
+      double v_sum = 0.0;
+      for (const RowId id : g.rows) {
+        EXPECT_TRUE(table.rowMatches(id, g.agg.ac));
+        v_sum += table.v(id);
+      }
+      EXPECT_EQ(v_sum, g.agg.v_sum);  // accumulated in member order
+      members += g.rows.size();
+    }
+    EXPECT_EQ(members, rows.empty() ? table.size() : rows.size());
+  }
 }
 
 // --------------------------------------------------------- InvertedIndex

@@ -523,6 +523,49 @@ TEST_F(TempDir, SchemaRejectsRowsWithoutElements) {
   EXPECT_FALSE(loadSchema(path("s.csv")).isOk());
 }
 
+/// `count` schema-file rows "a<i>,a<i>=e0,..." of `cardinality` elements.
+std::vector<CsvRow> schemaRows(int count, int cardinality) {
+  std::vector<CsvRow> rows;
+  for (int i = 0; i < count; ++i) {
+    const std::string name = "a" + std::to_string(i);
+    CsvRow row{name};
+    for (int e = 0; e < cardinality; ++e) {
+      row.push_back(name + "=e" + std::to_string(e));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST_F(TempDir, SchemaRejectsWhatTheConstructorAbortsOn) {
+  const std::vector<std::pair<std::string, std::vector<CsvRow>>> bad = {
+      {"repeated element", {{"a", "x", "x"}}},
+      {"repeated attribute", {{"a", "x"}, {"a", "y"}}},
+      {"33 attributes", schemaRows(33, 1)},
+      {"2^64 leaves", schemaRows(8, 256)},
+      {"2^64 leaves at the last attribute", schemaRows(32, 4)},
+      {"beyond 2^64 leaves", schemaRows(9, 256)},
+  };
+  for (const auto& [what, rows] : bad) {
+    ASSERT_TRUE(writeCsvFile(path("s.csv"), rows).isOk());
+    const auto loaded = loadSchema(path("s.csv"));
+    ASSERT_FALSE(loaded.isOk()) << what;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << what;
+  }
+
+  // The limits themselves still load: 32 attributes, 2^63 leaves.
+  std::vector<CsvRow> half = schemaRows(7, 256);
+  half.push_back(schemaRows(8, 128).back());
+  for (const auto& rows : {schemaRows(32, 3), half}) {
+    ASSERT_TRUE(writeCsvFile(path("s.csv"), rows).isOk());
+    const auto loaded = loadSchema(path("s.csv"));
+    ASSERT_TRUE(loaded.isOk()) << loaded.status().toString();
+    EXPECT_EQ(loaded->attributeCount(), static_cast<std::int32_t>(rows.size()));
+  }
+  EXPECT_EQ(loadSchema(path("s.csv"))->leafCount(), std::uint64_t{1} << 63);
+}
+
 // ----------------------------------------------------------- GroundTruth
 
 TEST_F(TempDir, GroundTruthRoundTrip) {

@@ -7,7 +7,6 @@
 
 #include "core/rapminer.h"
 #include "dataset/cuboid.h"
-#include "dataset/groupby_kernel.h"
 #include "dataset/index.h"
 #include "eval/metrics.h"
 #include "eval/runner.h"
@@ -83,36 +82,39 @@ TEST_P(RandomTableProperty, IndexAgreesWithScanOnRandomProbes) {
 }
 
 TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
-  // The allocation-free path's contract under REUSE: one kernel, one
-  // scratch, and one grow-only output vector driven across two random
-  // tables x every cuboid x repeated passes must stay element-for-element
-  // identical to LeafTable::groupBy (float sums compared with ==).  The
-  // failure mode this hunts is stale state leaking between calls: a
-  // touched cell not reset to zero, or an output slot keeping a previous
-  // mask's element in a now-wildcard attribute.
+  // The allocation-free path's contract under REUSE: one scratch and one
+  // grow-only output vector driven across two random tables x every
+  // cuboid x repeated passes must yield, for every group, exactly the
+  // definition-level scan LeafTable::aggregateFor (float sums compared
+  // with ==), in ascending key order, with group totals covering every
+  // row.  The failure mode this hunts is stale state leaking between
+  // calls: a cell not reset to zero, or an output slot keeping a
+  // previous mask's element in a now-wildcard attribute.
   util::Rng rng(GetParam() ^ 0x5EED);
   const LeafTable table_a = randomTable(rng);
   const LeafTable table_b = randomTable(rng);
-  dataset::GroupByKernel kernel;
   dataset::GroupByScratch scratch;
   std::vector<dataset::GroupAggregate> out;
   for (int pass = 0; pass < 3; ++pass) {
     for (const LeafTable* table : {&table_a, &table_b}) {
-      kernel.rebind(*table);
       for (const auto mask : dataset::allCuboidsByLayer(
                dataset::allAttributesMask(table->schema()))) {
-        const auto expected = table->groupBy(mask);
-        const std::size_t count = kernel.groupByInto(mask, scratch, out);
-        ASSERT_EQ(expected.size(), count)
-            << "pass=" << pass << " mask=" << mask;
+        const std::size_t count = table->groupByInto(mask, scratch, out);
+        std::uint64_t total = 0;
         for (std::size_t i = 0; i < count; ++i) {
-          EXPECT_EQ(expected[i].ac, out[i].ac)
+          const auto expected = table->aggregateFor(out[i].ac);
+          EXPECT_EQ(out[i].ac.cuboidMask(), mask)
               << "pass=" << pass << " mask=" << mask << " i=" << i;
-          EXPECT_EQ(expected[i].total, out[i].total);
-          EXPECT_EQ(expected[i].anomalous, out[i].anomalous);
-          EXPECT_EQ(expected[i].v_sum, out[i].v_sum);
-          EXPECT_EQ(expected[i].f_sum, out[i].f_sum);
+          EXPECT_EQ(expected.total, out[i].total);
+          EXPECT_EQ(expected.anomalous, out[i].anomalous);
+          EXPECT_EQ(expected.v_sum, out[i].v_sum);
+          EXPECT_EQ(expected.f_sum, out[i].f_sum);
+          if (i > 0) {
+            EXPECT_LT(out[i - 1].ac, out[i].ac);
+          }
+          total += out[i].total;
         }
+        EXPECT_EQ(total, table->size()) << "pass=" << pass << " mask=" << mask;
       }
     }
   }

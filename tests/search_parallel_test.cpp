@@ -13,8 +13,9 @@
 
 #include "core/rapminer.h"
 #include "core/search.h"
-#include "dataset/groupby_kernel.h"
+#include "dataset/cuboid.h"
 #include "gen/rapmd.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace rap {
@@ -111,6 +112,31 @@ TEST_P(ThreadSweep, BitIdenticalOnExhaustiveSearch) {
     expectBitIdentical(miner.localize(c.table, 0),
                        miner.localize(c.table, 0, pool.get()));
   }
+}
+
+TEST_P(ThreadSweep, BitIdenticalAboveTheDenseLimit) {
+  // The full cuboid of a 64^4 schema exceeds LeafTable::kDenseLimit, so
+  // the exhaustive search aggregates its last layer by the sort fallback.
+  const Schema schema = Schema::synthetic({64, 64, 64, 64});
+  util::Rng rng(2022);
+  LeafTable table(schema);
+  for (int r = 0; r < 300; ++r) {
+    const auto leaf = dataset::leafFromIndex(
+        schema, static_cast<std::uint64_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(schema.leafCount()) - 1)));
+    const bool anomalous = rng.bernoulli(0.3);
+    table.addRow(leaf, anomalous ? 10.0 : 100.0, 100.0, anomalous);
+    if (rng.bernoulli(0.2)) table.addRow(leaf, 90.0, 100.0, false);
+  }
+  RapMinerConfig config;
+  config.cp.enable_attribute_deletion = false;
+  config.search.early_stop = false;
+  const RapMiner miner(config);
+  const auto pool = fanOutPool(GetParam());
+  const auto serial = miner.localize(table, 0);
+  ASSERT_EQ(serial.stats.layers.size(), 4u);
+  EXPECT_FALSE(serial.patterns.empty());
+  expectBitIdentical(serial, miner.localize(table, 0, pool.get()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadSweep,
@@ -241,7 +267,7 @@ TEST(OrderedCuboids, IntegerWeightsMatchPowReference) {
 
 TEST(SearchWorkspace, RetainedWorkspaceBitIdenticalAcrossSearches) {
   // One WorkspacePool shared across repeated localizations: passes two
-  // and three reuse pass one's kernel transpose and scratch capacity
+  // and three reuse pass one's aggregation scratch capacity
   // (the steady state the allocation-free hot path relies on), and every
   // result must stay bit-identical to a fresh serial miner's.
   core::WorkspacePool shared;
@@ -264,8 +290,8 @@ TEST(SearchWorkspace, RetainedWorkspaceBitIdenticalAcrossSearches) {
 TEST(SearchWorkspace, ConcurrentLeasesStayIndependent) {
   // TSan case: two caller threads lease from one WorkspacePool and
   // localize concurrently through one fan-out pool.  Each lease must be
-  // a private workspace — the kernel inside is shared read-only only
-  // across its own search's helpers.
+  // a private workspace — only the table is shared read-only, across
+  // both searches and their helpers.
   core::WorkspacePool shared;
   util::ThreadPool pool(2);
   const RapMiner miner;

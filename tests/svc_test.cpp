@@ -4,6 +4,9 @@
 // parity contract with the csv_localize pipeline and the bit-identical
 // cached-resubmission guarantee.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -23,6 +26,7 @@
 #include "fault/fault.h"
 #include "io/csv.h"
 #include "io/json.h"
+#include "obs/admin_server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "svc/breaker.h"
@@ -295,6 +299,17 @@ TEST(Snapshot, ContentHashSeparatesBodies) {
   EXPECT_NE(svc::contentHash(long_body + "a"), svc::contentHash(long_body));
   EXPECT_EQ(svc::fnv1a("abc"), svc::fnv1a("abc"));
   EXPECT_NE(svc::fnv1a("abc"), svc::fnv1a("abd"));
+}
+
+TEST(Snapshot, HashIsPinnedForAFixedTable) {
+  // The result cache keys on snapshotHash, so its bytes and their order
+  // (per row: element ids, v, f, verdict) are a stable contract.
+  dataset::LeafTable table(dataset::Schema::tiny());
+  table.addRow(dataset::AttributeCombination({0, 0, 0, 0}), 10.0, 12.5, true);
+  table.addRow(dataset::AttributeCombination({2, 1, 0, 1}), -3.25, 0.0, false);
+  table.addRow(dataset::AttributeCombination({1, 0, 1, 1}), 1e-9, 7.0, true);
+  table.addRow(dataset::AttributeCombination({0, 0, 0, 0}), 10.0, 12.5, false);
+  EXPECT_EQ(svc::snapshotHash(table), 4222860142592257985ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -895,6 +910,82 @@ TEST(TenantCatalog, RouterContractAndErrorEnvelopes) {
   EXPECT_EQ(statusz.status, 200);
   EXPECT_NE(statusz.body.find("\"tenant_count\":2"), std::string::npos);
   EXPECT_NE(statusz.body.find("\"name\":\"edge-eu\""), std::string::npos);
+}
+
+/// One HTTP/1.1 exchange with a local server; the status code, or -1.
+int httpStatus(std::uint16_t port, const std::string& method,
+               const std::string& target, const std::string& body = "") {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  const std::string request =
+      method + " " + target + " HTTP/1.1\r\nHost: localhost\r\n" +
+      "Content-Length: " + std::to_string(body.size()) +
+      "\r\nConnection: close\r\n\r\n" + body;
+  for (std::size_t sent = 0; sent < request.size();) {
+    const ssize_t n =
+        ::send(fd, request.data() + sent, request.size() - sent, 0);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string response;
+  char buf[4096];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  const std::size_t sp = response.find(' ');
+  return sp == std::string::npos ? -1 : std::atoi(response.c_str() + sp + 1);
+}
+
+/// A tenant spec body with `count` attributes of `cardinality` elements.
+std::string attributesSpec(int count, int cardinality) {
+  std::string out = "{\"schema\":{\"attributes\":[";
+  for (int i = 0; i < count; ++i) {
+    out += std::string(i == 0 ? "" : ",") + "{\"name\":\"a" +
+           std::to_string(i) + "\",\"elements\":[";
+    for (int e = 0; e < cardinality; ++e) {
+      out += std::string(e == 0 ? "" : ",") + "\"e" + std::to_string(e) + "\"";
+    }
+    out += "]}";
+  }
+  return out + "]}}";
+}
+
+TEST(TenantCatalog, BadTenantSchemasAre400AndTheServerKeepsServing) {
+  svc::DatasetCatalog catalog({.pool_threads = 1});
+  svc::TenantRouter router(catalog);
+  obs::AdminServer server;
+  obs::registerObsEndpoints(server);
+  router.installEndpoints(server);
+  ASSERT_TRUE(server.start().isOk());
+
+  const std::vector<std::string> bad = {
+      "{\"schema\":{\"attributes\":[{\"name\":\"a\",\"elements\":"
+      "[\"x\",\"x\"]}]}}",
+      "{\"schema\":{\"attributes\":[{\"name\":\"a\",\"elements\":[\"x\"]},"
+      "{\"name\":\"a\",\"elements\":[\"y\"]}]}}",
+      attributesSpec(33, 1),
+      attributesSpec(8, 256),  // 2^64 leaves
+  };
+  for (const std::string& spec : bad) {
+    EXPECT_EQ(httpStatus(server.port(), "PUT", "/api/v1/tenants/bad", spec),
+              400)
+        << spec.substr(0, 80);
+    EXPECT_EQ(httpStatus(server.port(), "GET", "/healthz"), 200);
+  }
+  EXPECT_EQ(catalog.size(), 0u);
+  EXPECT_EQ(httpStatus(server.port(), "PUT", "/api/v1/tenants/good",
+                       attributesSpec(2, 3)),
+            201);
+  server.stop();
 }
 
 TEST(TenantCatalog, StreamingTenantIngestsThroughTheRouter) {
