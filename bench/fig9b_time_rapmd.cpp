@@ -5,7 +5,9 @@
 // synthetic schema (8 attributes, deletion disabled, so every layer has
 // enough cuboids to fan out), asserting that each thread count returns
 // exactly the patterns of the serial reference before recording its
-// timing.  The sweep writes BENCH_parallel_search.json for CI trending.
+// timing.  The sweep writes BENCH_parallel_search.json for CI trending,
+// with each thread count's mean aggregate and merge seconds per lattice
+// layer (LayerSearchStats: merge = seconds - seconds_aggregate).
 //
 // --reuse appends the workspace-reuse study: the same cases localized
 // cold (a fresh miner per call, the pre-pooling per-request shape) and
@@ -147,6 +149,7 @@ int runThreadSweep(const util::FlagParser& flags) {
   json.beginArray();
 
   const core::RapMiner miner(base);
+  std::vector<std::string> layer_splits;
   for (const auto threads : thread_counts) {
     // threads - 1 pool workers plus the calling thread; 1 = serial.
     const auto pool =
@@ -155,12 +158,20 @@ int runThreadSweep(const util::FlagParser& flags) {
                     : nullptr;
 
     util::TimingStats timing;
+    // Per lattice layer: summed aggregate and merge seconds over cases.
+    std::vector<std::pair<double, double>> layer_seconds;
     bool identical = true;
     for (std::size_t i = 0; i < cases.size(); ++i) {
       const util::WallTimer timer;
       const auto result =
           miner.localize(cases[i].table, /*k=*/0, pool.get());
       timing.add(timer.elapsedSeconds());
+      for (const auto& layer : result.stats.layers) {
+        const auto index = static_cast<std::size_t>(layer.layer - 1);
+        if (layer_seconds.size() <= index) layer_seconds.resize(index + 1);
+        layer_seconds[index].first += layer.seconds_aggregate;
+        layer_seconds[index].second += layer.seconds - layer.seconds_aggregate;
+      }
       if (threads == 1) {
         reference.push_back(result.patterns);
       } else if (!samePatterns(result.patterns, reference[i])) {
@@ -199,11 +210,35 @@ int runThreadSweep(const util::FlagParser& flags) {
     json.value(speedup);
     json.key("patterns_match_serial");
     json.value(true);
+    // Mean per case; merge = layer seconds - aggregate seconds.
+    json.key("layers");
+    json.beginArray();
+    std::string split;
+    for (std::size_t l = 0; l < layer_seconds.size(); ++l) {
+      const double aggregate =
+          layer_seconds[l].first / static_cast<double>(cases.size());
+      const double merge =
+          layer_seconds[l].second / static_cast<double>(cases.size());
+      json.beginObject();
+      json.key("layer");
+      json.value(static_cast<std::int64_t>(l + 1));
+      json.key("aggregate_seconds");
+      json.value(aggregate);
+      json.key("merge_seconds");
+      json.value(merge);
+      json.endObject();
+      split += util::strFormat(" L%zu %.1f/%.1f", l + 1, aggregate * 1e3,
+                               merge * 1e3);
+    }
+    json.endArray();
     json.endObject();
+    layer_splits.push_back(util::strFormat("threads=%d:", threads) + split);
   }
   json.endArray();
 
   std::printf("%s\n", table.render().c_str());
+  std::printf("per-layer aggregate/merge ms (mean per case):\n");
+  for (const auto& line : layer_splits) std::printf("  %s\n", line.c_str());
   std::printf(
       "speedup is bounded by the machine: hardware_concurrency=%u\n",
       std::thread::hardware_concurrency());

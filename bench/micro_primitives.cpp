@@ -10,7 +10,10 @@
 // table with the allocation probe armed and exits non-zero if the
 // steady state performed a single heap allocation — the CI bench-smoke
 // job's enforcement of the allocation-free hot-path contract
-// (docs/algorithms.md, "Workspace reuse").  The same mode then decodes
+// (docs/algorithms.md, "Workspace reuse").  It then runs a warm serial
+// acGuidedSearch on a retained workspace and fails if it allocates more
+// than its result (the candidate vector and one combination per
+// candidate): nothing per group or per cuboid.  The same mode then decodes
 // a ~9k-row cdn CSV snapshot and fails if the warm decode makes more
 // than 64 heap allocations: the table's columns are reserved up front,
 // and nothing is allocated per row or per field (docs/service.md,
@@ -32,6 +35,7 @@
 #include "io/json.h"
 #include "core/classification_power.h"
 #include "core/rapminer.h"
+#include "core/search.h"
 #include "dataset/cuboid.h"
 #include "dataset/index.h"
 #include "gen/rapmd.h"
@@ -108,11 +112,12 @@ const dataset::LeafTable& sparseTable() {
 
 void BM_GroupByIntoWorkspace(benchmark::State& state) {
   // The allocation-free path: touched-key tracking + sort, resetting
-  // only the cells this cuboid dirtied, into retained buffers.
-  // O(rows + groups log groups) per call, zero steady-state allocation.
+  // only the cells this cuboid dirtied, into retained buffers, emitting
+  // keyed groups (nothing decoded).  O(rows + groups log groups) per
+  // call, zero steady-state allocation.
   const auto& table = sparseTable();
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::KeyedGroup> out;
   const auto mask = dataset::allAttributesMask(table.schema());
   table.groupByInto(mask, scratch, out);  // size the buffers once
   for (auto _ : state) {
@@ -125,12 +130,13 @@ BENCHMARK(BM_GroupByIntoWorkspace);
 
 void BM_GroupByIntoWorkspaceAllCuboids(benchmark::State& state) {
   // One full Algorithm-2-shaped pass: every cuboid of the lattice
-  // through one retained workspace, the reuse pattern aggregateLayer
-  // actually drives (alternating masks is what stresses the
-  // touched-cell reset and the output-slot rewriting).
+  // through one retained workspace, the reuse pattern the search's
+  // layer loop actually drives (alternating masks is what stresses the
+  // touched-cell reset; the dense low layers take the in-order cell
+  // walk, the sparse high ones the sorted touched keys).
   const auto& table = sparseTable();
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::KeyedGroup> out;
   const auto cuboids = dataset::allCuboidsByLayer(
       dataset::allAttributesMask(table.schema()));
   for (const auto mask : cuboids) table.groupByInto(mask, scratch, out);
@@ -397,7 +403,7 @@ int assertDecodeAllocBudget() {
 int assertZeroAlloc() {
   const auto& table = sparseTable();
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::KeyedGroup> out;
   const auto cuboids = dataset::allCuboidsByLayer(
       dataset::allAttributesMask(table.schema()));
   // Warm-up: two full passes size every buffer for its worst cuboid.
@@ -427,6 +433,58 @@ int assertZeroAlloc() {
   return 0;
 }
 
+/// The search half of --assert-zero-alloc: a warm serial acGuidedSearch
+/// on a retained workspace (and a reused SearchStats, so its per-layer
+/// vector keeps its capacity) may allocate only what it returns — the
+/// candidate vector and one combination per candidate — never per group
+/// or per cuboid.  Run with early stop on and off over every attribute
+/// of an 8-attribute RAPMD case, so every layer is walked.
+int assertSearchAllocBudget() {
+  gen::RapmdConfig config;
+  config.num_cases = 1;
+  config.label_noise = 0.02;
+  gen::RapmdGenerator generator(
+      dataset::Schema::synthetic({5, 4, 4, 3, 3, 3, 2, 2}), config, 20220627);
+  const dataset::LeafTable table = generator.generateCase(0).table;
+  std::vector<dataset::AttrId> kept(
+      static_cast<std::size_t>(table.schema().attributeCount()));
+  for (std::size_t a = 0; a < kept.size(); ++a) {
+    kept[a] = static_cast<dataset::AttrId>(a);
+  }
+  core::SearchWorkspace workspace;
+  core::SearchStats stats;
+  int failures = 0;
+  for (const bool early_stop : {true, false}) {
+    core::SearchConfig search;
+    search.early_stop = early_stop;
+    for (int pass = 0; pass < 2; ++pass) {  // warm-up
+      stats.layers.clear();
+      core::acGuidedSearch(table, kept, search, workspace, stats);
+    }
+    stats.layers.clear();
+    util::allocProbeArm();
+    const auto candidates =
+        core::acGuidedSearch(table, kept, search, workspace, stats);
+    const std::uint64_t allocs = util::allocProbeDisarm();
+    const std::uint64_t budget =
+        candidates.empty() ? 0 : 1 + candidates.size();
+    std::printf(
+        "search alloc check (early_stop=%d): %llu heap allocations for %zu "
+        "candidates over %zu layers, budget %llu\n",
+        early_stop ? 1 : 0, static_cast<unsigned long long>(allocs),
+        candidates.size(), stats.layers.size(),
+        static_cast<unsigned long long>(budget));
+    if (allocs > budget) {
+      std::fprintf(stderr,
+                   "FAIL: the warm search allocated beyond its result\n");
+      ++failures;
+    }
+  }
+  if (failures != 0) return 1;
+  std::printf("OK: a warm search allocates only its result\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -441,8 +499,9 @@ int main(int argc, char** argv) {
   }
   if (assert_zero_alloc) {
     const int groupby = assertZeroAlloc();
+    const int search = assertSearchAllocBudget();
     const int decode = assertDecodeAllocBudget();
-    return groupby != 0 ? groupby : decode;
+    return groupby != 0 ? groupby : search != 0 ? search : decode;
   }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());

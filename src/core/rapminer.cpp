@@ -146,6 +146,10 @@ void publishLocalizeMetrics(const SearchStats& stats, double total_seconds) {
         .histogram("rap_search_layer_aggregate_seconds",
                    obs::exponentialBuckets(1e-5, 4.0, 10), labels)
         .observe(layer.seconds_aggregate);
+    registry
+        .histogram("rap_search_layer_merge_seconds",
+                   obs::exponentialBuckets(1e-5, 4.0, 10), labels)
+        .observe(std::max(layer.seconds - layer.seconds_aggregate, 0.0));
   }
   registry
       .histogram("rap_localize_seconds",

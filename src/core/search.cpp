@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <bit>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -14,19 +14,29 @@
 
 namespace rap::core {
 
-using dataset::AttributeCombination;
 using dataset::CuboidMask;
-using dataset::GroupAggregate;
 using dataset::LeafTable;
 
-std::vector<CuboidMask> orderedCuboids(
-    const std::vector<dataset::AttrId>& kept, std::int32_t layer,
-    CuboidOrder order) {
+namespace {
+
+using Worker = SearchWorkspace::Worker;
+using Outcome = SearchWorkspace::Outcome;
+
+/// Fills `out` with the cuboids of `layer` over `kept` in visit order,
+/// through the caller's buffers (no allocation once they are warm).
+void orderLayer(const std::vector<dataset::AttrId>& kept, std::int32_t layer,
+                CuboidOrder order, std::vector<CuboidMask>& out,
+                std::vector<std::pair<std::uint64_t, CuboidMask>>& weighted) {
   CuboidMask allowed = 0;
   for (const auto attr : kept) allowed |= (1u << attr);
-
-  std::vector<CuboidMask> cuboids = dataset::cuboidsAtLayer(allowed, layer);
-  if (order == CuboidOrder::kNumeric) return cuboids;
+  // Submasks of `allowed` with `layer` bits, ascending (the enumeration
+  // runs descending).
+  out.clear();
+  for (CuboidMask sub = allowed; sub != 0; sub = (sub - 1) & allowed) {
+    if (std::popcount(sub) == layer) out.push_back(sub);
+  }
+  std::reverse(out.begin(), out.end());
+  if (order == CuboidOrder::kNumeric) return;
 
   // Weight = sum over member attributes of 2^(n - rank), so earlier
   // (higher-CP) attributes dominate the ordering.  The weights are
@@ -35,56 +45,129 @@ std::vector<CuboidMask> orderedCuboids(
   // same values the former std::pow(2.0, n - rank) comparator produced,
   // evaluated O(C·log C) fewer times).
   const auto n = static_cast<std::int32_t>(kept.size());
-  std::vector<std::pair<std::uint64_t, CuboidMask>> keyed;
-  keyed.reserve(cuboids.size());
-  for (const auto mask : cuboids) {
+  weighted.clear();
+  for (const auto mask : out) {
     std::uint64_t weight = 0;
     for (std::int32_t rank = 0; rank < n; ++rank) {
       if ((mask & (1u << kept[static_cast<std::size_t>(rank)])) != 0) {
         weight += std::uint64_t{1} << (n - rank);
       }
     }
-    keyed.emplace_back(weight, mask);
+    weighted.emplace_back(weight, mask);
   }
   // (weight desc, mask asc) is a total order, so plain sort is stable
   // enough; the mask tiebreak pins equal-weight cuboids exactly like
   // the former stable_sort did.
-  std::sort(keyed.begin(), keyed.end(),
+  std::sort(weighted.begin(), weighted.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first
                                         : a.second < b.second;
             });
-  for (std::size_t i = 0; i < keyed.size(); ++i) cuboids[i] = keyed[i].second;
-  return cuboids;
+  for (std::size_t i = 0; i < weighted.size(); ++i) {
+    out[i] = weighted[i].second;
+  }
 }
 
-namespace {
+/// Applies Criteria 3 and 2 to the `groups` groups of cuboid `mask` that
+/// groupByInto just left in `w`, in ascending key order.  Only
+/// candidates of strictly lower layers can stamp, so several workers may
+/// judge one layer's cuboids at once, each with its own worker memory
+/// and outcome slot.
+void judgeCuboid(const LeafTable& table, CuboidMask mask, std::size_t groups,
+                 double t_conf, const SearchWorkspace& ws, Worker& w,
+                 Outcome& out) {
+  const std::size_t n = table.size();
 
-/// Aggregates every cuboid of one layer concurrently: `pool` workers and
-/// the calling thread pull cuboid indices off a shared cursor (balanced
-/// even when cuboid sizes differ wildly) and write disjoint slots of
-/// `ws.layer_groups` / `ws.layer_counts` through per-worker scratches.
-/// Returns the number of pool helpers actually enlisted (the layer used
-/// helpers + 1 threads), and only once every helper task has exited, so
-/// the borrowed stack state cannot dangle even if the caller early-stops
-/// the layer right after.
-std::size_t aggregateLayer(const LeafTable& table,
-                           const std::vector<CuboidMask>& cuboids,
-                           util::ThreadPool& pool, SearchWorkspace& ws) {
-  const std::size_t n = cuboids.size();
-  if (ws.layer_groups.size() < n) ws.layer_groups.resize(n);
-  if (ws.layer_counts.size() < n) ws.layer_counts.resize(n);
+  // Stamp the rows of every accepted candidate whose cuboid is a proper
+  // subset of `mask`.  A group is a descendant of such a candidate iff
+  // its rows (which share their projection onto `mask`, hence onto the
+  // candidate's cuboid) are the candidate's rows, so testing the first
+  // one suffices.  Stamps from earlier cuboids carry older epochs.
+  if (w.stamp.size() < n) w.stamp.resize(n);
+  if (++w.epoch == 0) {
+    std::fill(w.stamp.begin(), w.stamp.end(), 0);
+    w.epoch = 1;
+  }
+  const std::uint32_t epoch = w.epoch;
+  bool stamped = false;
+  for (const auto& c : ws.candidates) {
+    if ((c.mask & mask) != c.mask || c.mask == mask) continue;
+    stamped = true;
+    for (std::size_t i = c.rows_begin; i < c.rows_end; ++i) {
+      w.stamp[ws.candidate_rows[i]] = epoch;
+    }
+  }
+
+  out.accepted.clear();
+  std::uint32_t pruned = 0;
+  std::uint32_t members = 0;
+  dataset::RowId scan_from = static_cast<dataset::RowId>(n);
+  for (std::size_t gi = 0; gi < groups; ++gi) {
+    const dataset::KeyedGroup& g = w.groups[gi];
+    if (stamped && w.stamp[g.first_row] == epoch) {  // Criteria 3
+      pruned += 1;
+      continue;
+    }
+    const double confidence = g.confidence();
+    if (confidence > t_conf) {  // Criteria 2
+      out.accepted.push_back({g.key, confidence,
+                              static_cast<std::uint32_t>(gi), pruned, members,
+                              g.total});
+      members += g.total;
+      scan_from = std::min(scan_from, g.first_row);
+    }
+  }
+  out.groups = groups;
+  out.pruned = pruned;
+
+  // Member rows of the accepted groups, read off the key array of this
+  // sweep: one pass from the first member row until all are placed.
+  out.rows.resize(members);
+  if (members == 0) return;
+  const auto& accepted = out.accepted;
+  w.fill.resize(accepted.size());
+  for (std::size_t j = 0; j < accepted.size(); ++j) {
+    w.fill[j] = accepted[j].rows_begin;
+  }
+  const std::uint64_t* keys = w.scratch.keys.data();
+  std::uint32_t placed = 0;
+  for (std::size_t r = scan_from; r < n && placed < members; ++r) {
+    const auto it = std::lower_bound(
+        accepted.begin(), accepted.end(), keys[r],
+        [](const Outcome::Accepted& a, std::uint64_t key) {
+          return a.key < key;
+        });
+    if (it == accepted.end() || it->key != keys[r]) continue;
+    out.rows[w.fill[static_cast<std::size_t>(it - accepted.begin())]++] =
+        static_cast<dataset::RowId>(r);
+    ++placed;
+  }
+}
+
+/// Aggregates and judges every cuboid of one layer concurrently: `pool`
+/// workers and the calling thread pull cuboid indices off a shared
+/// cursor (balanced even when cuboid sizes differ wildly) and write
+/// disjoint slots of
+/// `ws.outcomes` through per-worker memory.  Returns the number of pool
+/// helpers actually enlisted (the layer used helpers + 1 threads), and
+/// only once every helper task has exited, so the borrowed stack state
+/// cannot dangle even if the caller early-stops the layer right after.
+std::size_t evaluateLayer(const LeafTable& table, double t_conf,
+                          util::ThreadPool& pool, SearchWorkspace& ws) {
+  const std::size_t n = ws.cuboids.size();
+  if (ws.outcomes.size() < n) ws.outcomes.resize(n);
   const std::size_t helpers = std::min(pool.threadCount(), n > 0 ? n - 1 : 0);
-  if (ws.scratch.size() < helpers + 1) ws.scratch.resize(helpers + 1);
+  if (ws.workers.size() < helpers + 1) ws.workers.resize(helpers + 1);
 
   std::atomic<std::size_t> cursor{0};
-  const auto work = [&table, &cuboids, &cursor, &ws, n](std::size_t worker) {
-    dataset::GroupByScratch& scratch = ws.scratch[worker];
+  const auto work = [&table, &cursor, &ws, t_conf, n](std::size_t worker) {
     for (;;) {
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      ws.layer_counts[i] =
-          table.groupByInto(cuboids[i], scratch, ws.layer_groups[i]);
+      Worker& w = ws.workers[worker];
+      const CuboidMask mask = ws.cuboids[i];
+      judgeCuboid(table, mask, table.groupByInto(mask, w.scratch, w.groups),
+                  t_conf, ws, w, ws.outcomes[i]);
     }
   };
 
@@ -111,14 +194,24 @@ std::size_t aggregateLayer(const LeafTable& table,
 
 }  // namespace
 
-// The two schedules differ only in how a layer's per-cuboid aggregates
-// are produced: the serial path computes them lazily inside the merge
-// loop (so an early stop skips the rest of the layer entirely), the
-// parallel path precomputes the whole layer via aggregateLayer and the
-// merge then consumes the slots in canonical order.  Everything the
-// result depends on — acceptance, pruning, early-stop, counters —
-// happens in the single-threaded merge below, in the exact order of the
-// serial reference, which is what makes the two schedules bit-identical.
+std::vector<CuboidMask> orderedCuboids(
+    const std::vector<dataset::AttrId>& kept, std::int32_t layer,
+    CuboidOrder order) {
+  std::vector<CuboidMask> out;
+  std::vector<std::pair<std::uint64_t, CuboidMask>> weighted;
+  orderLayer(kept, layer, order, out, weighted);
+  return out;
+}
+
+// The two schedules differ only in when a layer's cuboid outcomes are
+// produced: the serial path evaluates each cuboid right before walking
+// it (so an early stop skips the rest of the layer entirely), the
+// pooled path evaluates the whole layer via evaluateLayer and then walks
+// the slots in canonical order.  Everything that depends on the order —
+// acceptance, member rows joining the candidate set, the early stop,
+// the counters — happens in that single-threaded walk, in the exact
+// order of the serial reference, which is what makes the two schedules
+// bit-identical.
 std::vector<ScoredPattern> acGuidedSearch(
     const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
     const SearchConfig& config, SearchWorkspace& ws, SearchStats& stats,
@@ -132,22 +225,35 @@ std::vector<ScoredPattern> acGuidedSearch(
            search_timer.elapsedSeconds() > config.deadline_seconds;
   };
 
-  if (ws.scratch.empty()) ws.scratch.resize(1);
-  std::vector<ScoredPattern> candidates;
-  std::vector<AttributeCombination> candidate_acs;  // for pruning
+  if (ws.workers.empty()) ws.workers.resize(1);
+  if (ws.outcomes.empty()) ws.outcomes.resize(1);
+  ws.candidates.clear();
+  ws.candidate_rows.clear();
+  // The accepted candidates, decoded once each: every exit returns this.
+  const auto result = [&table, &ws]() {
+    std::vector<ScoredPattern> out;
+    out.reserve(ws.candidates.size());
+    for (const auto& c : ws.candidates) {
+      ScoredPattern& pattern = out.emplace_back();
+      pattern.ac = table.combination(c.mask, c.key);
+      pattern.confidence = c.confidence;
+      pattern.layer = c.layer;
+    }
+    return out;
+  };
 
   // Concurrency actually used: 1 until some layer enlists pool helpers;
-  // aggregateLayer reports how many it took (a layer with c cuboids
+  // evaluateLayer reports how many it took (a layer with c cuboids
   // never uses more than c threads, so small tenants report honestly).
   stats.search_threads = 1;
 
-  // Early-stop bookkeeping: the anomalous rows not yet covered by any
-  // accepted candidate.  Each acceptance filters the remainder, so the
-  // coverage test costs O(remaining) instead of O(all anomalous) per
-  // accepted candidate.
-  std::vector<dataset::RowId> uncovered =
-      config.early_stop ? table.anomalousRows()
-                        : std::vector<dataset::RowId>{};
+  // Early-stop bookkeeping: a covered flag per row and the number of
+  // anomalous rows no accepted candidate covers yet.
+  std::uint64_t uncovered = 0;
+  if (config.early_stop) {
+    ws.covered.assign(table.size(), 0);
+    uncovered = table.anomalousCount();
+  }
 
   // Accumulates the current layer's effort; flushed into stats.layers
   // when the layer finishes (or the early stop fires inside it).
@@ -167,17 +273,17 @@ std::vector<ScoredPattern> acGuidedSearch(
     // cooperative deadline, and (chaos builds) an injected abort.
     if (config.max_layers > 0 && layer > config.max_layers) {
       stats.degraded_reason = "layer-cap";
-      return candidates;
+      return result();
     }
     if (deadlineExpired()) {
       stats.degraded_reason = "deadline";
-      return candidates;
+      return result();
     }
     switch (RAP_FAULT_HIT("search.layer")) {
       case fault::Action::kError:
       case fault::Action::kDrop:
         stats.degraded_reason = "fault";
-        return candidates;
+        return result();
       default:
         break;
     }
@@ -186,92 +292,78 @@ std::vector<ScoredPattern> acGuidedSearch(
     const util::WallTimer layer_timer;
     layer_stats = LayerSearchStats{};
     layer_stats.layer = layer;
+    orderLayer(kept_attributes, layer, config.order, ws.cuboids, ws.weighted);
 
-    const std::vector<CuboidMask> cuboids =
-        orderedCuboids(kept_attributes, layer, config.order);
-
-    // Parallel schedule: aggregate the whole layer up front.  Wasted
-    // only when the early stop fires mid-layer (the merge then discards
-    // the slots past the stop point).
-    const bool parallel = pool != nullptr && cuboids.size() > 1;
+    // Pooled schedule: evaluate the whole layer up front.  Wasted only
+    // when the early stop fires mid-layer (the walk then discards the
+    // slots past the stop point).
+    const bool parallel = pool != nullptr && ws.cuboids.size() > 1;
     if (parallel) {
       const util::WallTimer aggregate_timer;
-      const std::size_t helpers = aggregateLayer(table, cuboids, *pool, ws);
+      const std::size_t helpers =
+          evaluateLayer(table, config.t_conf, *pool, ws);
       stats.search_threads =
           std::max(stats.search_threads,
                    static_cast<std::int32_t>(helpers) + 1);
       layer_stats.seconds_aggregate = aggregate_timer.elapsedSeconds();
     }
 
-    for (std::size_t i = 0; i < cuboids.size(); ++i) {
-      // Mid-layer deadline: stop before the next aggregation, keep the
-      // effort already spent in the stats (the layer entry is partial,
-      // like an early-stopped one).
+    for (std::size_t i = 0; i < ws.cuboids.size(); ++i) {
+      // Mid-layer deadline: stop before the next cuboid, keep the effort
+      // already spent in the stats (the layer entry is partial, like an
+      // early-stopped one).
       if (deadlineExpired()) {
         stats.degraded_reason = "deadline";
         layer_stats.seconds = layer_timer.elapsedSeconds();
         flushLayer();
-        return candidates;
+        return result();
       }
       layer_stats.cuboids_visited += 1;
-      std::size_t group_count = 0;
-      const std::vector<GroupAggregate>* groups = nullptr;
-      if (parallel) {
-        groups = &ws.layer_groups[i];
-        group_count = ws.layer_counts[i];
-      } else {
+      const CuboidMask mask = ws.cuboids[i];
+      Outcome& outcome = ws.outcomes[parallel ? i : 0];
+      if (!parallel) {
+        Worker& w = ws.workers[0];
         const util::WallTimer aggregate_timer;
-        group_count =
-            table.groupByInto(cuboids[i], ws.scratch[0], ws.serial_groups);
-        groups = &ws.serial_groups;
+        const std::size_t groups = table.groupByInto(mask, w.scratch, w.groups);
         layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
+        judgeCuboid(table, mask, groups, config.t_conf, ws, w, outcome);
       }
-      for (std::size_t gi = 0; gi < group_count; ++gi) {
-        const GroupAggregate& group = (*groups)[gi];
-        // Criteria 3: skip the descendants of accepted candidates.  An
-        // accepted candidate always sits at a strictly lower layer, so
-        // the ancestor test is exact.
-        const bool pruned = std::any_of(
-            candidate_acs.begin(), candidate_acs.end(),
-            [&group](const AttributeCombination& ac) {
-              return ac.isAncestorOf(group.ac);
-            });
-        if (pruned) {
-          layer_stats.combinations_pruned += 1;
-          continue;
+
+      // The canonical walk: accept the surviving groups in key order.
+      for (const auto& a : outcome.accepted) {
+        const std::size_t rows_begin = ws.candidate_rows.size();
+        ws.candidate_rows.insert(ws.candidate_rows.end(),
+                                 outcome.rows.begin() + a.rows_begin,
+                                 outcome.rows.begin() + a.rows_begin + a.total);
+        ws.candidates.push_back({mask, layer, a.key, a.confidence, rows_begin,
+                                 ws.candidate_rows.size()});
+        layer_stats.candidates_found += 1;
+
+        // Early stop (Algorithm 2 lines 9-11): the candidate set
+        // already explains every anomalous leaf.
+        if (!config.early_stop) continue;
+        for (std::size_t k = rows_begin; k < ws.candidate_rows.size(); ++k) {
+          const dataset::RowId r = ws.candidate_rows[k];
+          if (ws.covered[r] != 0) continue;
+          ws.covered[r] = 1;
+          if (table.isAnomalous(r)) uncovered -= 1;
         }
-
-        layer_stats.combinations_evaluated += 1;
-        const double confidence = group.confidence();
-        if (confidence > config.t_conf) {  // Criteria 2
-          ScoredPattern pattern;
-          pattern.ac = group.ac;
-          pattern.confidence = confidence;
-          pattern.layer = layer;
-          candidates.push_back(pattern);
-          candidate_acs.push_back(group.ac);
-          layer_stats.candidates_found += 1;
-
-          // Early stop (Algorithm 2 lines 9-11): the candidate set
-          // already explains every anomalous leaf.
-          if (config.early_stop) {
-            std::erase_if(uncovered, [&](dataset::RowId id) {
-              return table.rowMatches(id, group.ac);
-            });
-            if (uncovered.empty()) {
-              stats.early_stopped = true;
-              layer_stats.seconds = layer_timer.elapsedSeconds();
-              flushLayer();
-              return candidates;
-            }
-          }
+        if (uncovered == 0) {
+          layer_stats.combinations_pruned += a.pruned_before;
+          layer_stats.combinations_evaluated += a.index + 1 - a.pruned_before;
+          stats.early_stopped = true;
+          layer_stats.seconds = layer_timer.elapsedSeconds();
+          flushLayer();
+          return result();
         }
       }
+      layer_stats.combinations_pruned += outcome.pruned;
+      layer_stats.combinations_evaluated += outcome.groups - outcome.pruned;
     }
     layer_stats.seconds = layer_timer.elapsedSeconds();
     flushLayer();
   }
-  return candidates;
+  return result();
 }
 
 std::unique_ptr<SearchWorkspace> WorkspacePool::acquire() {

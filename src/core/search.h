@@ -10,26 +10,34 @@
 // descendant sub-DAG is pruned (Criteria 3).  The search early-stops as
 // soon as the candidates cover every anomalous leaf.
 //
-// Support counts come from LeafTable::groupByInto, which sweeps the
-// table's own element-code columns: each cuboid is aggregated in a single
-// sparse mixed-radix pass — touched cells only — through the scratch
-// memory of a SearchWorkspace retained across searches.
+// Support counts come from LeafTable::groupByInto, which emits each
+// group as a mixed-radix key with its counts and first row; a group is
+// decoded into an AttributeCombination only once it is accepted.
+// Criteria 3 is a per-row test: every row of a group in cuboid M has the
+// same projection onto M, so the group has an accepted proper ancestor
+// exactly when its first row belongs to an accepted candidate whose
+// cuboid is a proper subset of M.  Before a cuboid's groups are judged,
+// the member rows of those candidates are stamped; the early stop keeps
+// a covered flag per row and a count of the anomalous rows still
+// uncovered.
 //
 // One entry point, two bit-identical schedules chosen by the caller:
 //   * no pool — the serial reference implementation;
 //   * a caller-owned util::ThreadPool — each layer's cuboids are
-//     evaluated concurrently, then Criteria 2/3 acceptance, pruning and
-//     the early stop are replayed in the canonical visit order during a
-//     deterministic single-threaded merge.  Acceptance decisions only
-//     ever depend on candidates from strictly lower layers (an accepted
-//     candidate cannot be an ancestor of a same-layer combination), so
-//     evaluating a layer's cuboids out of order is safe; the merge
-//     re-imposes the canonical order for acceptance and bookkeeping.
+//     aggregated and judged (stamps, Criteria 3, Criteria 2, member
+//     rows) concurrently, then a single-threaded walk accepts the
+//     surviving groups in the canonical visit order and applies the
+//     early stop and the counters.  Stamps only ever come from
+//     candidates at strictly lower layers (a same-layer cuboid is never
+//     a proper subset), so judging a layer's cuboids out of order is
+//     safe; the walk re-imposes the canonical order for acceptance and
+//     bookkeeping.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -72,28 +80,68 @@ std::vector<dataset::CuboidMask> orderedCuboids(
     const std::vector<dataset::AttrId>& kept, std::int32_t layer,
     CuboidOrder order);
 
-/// Reusable memory plane for one Algorithm-2 search: one GroupByScratch
-/// per fan-out worker (slot 0 is the calling thread) and the per-cuboid
-/// output buffers of the layer prefetch.  Every buffer grows to its
-/// workload's high-water mark and is then reused, so repeated searches
-/// over same-shaped tables perform no steady-state heap allocation in
-/// the aggregation hot path.  A
-/// workspace serves one search at a time; the members are implementation
-/// state — treat them as opaque outside src/core and tests.
+/// Reusable memory plane for one Algorithm-2 search.  Every buffer grows
+/// to its workload's high-water mark and is then reused, so a warm
+/// search over a same-shaped table allocates only what it returns.  A
+/// workspace serves one search at a time; the members are
+/// implementation state — treat them as opaque outside src/core and
+/// tests.
 struct SearchWorkspace {
   SearchWorkspace() = default;
   SearchWorkspace(const SearchWorkspace&) = delete;
   SearchWorkspace& operator=(const SearchWorkspace&) = delete;
 
-  /// Per-worker scratches; sized to the widest fan-out seen so far.
-  std::vector<dataset::GroupByScratch> scratch;
-  /// Parallel schedule: slot i holds cuboid i's groups for the layer
-  /// being merged (grow-only; stale entries past layer_counts[i] keep
-  /// their heap buffers alive for reuse).
-  std::vector<std::vector<dataset::GroupAggregate>> layer_groups;
-  std::vector<std::size_t> layer_counts;
-  /// Serial schedule: the single reused group buffer.
-  std::vector<dataset::GroupAggregate> serial_groups;
+  /// Memory of one fan-out worker (slot 0 is the calling thread).
+  struct Worker {
+    dataset::GroupByScratch scratch;
+    std::vector<dataset::KeyedGroup> groups;
+    /// [row] the last epoch in which a candidate whose cuboid is a
+    /// proper subset of the cuboid being judged covered the row.
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+    std::vector<std::uint32_t> fill;  ///< member-row cursors
+  };
+
+  /// Criteria 3 and 2 applied to every group of one cuboid: what
+  /// judging a cuboid hands the canonical walk.  `accepted` lists the
+  /// groups that pass both, in ascending key order; `rows` holds their
+  /// member rows, each group's ascending.
+  struct Outcome {
+    struct Accepted {
+      std::uint64_t key = 0;            ///< LeafTable::combination key
+      double confidence = 0.0;
+      std::uint32_t index = 0;          ///< position among the groups
+      std::uint32_t pruned_before = 0;  ///< Criteria-3 skips before it
+      std::uint32_t rows_begin = 0;     ///< members: rows[rows_begin, +total)
+      std::uint32_t total = 0;
+    };
+    std::uint64_t groups = 0;  ///< groups with at least one leaf
+    std::uint64_t pruned = 0;  ///< groups with an accepted proper ancestor
+    std::vector<Accepted> accepted;
+    std::vector<dataset::RowId> rows;
+  };
+
+  /// An accepted candidate: its cuboid, key and member rows
+  /// (candidate_rows[rows_begin, rows_end)).
+  struct Candidate {
+    dataset::CuboidMask mask = 0;
+    std::int32_t layer = 0;
+    std::uint64_t key = 0;
+    double confidence = 0.0;
+    std::size_t rows_begin = 0;
+    std::size_t rows_end = 0;
+  };
+
+  /// Per-worker memory; sized to the widest fan-out seen so far.
+  std::vector<Worker> workers;
+  /// Slot i holds cuboid i's outcome for the layer being walked (the
+  /// serial schedule uses slot 0 only).
+  std::vector<Outcome> outcomes;
+  std::vector<Candidate> candidates;
+  std::vector<dataset::RowId> candidate_rows;
+  std::vector<std::uint8_t> covered;  ///< [row] 1 once a candidate covers it
+  std::vector<dataset::CuboidMask> cuboids;  ///< the current layer, in order
+  std::vector<std::pair<std::uint64_t, dataset::CuboidMask>> weighted;
 };
 
 /// Thread-safe checkout/return pool of SearchWorkspaces.  RapMiner owns
@@ -146,15 +194,15 @@ class WorkspacePool {
 /// caller ranks them (Eq. 3) and truncates to k.  `stats` accumulates
 /// search-effort counters.
 ///
-/// All aggregation memory comes from `workspace`: every per-cuboid
-/// buffer is recycled, so repeated searches over same-shaped tables
-/// allocate nothing in the hot path.
+/// All working memory comes from `workspace`, so a warm search over a
+/// same-shaped table allocates only the returned vector and one
+/// combination per candidate (plus `stats.layers` growth, if any).
 ///
 /// With `pool == nullptr` the search runs the serial reference schedule.
-/// With a pool, each layer's cuboid aggregations fan out across its
+/// With a pool, each layer's cuboid evaluations fan out across its
 /// workers (the calling thread participates too) and the results are
 /// bit for bit those of the serial schedule; when a layer early-stops
-/// mid-way, aggregations computed past the stop point are discarded, so
+/// mid-way, evaluations computed past the stop point are discarded, so
 /// the stats match too.  The pool must not run tasks that block on this
 /// search.
 std::vector<ScoredPattern> acGuidedSearch(

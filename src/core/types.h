@@ -28,9 +28,11 @@ struct LayerSearchStats {
   double seconds = 0.0;  ///< wall time spent in this layer
   /// Wall time spent aggregating the layer's cuboids
   /// (LeafTable::groupByInto).  Under the parallel schedule this is the
-  /// fan-out + join time of the whole layer, so seconds /
+  /// fan-out + join time of the whole layer, which also judges every
+  /// group (Criteria 3 and 2, member rows), so seconds /
   /// seconds_aggregate exposes the per-layer speedup next to the serial
-  /// baseline.
+  /// baseline.  The rest of the layer, seconds - seconds_aggregate, is
+  /// its merge time.
   double seconds_aggregate = 0.0;
 };
 

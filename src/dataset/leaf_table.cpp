@@ -84,7 +84,7 @@ double LeafTable::totalF() const noexcept {
 }
 
 std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
-                                   std::vector<GroupAggregate>& out) const {
+                                   std::vector<KeyedGroup>& out) const {
   // Member attributes + mixed-radix strides, into reused buffers; the
   // first member varies slowest, so ascending keys are lexicographic
   // element order.
@@ -122,99 +122,138 @@ std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
     }
   }
 
-  const auto accumulate = [this](GroupCell& cell, std::size_t r) {
-    cell.total += 1;
-    cell.anomalous += anomalous_[r];
-    cell.v_sum += v_[r];
-    cell.f_sum += f_[r];
+  // Moves a finished cell into output slot j and zeroes it again.
+  const auto emit = [&out](std::size_t j, std::uint64_t key, GroupCell& cell) {
+    out[j] = KeyedGroup{key, cell.first_row, cell.total, cell.anomalous};
+    cell = GroupCell{};
   };
-  // Both paths visit each group's rows in row order, so the sums are
-  // bit-identical whichever one runs.
-  const bool dense = cells <= kDenseLimit;
   scratch.group_keys.clear();
-  if (dense) {
+  if (cells <= kDenseLimit) {
     // Cell `key` accumulates its group.  The array is zero-filled only
-    // when it grows; between calls every cell is zero (restored below),
-    // so the scatter detects a group's first row by total == 0 and
-    // records its key instead of sweeping all the cells afterwards.
+    // when it grows; between calls every cell is zero (restored by
+    // emit), so the scatter detects a group's first row by total == 0.
     if (scratch.dense.size() < cells) {
       scratch.dense.resize(static_cast<std::size_t>(cells));
     }
+    GroupCell* dense = scratch.dense.data();
     for (std::size_t r = 0; r < n; ++r) {
-      GroupCell& cell = scratch.dense[static_cast<std::size_t>(keys[r])];
-      if (cell.total == 0) scratch.group_keys.push_back(keys[r]);
-      accumulate(cell, r);
-    }
-    std::sort(scratch.group_keys.begin(), scratch.group_keys.end());
-  } else {
-    // Too many cells for a dense array: sort the rows by (key, row) and
-    // let cell j accumulate the j-th run of equal keys.
-    if (scratch.dense.size() < n) scratch.dense.resize(n);
-    scratch.order.resize(n);
-    std::iota(scratch.order.begin(), scratch.order.end(), RowId{0});
-    std::sort(scratch.order.begin(), scratch.order.end(),
-              [keys](RowId a, RowId b) {
-                return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-              });
-    for (const RowId r : scratch.order) {
-      if (scratch.group_keys.empty() || scratch.group_keys.back() != keys[r]) {
+      GroupCell& cell = dense[keys[r]];
+      if (cell.total == 0) {
         scratch.group_keys.push_back(keys[r]);
+        cell.first_row = static_cast<RowId>(r);
       }
-      accumulate(scratch.dense[scratch.group_keys.size() - 1], r);
+      cell.total += 1;
+      cell.anomalous += anomalous_[r];
     }
+    const std::size_t groups = scratch.group_keys.size();
+    if (out.size() < groups) out.resize(groups);
+    if (cells <= 4 * static_cast<std::uint64_t>(groups)) {
+      // The groups fill at least a quarter of the cells: walking the
+      // cells yields the keys in ascending order, cheaper than sorting.
+      std::size_t j = 0;
+      for (std::uint64_t key = 0; key < cells; ++key) {
+        if (dense[key].total != 0) emit(j++, key, dense[key]);
+      }
+    } else {
+      // Sparse cuboid: sort the touched keys and visit only those cells.
+      std::sort(scratch.group_keys.begin(), scratch.group_keys.end());
+      for (std::size_t j = 0; j < groups; ++j) {
+        emit(j, scratch.group_keys[j], dense[scratch.group_keys[j]]);
+      }
+    }
+    return groups;
   }
 
-  const std::size_t groups = scratch.group_keys.size();
-  if (out.size() < groups) out.resize(groups);
-  for (std::size_t j = 0; j < groups; ++j) {
-    const std::uint64_t key = scratch.group_keys[j];
-    GroupCell& cell = scratch.dense[dense ? static_cast<std::size_t>(key) : j];
-    GroupAggregate& g = out[j];
-    g.total = cell.total;
-    g.anomalous = cell.anomalous;
-    g.v_sum = cell.v_sum;
-    g.f_sum = cell.f_sum;
-    cell = GroupCell{};  // restore the all-zero invariant
-    // Decode the mixed-radix key, reusing the slot storage of whatever
-    // combination this output element held before (same-width acs are
-    // rewritten in place; only a schema change reallocates).
-    if (g.ac.attributeCount() != schema_.attributeCount()) {
-      g.ac = AttributeCombination(schema_.attributeCount());
+  // Too many cells for a dense array: sort the rows by (key, row); each
+  // run of equal keys is one group, its first row the run's first.
+  scratch.order.resize(n);
+  std::iota(scratch.order.begin(), scratch.order.end(), RowId{0});
+  std::sort(scratch.order.begin(), scratch.order.end(),
+            [keys](RowId a, RowId b) {
+              return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+            });
+  std::size_t groups = 0;
+  for (std::size_t i = 0; i < n;) {
+    const RowId first = scratch.order[i];
+    KeyedGroup g{keys[first], first, 0, 0};
+    for (; i < n && keys[scratch.order[i]] == g.key; ++i) {
+      g.total += 1;
+      g.anomalous += anomalous_[scratch.order[i]];
     }
-    std::uint64_t rest = key;
-    std::size_t i = 0;
-    for (AttrId a = 0; a < schema_.attributeCount(); ++a) {
-      if (i < m && scratch.attrs[i] == a) {
-        g.ac.setSlot(a, static_cast<ElemId>(rest / scratch.strides[i]));
-        rest %= scratch.strides[i];
-        ++i;
-      } else {
-        g.ac.setSlot(a, kWildcard);
-      }
-    }
+    if (out.size() <= groups) out.resize(groups + 1);
+    out[groups++] = g;
   }
   return groups;
 }
 
-std::vector<GroupAggregate> LeafTable::groupBy(CuboidMask mask) const {
+AttributeCombination LeafTable::combination(CuboidMask mask,
+                                            std::uint64_t key) const {
+  // The last member attribute is the least significant digit.
+  AttributeCombination ac(schema_.attributeCount());
+  for (AttrId a = schema_.attributeCount(); a-- > 0;) {
+    if ((mask & (1u << a)) == 0) continue;
+    const auto card = static_cast<std::uint64_t>(schema_.cardinality(a));
+    ac.setSlot(a, static_cast<ElemId>(key % card));
+    key /= card;
+  }
+  return ac;
+}
+
+std::vector<GroupAggregate> LeafTable::decodedGroups(
+    CuboidMask mask, std::vector<std::vector<RowId>>* rows) const {
   GroupByScratch scratch;
-  std::vector<GroupAggregate> out;
-  groupByInto(mask, scratch, out);  // fresh `out` grows to exactly fit
+  std::vector<KeyedGroup> groups;
+  groups.resize(groupByInto(mask, scratch, groups));
+  std::vector<GroupAggregate> out(groups.size());
+  for (std::size_t j = 0; j < groups.size(); ++j) {
+    out[j].ac = combination(mask, groups[j].key);
+    out[j].total = groups[j].total;
+    out[j].anomalous = groups[j].anomalous;
+  }
+  if (rows != nullptr) {
+    rows->assign(groups.size(), {});
+    for (std::size_t j = 0; j < groups.size(); ++j) {
+      (*rows)[j].reserve(groups[j].total);
+    }
+  }
+  // Row r belongs to the group of the key the sweep gave it: looked up
+  // in a key-indexed array when the cuboid is small enough for the dense
+  // path, by binary search otherwise.  Visiting the rows in order sums
+  // each group's KPIs in row order.
+  const std::uint64_t cells = cuboidSize(schema_, mask);
+  std::vector<std::uint32_t> index(cells <= kDenseLimit ? cells : 0);
+  for (std::size_t j = 0; j < groups.size() && !index.empty(); ++j) {
+    index[groups[j].key] = static_cast<std::uint32_t>(j);
+  }
+  for (RowId r = 0; r < size(); ++r) {
+    const std::uint64_t key = scratch.keys[r];
+    const std::size_t j =
+        !index.empty()
+            ? index[key]
+            : static_cast<std::size_t>(
+                  std::lower_bound(groups.begin(), groups.end(), key,
+                                   [](const KeyedGroup& g, std::uint64_t k) {
+                                     return g.key < k;
+                                   }) -
+                  groups.begin());
+    out[j].v_sum += v_[r];
+    out[j].f_sum += f_[r];
+    if (rows != nullptr) (*rows)[j].push_back(r);
+  }
   return out;
 }
 
+std::vector<GroupAggregate> LeafTable::groupBy(CuboidMask mask) const {
+  return decodedGroups(mask, nullptr);
+}
+
 std::vector<GroupWithRows> LeafTable::groupByWithRows(CuboidMask mask) const {
-  GroupByScratch scratch;
-  std::vector<GroupAggregate> aggs;
-  const std::size_t groups = groupByInto(mask, scratch, aggs);
-  std::vector<GroupWithRows> out(groups);
-  for (std::size_t j = 0; j < groups; ++j) out[j].agg = std::move(aggs[j]);
-  // Row r belongs to the group of the key the sweep gave it.
-  const auto& keys = scratch.group_keys;
-  for (RowId r = 0; r < size(); ++r) {
-    const auto j = std::lower_bound(keys.begin(), keys.end(), scratch.keys[r]) -
-                   keys.begin();
-    out[static_cast<std::size_t>(j)].rows.push_back(r);
+  std::vector<std::vector<RowId>> rows;
+  std::vector<GroupAggregate> aggs = decodedGroups(mask, &rows);
+  std::vector<GroupWithRows> out(aggs.size());
+  for (std::size_t j = 0; j < aggs.size(); ++j) {
+    out[j].agg = std::move(aggs[j]);
+    out[j].rows = std::move(rows[j]);
   }
   return out;
 }

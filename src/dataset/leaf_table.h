@@ -32,9 +32,32 @@ struct LeafRow {
   bool anomalous = false;   ///< leaf-level detection verdict
 };
 
-/// Aggregate of all leaves that project onto one attribute combination of
-/// a cuboid.  `total`/`anomalous` are the paper's support_count(ac) and
-/// support_count(ac, Anomaly); Confidence(ac => Anomaly) = anomalous/total.
+/// Confidence(ac => Anomaly) = support_count(ac, Anomaly) /
+/// support_count(ac); 0 for an empty group.
+inline double groupConfidence(std::uint32_t anomalous,
+                              std::uint32_t total) noexcept {
+  return total == 0 ? 0.0
+                    : static_cast<double>(anomalous) /
+                          static_cast<double>(total);
+}
+
+/// One group of LeafTable::groupByInto: the leaves whose projection onto
+/// the cuboid has mixed-radix key `key` (LeafTable::combination decodes
+/// it).  `total`/`anomalous` are the paper's support_count(ac) and
+/// support_count(ac, Anomaly); `first_row` is the group's lowest row id.
+struct KeyedGroup {
+  std::uint64_t key = 0;
+  RowId first_row = 0;
+  std::uint32_t total = 0;
+  std::uint32_t anomalous = 0;
+
+  double confidence() const noexcept {
+    return groupConfidence(anomalous, total);
+  }
+};
+
+/// A group with its combination decoded and its KPI sums — what the
+/// baselines consume.
 struct GroupAggregate {
   AttributeCombination ac;
   std::uint32_t total = 0;
@@ -43,9 +66,7 @@ struct GroupAggregate {
   double f_sum = 0.0;
 
   double confidence() const noexcept {
-    return total == 0 ? 0.0
-                      : static_cast<double>(anomalous) /
-                            static_cast<double>(total);
+    return groupConfidence(anomalous, total);
   }
 };
 
@@ -56,23 +77,24 @@ struct GroupWithRows {
   std::vector<RowId> rows;
 };
 
-/// One accumulation cell of the group-by.
+/// One accumulation cell of the group-by; `first_row` is set on the
+/// cell's first touch.
 struct GroupCell {
   std::uint32_t total = 0;
   std::uint32_t anomalous = 0;
-  double v_sum = 0.0;
-  double f_sum = 0.0;
+  RowId first_row = 0;
 };
 
 /// Caller-owned scratch memory for LeafTable::groupByInto.  All buffers
 /// grow to the high-water mark of the cuboids aggregated through them
 /// and are then reused without reallocation.  Invariant between calls:
 /// every cell of `dense` is zero (groupByInto restores it before
-/// returning).  After a call, `keys` and `group_keys` describe it.  A
-/// scratch serves one thread at a time; give each worker its own.
+/// returning).  After a call, `keys` holds every row's projection key
+/// onto the cuboid.  A scratch serves one thread at a time; give each
+/// worker its own.
 struct GroupByScratch {
   std::vector<std::uint64_t> keys;        ///< [row] projection keys
-  std::vector<std::uint64_t> group_keys;  ///< [group] keys, ascending
+  std::vector<std::uint64_t> group_keys;  ///< [group] keys, first touch
   std::vector<GroupCell> dense;           ///< accumulation cells
   std::vector<RowId> order;               ///< sort fallback: rows by key
   std::vector<AttrId> attrs;              ///< member attributes of the mask
@@ -142,18 +164,26 @@ class LeafTable {
   /// Aggregation of all leaves by their projection onto `mask` into
   /// `out[0 .. returned count)`, one group per combination with at least
   /// one supporting leaf (the table may be sparse), in ascending
-  /// mixed-radix key order; each group's sums accumulate in row order.
-  /// `out` only ever grows: entries past the returned count are stale
-  /// leftovers kept so their AttributeCombination storage is reused.  In
-  /// steady state (row count and cuboid sizes no larger than already seen
-  /// through `scratch`) the call performs no heap allocation.  Cuboids
-  /// with more than kDenseLimit cells are aggregated by sorting the rows
-  /// by key instead of through the dense cell array.  Safe to call from
-  /// several threads at once, each with its own scratch.
+  /// mixed-radix key order (attribute order, element id: the
+  /// lexicographic order of the decoded combinations).  Nothing is
+  /// decoded and no KPI is summed: a group is its key, first row and
+  /// support counts, and combination(mask, key) turns it into an
+  /// AttributeCombination.  `out` only ever grows; entries past the
+  /// returned count are stale.  In steady state (row count and cuboid
+  /// sizes no larger than already seen through `scratch`) the call
+  /// performs no heap allocation.  Cuboids with more than kDenseLimit
+  /// cells are aggregated by sorting the rows by key instead of through
+  /// the dense cell array.  Safe to call from several threads at once,
+  /// each with its own scratch.
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
-                          std::vector<GroupAggregate>& out) const;
+                          std::vector<KeyedGroup>& out) const;
 
-  /// groupByInto into fresh memory.
+  /// The combination of cuboid `mask` whose mixed-radix key (first
+  /// member attribute most significant) is `key`.
+  AttributeCombination combination(CuboidMask mask, std::uint64_t key) const;
+
+  /// groupByInto into fresh memory, every group decoded, with Σv and Σf
+  /// accumulated in row order.
   std::vector<GroupAggregate> groupBy(CuboidMask mask) const;
 
   /// Same, with member row ids attached.
@@ -180,6 +210,10 @@ class LeafTable {
   static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
 
  private:
+  /// groupBy's groups; with `rows`, also each group's member rows.
+  std::vector<GroupAggregate> decodedGroups(
+      CuboidMask mask, std::vector<std::vector<RowId>>* rows) const;
+
   Schema schema_;
   std::vector<std::vector<ElemId>> columns_;  ///< [attr][row] element ids
   std::vector<double> v_;                     ///< [row] actual values

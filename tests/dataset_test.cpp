@@ -429,24 +429,35 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
   // One scratch across every cuboid, twice: the dense and the sort
   // paths must each leave it clean for the other.
   GroupByScratch scratch;
-  std::vector<GroupAggregate> out;
+  std::vector<KeyedGroup> out;
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto mask : allCuboidsByLayer(full)) {
       const std::size_t count = table.groupByInto(mask, scratch, out);
       std::uint64_t total = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        const auto expected = table.aggregateFor(out[i].ac);
-        EXPECT_EQ(out[i].ac.cuboidMask(), mask);
+        const auto ac = table.combination(mask, out[i].key);
+        const auto expected = table.aggregateFor(ac);
+        EXPECT_EQ(ac.cuboidMask(), mask);
         EXPECT_EQ(out[i].total, expected.total) << "mask=" << mask;
         EXPECT_EQ(out[i].anomalous, expected.anomalous);
-        EXPECT_EQ(out[i].v_sum, expected.v_sum);  // bit for bit
-        EXPECT_EQ(out[i].f_sum, expected.f_sum);
+        EXPECT_TRUE(table.rowMatches(out[i].first_row, ac));
         if (i > 0) {
-          EXPECT_LT(out[i - 1].ac, out[i].ac);
+          EXPECT_LT(out[i - 1].key, out[i].key);
+          EXPECT_LT(table.combination(mask, out[i - 1].key), ac);
         }
         total += out[i].total;
       }
       EXPECT_EQ(total, table.size()) << "mask=" << mask;
+      // The decoded groups carry the same support and row-order sums.
+      const auto decoded = table.groupBy(mask);
+      ASSERT_EQ(decoded.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        const auto expected = table.aggregateFor(decoded[i].ac);
+        EXPECT_EQ(decoded[i].ac, table.combination(mask, out[i].key));
+        EXPECT_EQ(decoded[i].total, expected.total);
+        EXPECT_EQ(decoded[i].v_sum, expected.v_sum);  // bit for bit
+        EXPECT_EQ(decoded[i].f_sum, expected.f_sum);
+      }
     }
   }
   EXPECT_EQ(table.groupBy(full).size(), 60u);

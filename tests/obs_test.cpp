@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/rapminer.h"
+#include "dataset/cuboid.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
@@ -238,6 +240,43 @@ TEST(MetricsRegistry, GlobalGateDefaultsOff) {
   // The process-wide gate must start disabled so uninstrumented binaries
   // pay nothing; tests that enable it restore the default.
   EXPECT_FALSE(metricsEnabled());
+}
+
+TEST(MetricsRegistry, LocalizePublishesPerLayerAggregateAndMergeSeconds) {
+  // Every layer a localize() searched gets one observation in both the
+  // aggregate and the merge histogram (merge = layer seconds minus
+  // aggregate seconds), labelled with the layer.
+  const dataset::Schema schema = dataset::Schema::tiny();
+  dataset::LeafTable table(schema);
+  for (std::uint64_t i = 0; i < schema.leafCount(); ++i) {
+    const auto leaf = dataset::leafFromIndex(schema, i);
+    const bool anomalous = leaf.slot(0) == 0 && leaf.slot(1) == 0;
+    table.addRow(leaf, anomalous ? 10.0 : 100.0, 100.0, anomalous);
+  }
+  core::RapMinerConfig config;
+  config.cp.enable_attribute_deletion = false;
+  const auto series = [](const char* name, const std::string& layer) {
+    return &defaultRegistry().histogram(name, exponentialBuckets(1e-5, 4.0, 10),
+                                        {{"layer", layer}});
+  };
+
+  setMetricsEnabled(true);
+  const auto result = core::RapMiner(config).localize(table, 0);
+  setMetricsEnabled(false);
+
+  ASSERT_FALSE(result.stats.layers.empty());
+  for (const auto& layer : result.stats.layers) {
+    const std::string label = std::to_string(layer.layer);
+    EXPECT_GE(series("rap_search_layer_aggregate_seconds", label)->count(), 1u)
+        << "layer " << label;
+    EXPECT_GE(series("rap_search_layer_merge_seconds", label)->count(), 1u)
+        << "layer " << label;
+  }
+  const std::string text = defaultRegistry().renderPrometheus();
+  EXPECT_NE(text.find("rap_search_layer_aggregate_seconds_count{layer=\"1\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("rap_search_layer_merge_seconds_count{layer=\"1\"}"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------------------ Trace

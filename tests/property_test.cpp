@@ -53,6 +53,10 @@ TEST_P(RandomTableProperty, GroupByPartitionsEveryCuboid) {
     for (const auto& g : table.groupBy(mask)) {
       EXPECT_LE(g.anomalous, g.total);
       EXPECT_EQ(g.ac.cuboidMask(), mask);
+      // KPI sums accumulate in row order, like the scan: bit for bit.
+      const auto expected = table.aggregateFor(g.ac);
+      EXPECT_EQ(g.v_sum, expected.v_sum);
+      EXPECT_EQ(g.f_sum, expected.f_sum);
       total += g.total;
       anomalous += g.anomalous;
     }
@@ -85,16 +89,16 @@ TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
   // The allocation-free path's contract under REUSE: one scratch and one
   // grow-only output vector driven across two random tables x every
   // cuboid x repeated passes must yield, for every group, exactly the
-  // definition-level scan LeafTable::aggregateFor (float sums compared
-  // with ==), in ascending key order, with group totals covering every
-  // row.  The failure mode this hunts is stale state leaking between
-  // calls: a cell not reset to zero, or an output slot keeping a
-  // previous mask's element in a now-wildcard attribute.
+  // support counts of the definition-level scan LeafTable::aggregateFor
+  // and the group's lowest row, in ascending key order, with group
+  // totals covering every row.  The failure mode this hunts is stale state leaking between
+  // calls: a cell not reset to zero, or a first row left over from a
+  // previous cuboid.
   util::Rng rng(GetParam() ^ 0x5EED);
   const LeafTable table_a = randomTable(rng);
   const LeafTable table_b = randomTable(rng);
   dataset::GroupByScratch scratch;
-  std::vector<dataset::GroupAggregate> out;
+  std::vector<dataset::KeyedGroup> out;
   for (int pass = 0; pass < 3; ++pass) {
     for (const LeafTable* table : {&table_a, &table_b}) {
       for (const auto mask : dataset::allCuboidsByLayer(
@@ -102,15 +106,19 @@ TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
         const std::size_t count = table->groupByInto(mask, scratch, out);
         std::uint64_t total = 0;
         for (std::size_t i = 0; i < count; ++i) {
-          const auto expected = table->aggregateFor(out[i].ac);
-          EXPECT_EQ(out[i].ac.cuboidMask(), mask)
+          const auto ac = table->combination(mask, out[i].key);
+          const auto expected = table->aggregateFor(ac);
+          EXPECT_EQ(ac.cuboidMask(), mask)
               << "pass=" << pass << " mask=" << mask << " i=" << i;
           EXPECT_EQ(expected.total, out[i].total);
           EXPECT_EQ(expected.anomalous, out[i].anomalous);
-          EXPECT_EQ(expected.v_sum, out[i].v_sum);
-          EXPECT_EQ(expected.f_sum, out[i].f_sum);
+          // first_row is the group's lowest member row.
+          EXPECT_TRUE(table->rowMatches(out[i].first_row, ac));
+          for (dataset::RowId r = 0; r < out[i].first_row; ++r) {
+            EXPECT_FALSE(table->rowMatches(r, ac));
+          }
           if (i > 0) {
-            EXPECT_LT(out[i - 1].ac, out[i].ac);
+            EXPECT_LT(table->combination(mask, out[i - 1].key), ac);
           }
           total += out[i].total;
         }
