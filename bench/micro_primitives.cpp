@@ -1,6 +1,6 @@
 // Micro-benchmarks of the primitives the localization algorithms are
 // built on: group-by aggregation, classification power, the AC search,
-// FP-growth, posting-list intersection and the density clustering.
+// FP-growth and the density clustering.
 //
 // Besides the google-benchmark suite, the binary has a second mode:
 //
@@ -37,7 +37,6 @@
 #include "core/rapminer.h"
 #include "core/search.h"
 #include "dataset/cuboid.h"
-#include "dataset/index.h"
 #include "gen/rapmd.h"
 #include "mining/fpgrowth.h"
 #include "obs/metrics.h"
@@ -171,27 +170,6 @@ void BM_RapMinerLocalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RapMinerLocalize);
-
-void BM_InvertedIndexBuild(benchmark::State& state) {
-  const auto& table = rapmdCase().table;
-  for (auto _ : state) {
-    dataset::InvertedIndex index(table);
-    benchmark::DoNotOptimize(index);
-  }
-}
-BENCHMARK(BM_InvertedIndexBuild);
-
-void BM_PostingIntersection(benchmark::State& state) {
-  const auto& table = rapmdCase().table;
-  const dataset::InvertedIndex index(table);
-  dataset::AttributeCombination ac(table.schema().attributeCount());
-  ac.setSlot(0, 3);
-  ac.setSlot(3, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.rowsMatching(ac));
-  }
-}
-BENCHMARK(BM_PostingIntersection);
 
 void BM_FpGrowth(benchmark::State& state) {
   // Transactions from the case's anomalous leaves.

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
-#include "dataset/index.h"
+#include "dataset/cuboid.h"
 #include "mining/fpgrowth.h"
 
 namespace rap::baselines {
@@ -71,8 +72,48 @@ std::vector<core::ScoredPattern> fpGrowthLocalize(
           ? mining::mineFrequentItemsetsApriori(transactions, options)
           : mining::mineFrequentItemsets(transactions, options);
 
-  // Rule confidence over the full table, via the inverted index.
-  const dataset::InvertedIndex index(table);
+  // Rule confidence over the full table: one keyed group-by per cuboid
+  // the itemsets touch, each itemset's key binary-searched in its
+  // cuboid's groups.  An itemset no leaf supports keeps total == 0.
+  struct Probe {
+    AttributeCombination ac;
+    dataset::CuboidMask mask = 0;
+    std::uint64_t key = 0;
+    dataset::KeyedGroup counts;
+  };
+  std::vector<Probe> probes(itemsets.size());
+  for (std::size_t i = 0; i < itemsets.size(); ++i) {
+    Probe& probe = probes[i];
+    probe.ac = AttributeCombination(schema.attributeCount());
+    for (const auto item : itemsets[i].items) {
+      const auto [attr, elem] = codec.decode(item);
+      probe.ac.setSlot(attr, elem);
+    }
+    probe.mask = probe.ac.cuboidMask();
+    probe.key = dataset::combinationKey(schema, probe.ac);
+  }
+  std::vector<std::size_t> by_mask(probes.size());
+  std::iota(by_mask.begin(), by_mask.end(), std::size_t{0});
+  std::sort(by_mask.begin(), by_mask.end(), [&probes](auto a, auto b) {
+    return probes[a].mask < probes[b].mask;
+  });
+  dataset::GroupByScratch scratch;
+  std::vector<dataset::KeyedGroup> groups;
+  std::size_t group_count = 0;
+  for (std::size_t i = 0; i < by_mask.size(); ++i) {
+    Probe& probe = probes[by_mask[i]];
+    if (i == 0 || probe.mask != probes[by_mask[i - 1]].mask) {
+      group_count = table.groupByInto(probe.mask, scratch, groups);
+    }
+    const auto end = groups.begin() + static_cast<std::ptrdiff_t>(group_count);
+    const auto it = std::lower_bound(
+        groups.begin(), end, probe.key,
+        [](const dataset::KeyedGroup& g, std::uint64_t key) {
+          return g.key < key;
+        });
+    if (it != end && it->key == probe.key) probe.counts = *it;
+  }
+
   struct Candidate {
     AttributeCombination ac;
     double confidence = 0.0;
@@ -80,21 +121,15 @@ std::vector<core::ScoredPattern> fpGrowthLocalize(
     std::int32_t layer = 0;
   };
   std::vector<Candidate> candidates;
-  for (const auto& itemset : itemsets) {
-    AttributeCombination ac(schema.attributeCount());
-    for (const auto item : itemset.items) {
-      const auto [attr, elem] = codec.decode(item);
-      ac.setSlot(attr, elem);
-    }
-    const auto agg = index.aggregateFor(ac);
-    if (agg.total == 0) continue;
-    const double confidence = agg.confidence();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    if (probes[i].counts.total == 0) continue;
+    const double confidence = probes[i].counts.confidence();
     if (confidence < config.min_confidence) continue;
     Candidate c;
-    c.layer = ac.dim();
-    c.ac = std::move(ac);
+    c.layer = probes[i].ac.dim();
+    c.ac = std::move(probes[i].ac);
     c.confidence = confidence;
-    c.support_ratio = static_cast<double>(itemset.support) /
+    c.support_ratio = static_cast<double>(itemsets[i].support) /
                       static_cast<double>(transactions.size());
     candidates.push_back(std::move(c));
   }

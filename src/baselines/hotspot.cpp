@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "dataset/cuboid.h"
-#include "dataset/index.h"
 #include "util/rng.h"
 
 namespace rap::baselines {
@@ -169,7 +168,6 @@ std::vector<core::ScoredPattern> hotspotLocalize(const dataset::LeafTable& table
                                                  const HotSpotConfig& config,
                                                  std::int32_t k) {
   if (table.empty() || table.anomalousCount() == 0) return {};
-  const dataset::InvertedIndex index(table);
   util::Rng rng(config.seed);
 
   double total_dev = 0.0;
@@ -227,7 +225,7 @@ std::vector<core::ScoredPattern> hotspotLocalize(const dataset::LeafTable& table
     core::ScoredPattern pattern;
     pattern.ac = ac;
     pattern.layer = best_layer;
-    pattern.confidence = index.aggregateFor(ac).confidence();
+    pattern.confidence = table.aggregateFor(ac).confidence();
     pattern.score = best_ps;
     out.push_back(std::move(pattern));
   }

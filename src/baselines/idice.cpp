@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dataset/cuboid.h"
-#include "dataset/index.h"
 #include "stats/entropy.h"
 #include "stats/hypothesis.h"
 
@@ -13,6 +11,7 @@ namespace rap::baselines {
 using dataset::AttrId;
 using dataset::AttributeCombination;
 using dataset::ElemId;
+using dataset::RowId;
 
 namespace {
 
@@ -29,7 +28,7 @@ struct VolumeStats {
 };
 
 VolumeStats volumesFor(const dataset::LeafTable& table,
-                       const std::vector<dataset::RowId>& rows) {
+                       const std::vector<RowId>& rows) {
   VolumeStats s;
   for (const auto id : rows) {
     s.drop += std::max(0.0, table.f(id) - table.v(id));
@@ -61,10 +60,9 @@ std::vector<core::ScoredPattern> idiceLocalize(const dataset::LeafTable& table,
                                                const IDiceConfig& config,
                                                std::int32_t k) {
   const auto& schema = table.schema();
-  const dataset::InvertedIndex index(table);
 
-  std::vector<dataset::RowId> all_rows(table.size());
-  for (dataset::RowId id = 0; id < table.size(); ++id) all_rows[id] = id;
+  std::vector<RowId> all_rows(table.size());
+  for (RowId id = 0; id < table.size(); ++id) all_rows[id] = id;
   const VolumeStats all = volumesFor(table, all_rows);
   if (all.drop <= 0.0) return {};
 
@@ -80,31 +78,48 @@ std::vector<core::ScoredPattern> idiceLocalize(const dataset::LeafTable& table,
   };
   std::vector<Candidate> accepted;
 
-  // BFS frontier: combinations that passed the impact pruning and may be
-  // extended.  Extension is canonical — only attributes with a larger id
-  // than the last concrete one — so each combination is visited once.
-  std::vector<AttributeCombination> frontier;
+  // BFS frontier: combinations that may still be extended, each with the
+  // rows it covers, ascending.  Extension is canonical — only attributes
+  // with a larger id than the last concrete one — so each combination is
+  // visited once.  A child's rows are its parent's bucketed by the
+  // child's new attribute, which keeps them ascending.  Children that
+  // cover no row are skipped: with no volume (pseudo-count 0) they can
+  // never pass the change test, and neither can their descendants.
+  struct Node {
+    AttributeCombination ac;
+    AttrId last = -1;  ///< last concrete attribute
+    std::vector<RowId> rows;
+  };
+  std::vector<std::vector<RowId>> buckets;
+  const auto expand = [&](const Node& parent, std::vector<Node>& out) {
+    for (AttrId a = parent.last + 1; a < schema.attributeCount(); ++a) {
+      buckets.assign(static_cast<std::size_t>(schema.cardinality(a)), {});
+      for (const RowId id : parent.rows) {
+        buckets[static_cast<std::size_t>(table.elem(id, a))].push_back(id);
+      }
+      for (ElemId e = 0; e < schema.cardinality(a); ++e) {
+        auto& rows = buckets[static_cast<std::size_t>(e)];
+        if (rows.empty()) continue;
+        Node child{parent.ac, a, std::move(rows)};
+        child.ac.setSlot(a, e);
+        out.push_back(std::move(child));
+      }
+    }
+  };
+
   const std::int32_t max_layer = config.max_layer > 0
                                      ? config.max_layer
                                      : schema.attributeCount();
-
-  // Layer 1 seeds.
-  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-    for (ElemId e = 0; e < schema.cardinality(a); ++e) {
-      AttributeCombination ac(schema.attributeCount());
-      ac.setSlot(a, e);
-      frontier.push_back(std::move(ac));
-    }
-  }
-
-  std::vector<AttributeCombination> next;
+  std::vector<Node> frontier;
+  std::vector<Node> next;
+  expand(Node{AttributeCombination(schema.attributeCount()), -1,
+              std::move(all_rows)},
+         frontier);
   for (std::int32_t layer = 1;
        layer <= max_layer && !frontier.empty(); ++layer) {
     next.clear();
-    for (const auto& ac : frontier) {
-      // Per-combination probe, as the original algorithm does.
-      const auto rows = index.rowsMatching(ac);
-      const VolumeStats inside = volumesFor(table, rows);
+    for (const Node& node : frontier) {
+      const VolumeStats inside = volumesFor(table, node.rows);
 
       // Pruning 1 — impact: too little issue volume kills the subtree.
       if (inside.drop < min_impact) continue;
@@ -124,25 +139,14 @@ std::vector<core::ScoredPattern> idiceLocalize(const dataset::LeafTable& table,
 
       if (p_value < config.significance && inside_rate > outside_rate) {
         Candidate c;
-        c.ac = ac;
+        c.ac = node.ac;
         c.isolation = isolationPower(inside, all);
         c.confidence = inside_rate;
         c.impact = inside.drop;
         accepted.push_back(std::move(c));
       }
 
-      // Expand canonically.
-      AttrId last_concrete = -1;
-      for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-        if (!ac.isWildcard(a)) last_concrete = a;
-      }
-      for (AttrId a = last_concrete + 1; a < schema.attributeCount(); ++a) {
-        for (ElemId e = 0; e < schema.cardinality(a); ++e) {
-          AttributeCombination child = ac;
-          child.setSlot(a, e);
-          next.push_back(std::move(child));
-        }
-      }
+      if (layer < max_layer) expand(node, next);
     }
     frontier.swap(next);
   }

@@ -18,10 +18,12 @@
 // leaves Dev up to 0.09), faint issue volume exists everywhere — which
 // reproduces iDice's real-world weakness on continuous KPIs.
 //
-// Faithful to the original, the BFS probes each combination individually
-// (posting-list intersections) instead of bulk group-bys — which is why
-// iDice lands at the slow end of the efficiency comparison, as in the
-// paper's Fig. 9.
+// The BFS evaluates each combination individually, as the original
+// does, but carries every frontier combination's covered rows down the
+// lattice: a child's rows are its parent's bucketed by one attribute, so
+// no combination is ever looked up from scratch.  That makes this iDice
+// faster than the paper's Fig. 9 reports (EXPERIMENTS.md records the
+// deviation).
 #pragma once
 
 #include <cstdint>

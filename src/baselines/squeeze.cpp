@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "dataset/cuboid.h"
-#include "dataset/index.h"
 #include "stats/histogram.h"
 
 namespace rap::baselines {
@@ -81,7 +80,6 @@ std::vector<core::ScoredPattern> squeezeLocalize(
     total_dev += std::fabs(table.v(id) - table.f(id));
   }
 
-  const dataset::InvertedIndex index(table);
   const CuboidMask all_mask = dataset::allAttributesMask(table.schema());
 
   // Table-wide groups per cuboid, computed once and shared by every
@@ -183,7 +181,7 @@ std::vector<core::ScoredPattern> squeezeLocalize(
       core::ScoredPattern pattern;
       pattern.ac = ac;
       pattern.layer = best.layer;
-      pattern.confidence = index.aggregateFor(ac).confidence();
+      pattern.confidence = table.aggregateFor(ac).confidence();
       pattern.score = best.gps;
       out.push_back(std::move(pattern));
     }

@@ -235,7 +235,7 @@ std::vector<ScoredPattern> acGuidedSearch(
     out.reserve(ws.candidates.size());
     for (const auto& c : ws.candidates) {
       ScoredPattern& pattern = out.emplace_back();
-      pattern.ac = table.combination(c.mask, c.key);
+      pattern.ac = dataset::combinationFromKey(table.schema(), c.mask, c.key);
       pattern.confidence = c.confidence;
       pattern.layer = c.layer;
     }

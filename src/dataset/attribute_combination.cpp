@@ -79,33 +79,6 @@ bool AttributeCombination::isAncestorOf(
   return covers(other) && dim() < other.dim();
 }
 
-std::vector<AttributeCombination> AttributeCombination::parents() const {
-  std::vector<AttributeCombination> out;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i] == kWildcard) continue;
-    AttributeCombination parent = *this;
-    parent.slots_[i] = kWildcard;
-    out.push_back(std::move(parent));
-  }
-  return out;
-}
-
-std::vector<AttributeCombination> AttributeCombination::children(
-    const Schema& schema) const {
-  RAP_CHECK(schema.attributeCount() == attributeCount());
-  std::vector<AttributeCombination> out;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i] != kWildcard) continue;
-    const auto attr = static_cast<AttrId>(i);
-    for (ElemId e = 0; e < schema.cardinality(attr); ++e) {
-      AttributeCombination child = *this;
-      child.slots_[i] = e;
-      out.push_back(std::move(child));
-    }
-  }
-  return out;
-}
-
 std::string AttributeCombination::toString(const Schema& schema) const {
   RAP_CHECK(schema.attributeCount() == attributeCount());
   std::string out = "(";
@@ -116,16 +89,6 @@ std::string AttributeCombination::toString(const Schema& schema) const {
     } else {
       out += schema.attribute(static_cast<AttrId>(i)).elementName(slots_[i]);
     }
-  }
-  out += ")";
-  return out;
-}
-
-std::string AttributeCombination::debugString() const {
-  std::string out = "(";
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += slots_[i] == kWildcard ? "*" : std::to_string(slots_[i]);
   }
   out += ")";
   return out;

@@ -3,9 +3,8 @@
 // wildcard '*'.  (L1, *, *, Site1) has dim 2 and lives in layer 2 of the
 // cuboid lattice (paper Fig. 2).
 //
-// The parent/child/ancestor relations follow the paper's DAG (Fig. 7):
-// a parent is obtained by replacing exactly one concrete slot with '*';
-// an ancestor constrains a subset of the slots with identical values.
+// The ancestor relation follows the paper's DAG (Fig. 7): an ancestor
+// constrains a subset of the slots with identical values.
 #pragma once
 
 #include <cstdint>
@@ -53,12 +52,9 @@ class AttributeCombination {
 
   /// Number of concrete (non-wildcard) slots = the layer this ac lives in.
   std::int32_t dim() const noexcept;
-  std::int32_t layer() const noexcept { return dim(); }
 
   /// True when every slot is concrete (a most fine-grained combination).
   bool isLeaf() const noexcept;
-  /// True when every slot is '*' (the lattice root).
-  bool isRoot() const noexcept { return dim() == 0; }
 
   /// Bitmask of concrete attributes — identifies the cuboid (paper §II-B).
   std::uint32_t cuboidMask() const noexcept;
@@ -74,18 +70,8 @@ class AttributeCombination {
   /// Ancestor-or-equal.
   bool covers(const AttributeCombination& other) const noexcept;
 
-  /// Direct parents: one concrete slot replaced with '*' (paper
-  /// Parents()).  The lattice root has no parents.
-  std::vector<AttributeCombination> parents() const;
-
-  /// Direct children under `schema`: one wildcard slot expanded to every
-  /// element of that attribute.
-  std::vector<AttributeCombination> children(const Schema& schema) const;
-
   /// "(L1, *, *, Site1)" — names resolved through the schema.
   std::string toString(const Schema& schema) const;
-  /// "(0:3, *, *, 3:0)" — raw ids, schema-free (debugging).
-  std::string debugString() const;
 
   const std::vector<ElemId>& slots() const noexcept { return slots_; }
 

@@ -31,18 +31,6 @@ std::uint64_t cuboidSize(const Schema& schema, CuboidMask mask) {
   return product;
 }
 
-std::string cuboidName(const Schema& schema, CuboidMask mask) {
-  std::string out = "Cub{";
-  bool first = true;
-  for (const AttrId attr : cuboidAttributes(mask)) {
-    if (!first) out += ",";
-    first = false;
-    out += schema.attribute(attr).name();
-  }
-  out += "}";
-  return out;
-}
-
 std::vector<CuboidMask> cuboidsAtLayer(CuboidMask allowed, std::int32_t layer) {
   std::vector<CuboidMask> out;
   if (layer <= 0) return out;
@@ -73,35 +61,34 @@ CuboidMask allAttributesMask(const Schema& schema) noexcept {
              : ((1u << schema.attributeCount()) - 1);
 }
 
-std::uint64_t leafToIndex(const Schema& schema,
-                          const AttributeCombination& ac) {
-  RAP_CHECK(ac.isLeaf() && ac.attributeCount() == schema.attributeCount());
+std::uint64_t combinationKey(const Schema& schema,
+                             const AttributeCombination& ac) {
+  RAP_CHECK(ac.attributeCount() == schema.attributeCount());
   std::uint64_t key = 0;
   for (AttrId a = 0; a < schema.attributeCount(); ++a) {
+    if (ac.isWildcard(a)) continue;
     key = key * static_cast<std::uint64_t>(schema.cardinality(a)) +
           static_cast<std::uint64_t>(ac.slot(a));
   }
   return key;
 }
 
-AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index) {
-  RAP_CHECK(index < schema.leafCount());
+AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
+                                        std::uint64_t key) {
+  // The last member attribute is the least significant digit.
   AttributeCombination ac(schema.attributeCount());
-  for (AttrId a = schema.attributeCount() - 1; a >= 0; --a) {
+  for (AttrId a = schema.attributeCount(); a-- > 0;) {
+    if ((mask & (1u << a)) == 0) continue;
     const auto card = static_cast<std::uint64_t>(schema.cardinality(a));
-    ac.setSlot(a, static_cast<ElemId>(index % card));
-    index /= card;
+    ac.setSlot(a, static_cast<ElemId>(key % card));
+    key /= card;
   }
   return ac;
 }
 
-std::vector<AttributeCombination> enumerateCuboid(const Schema& schema,
-                                                  CuboidMask mask) {
-  std::vector<AttributeCombination> out;
-  out.reserve(static_cast<std::size_t>(cuboidSize(schema, mask)));
-  forEachInCuboid(schema, mask,
-                  [&out](const AttributeCombination& ac) { out.push_back(ac); });
-  return out;
+AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index) {
+  RAP_CHECK(index < schema.leafCount());
+  return combinationFromKey(schema, allAttributesMask(schema), index);
 }
 
 }  // namespace rap::dataset

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "dataset/attribute_combination.h"
@@ -27,9 +26,6 @@ std::vector<AttrId> cuboidAttributes(CuboidMask mask);
 /// (product of the member attributes' cardinalities, paper §III-C).
 std::uint64_t cuboidSize(const Schema& schema, CuboidMask mask);
 
-/// "Cub{Location,Website}".
-std::string cuboidName(const Schema& schema, CuboidMask mask);
-
 /// All cuboids of exactly `layer` attributes, restricted to the attributes
 /// present in `allowed` (pass allAttributesMask for no restriction).
 /// Masks are returned in ascending numeric order, which is deterministic.
@@ -42,17 +38,21 @@ std::vector<CuboidMask> allCuboidsByLayer(CuboidMask allowed);
 /// Mask with one bit per schema attribute.
 CuboidMask allAttributesMask(const Schema& schema) noexcept;
 
-/// Enumerate every attribute combination in the cuboid (Cartesian product
-/// of the member attributes' elements); wildcard elsewhere.  Order is
-/// lexicographic in (attr order, element id), deterministic.
-std::vector<AttributeCombination> enumerateCuboid(const Schema& schema,
-                                                  CuboidMask mask);
+/// The combination codec.  A combination's key within its own cuboid is
+/// the mixed-radix number whose digits are its concrete slots, the first
+/// member attribute most significant, so ascending keys are ascending
+/// (lexicographic) combinations.  LeafTable::groupByInto's column sweep
+/// computes the same keys for every row at once.
+std::uint64_t combinationKey(const Schema& schema,
+                             const AttributeCombination& ac);
 
-/// Dense index of a fully-concrete combination in [0, schema.leafCount()):
-/// mixed radix over the attributes in schema order.
-std::uint64_t leafToIndex(const Schema& schema, const AttributeCombination& ac);
+/// Inverse of combinationKey: the combination of cuboid `mask` whose key
+/// is `key`.
+AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
+                                        std::uint64_t key);
 
-/// Inverse of leafToIndex.
+/// The leaf whose key over all attributes is `index`, in
+/// [0, schema.leafCount()).
 AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index);
 
 /// Iterate the cuboid without materializing it: calls fn(ac) for each

@@ -186,19 +186,6 @@ std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
   return groups;
 }
 
-AttributeCombination LeafTable::combination(CuboidMask mask,
-                                            std::uint64_t key) const {
-  // The last member attribute is the least significant digit.
-  AttributeCombination ac(schema_.attributeCount());
-  for (AttrId a = schema_.attributeCount(); a-- > 0;) {
-    if ((mask & (1u << a)) == 0) continue;
-    const auto card = static_cast<std::uint64_t>(schema_.cardinality(a));
-    ac.setSlot(a, static_cast<ElemId>(key % card));
-    key /= card;
-  }
-  return ac;
-}
-
 std::vector<GroupAggregate> LeafTable::decodedGroups(
     CuboidMask mask, std::vector<std::vector<RowId>>* rows) const {
   GroupByScratch scratch;
@@ -206,7 +193,7 @@ std::vector<GroupAggregate> LeafTable::decodedGroups(
   groups.resize(groupByInto(mask, scratch, groups));
   std::vector<GroupAggregate> out(groups.size());
   for (std::size_t j = 0; j < groups.size(); ++j) {
-    out[j].ac = combination(mask, groups[j].key);
+    out[j].ac = combinationFromKey(schema_, mask, groups[j].key);
     out[j].total = groups[j].total;
     out[j].anomalous = groups[j].anomalous;
   }

@@ -42,9 +42,10 @@ inline double groupConfidence(std::uint32_t anomalous,
 }
 
 /// One group of LeafTable::groupByInto: the leaves whose projection onto
-/// the cuboid has mixed-radix key `key` (LeafTable::combination decodes
-/// it).  `total`/`anomalous` are the paper's support_count(ac) and
-/// support_count(ac, Anomaly); `first_row` is the group's lowest row id.
+/// the cuboid has mixed-radix key `key` (combinationKey; decoded by
+/// combinationFromKey).  `total`/`anomalous` are the paper's
+/// support_count(ac) and support_count(ac, Anomaly); `first_row` is the
+/// group's lowest row id.
 struct KeyedGroup {
   std::uint64_t key = 0;
   RowId first_row = 0;
@@ -167,9 +168,9 @@ class LeafTable {
   /// mixed-radix key order (attribute order, element id: the
   /// lexicographic order of the decoded combinations).  Nothing is
   /// decoded and no KPI is summed: a group is its key, first row and
-  /// support counts, and combination(mask, key) turns it into an
-  /// AttributeCombination.  `out` only ever grows; entries past the
-  /// returned count are stale.  In steady state (row count and cuboid
+  /// support counts, and combinationFromKey(schema(), mask, key) turns
+  /// it into an AttributeCombination.  `out` only ever grows; entries
+  /// past the returned count are stale.  In steady state (row count and cuboid
   /// sizes no larger than already seen through `scratch`) the call
   /// performs no heap allocation.  Cuboids with more than kDenseLimit
   /// cells are aggregated by sorting the rows by key instead of through
@@ -177,10 +178,6 @@ class LeafTable {
   /// each with its own scratch.
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<KeyedGroup>& out) const;
-
-  /// The combination of cuboid `mask` whose mixed-radix key (first
-  /// member attribute most significant) is `key`.
-  AttributeCombination combination(CuboidMask mask, std::uint64_t key) const;
 
   /// groupByInto into fresh memory, every group decoded, with Σv and Σf
   /// accumulated in row order.

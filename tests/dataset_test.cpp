@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "dataset/attribute_combination.h"
 #include "dataset/cuboid.h"
-#include "dataset/index.h"
 #include "dataset/leaf_table.h"
 #include "dataset/schema.h"
 #include "util/rng.h"
@@ -61,17 +59,15 @@ TEST(Schema, SyntheticCardinalities) {
 TEST(AttributeCombination, DefaultAllWildcard) {
   const AttributeCombination ac(4);
   EXPECT_EQ(ac.dim(), 0);
-  EXPECT_TRUE(ac.isRoot());
   EXPECT_FALSE(ac.isLeaf());
   EXPECT_EQ(ac.cuboidMask(), 0u);
 }
 
-TEST(AttributeCombination, DimAndLayerCountConcreteSlots) {
+TEST(AttributeCombination, DimCountsConcreteSlots) {
   AttributeCombination ac(4);
   ac.setSlot(0, 1);
   ac.setSlot(3, 2);
   EXPECT_EQ(ac.dim(), 2);
-  EXPECT_EQ(ac.layer(), 2);
   EXPECT_EQ(ac.cuboidMask(), 0b1001u);
   EXPECT_FALSE(ac.isLeaf());
 }
@@ -129,34 +125,6 @@ TEST(AttributeCombination, AncestorAndCovers) {
   EXPECT_TRUE(coarse.covers(mid));
   EXPECT_FALSE(coarse.covers(other));
   EXPECT_FALSE(coarse.isAncestorOf(other));
-}
-
-TEST(AttributeCombination, ParentsReplaceOneSlot) {
-  const Schema schema = Schema::tiny();
-  const auto ac = AttributeCombination::parse(schema, "(a1, b1, *, d2)").value();
-  const auto parents = ac.parents();
-  ASSERT_EQ(parents.size(), 3u);  // one per concrete slot
-  for (const auto& parent : parents) {
-    EXPECT_EQ(parent.dim(), 2);
-    EXPECT_TRUE(parent.isAncestorOf(ac));
-  }
-}
-
-TEST(AttributeCombination, RootHasNoParents) {
-  const AttributeCombination root(4);
-  EXPECT_TRUE(root.parents().empty());
-}
-
-TEST(AttributeCombination, ChildrenExpandEveryWildcardElement) {
-  const Schema schema = Schema::tiny();  // A(3) B(2) C(2) D(2)
-  const auto ac = AttributeCombination::parse(schema, "(a1, *, c1, *)").value();
-  const auto children = ac.children(schema);
-  // wildcard slots B (2 elements) and D (2 elements) -> 4 children.
-  ASSERT_EQ(children.size(), 4u);
-  for (const auto& child : children) {
-    EXPECT_EQ(child.dim(), 3);
-    EXPECT_TRUE(ac.isAncestorOf(child));
-  }
 }
 
 TEST(AttributeCombination, HashConsistentWithEquality) {
@@ -218,31 +186,6 @@ TEST(Cuboid, SizeIsCardinalityProduct) {
   EXPECT_EQ(cuboidSize(schema, 0b0001), 33u);
   EXPECT_EQ(cuboidSize(schema, 0b1001), 660u);    // Location x Website
   EXPECT_EQ(cuboidSize(schema, 0b1111), 10560u);  // paper §II-B
-}
-
-TEST(Cuboid, NameListsAttributes) {
-  const Schema schema = Schema::cdn();
-  EXPECT_EQ(cuboidName(schema, 0b1001), "Cub{Location,Website}");
-}
-
-TEST(Cuboid, EnumerateMatchesSizeAndIsUnique) {
-  const Schema schema = Schema::tiny();
-  const auto acs = enumerateCuboid(schema, 0b0011);
-  EXPECT_EQ(acs.size(), cuboidSize(schema, 0b0011));
-  const std::set<AttributeCombination> unique(acs.begin(), acs.end());
-  EXPECT_EQ(unique.size(), acs.size());
-  for (const auto& ac : acs) {
-    EXPECT_EQ(ac.cuboidMask(), 0b0011u);
-  }
-}
-
-TEST(Cuboid, LeafIndexRoundTrip) {
-  const Schema schema = Schema::tiny();
-  for (std::uint64_t i = 0; i < schema.leafCount(); ++i) {
-    const auto leaf = leafFromIndex(schema, i);
-    EXPECT_TRUE(leaf.isLeaf());
-    EXPECT_EQ(leafToIndex(schema, leaf), i);
-  }
 }
 
 TEST(Cuboid, ForEachVisitsAll) {
@@ -424,8 +367,9 @@ LeafTable aboveDenseLimitTable() {
 
 TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
   const LeafTable table = aboveDenseLimitTable();
-  const CuboidMask full = allAttributesMask(table.schema());
-  ASSERT_GT(cuboidSize(table.schema(), full), LeafTable::kDenseLimit);
+  const Schema& schema = table.schema();
+  const CuboidMask full = allAttributesMask(schema);
+  ASSERT_GT(cuboidSize(schema, full), LeafTable::kDenseLimit);
   // One scratch across every cuboid, twice: the dense and the sort
   // paths must each leave it clean for the other.
   GroupByScratch scratch;
@@ -435,7 +379,7 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
       const std::size_t count = table.groupByInto(mask, scratch, out);
       std::uint64_t total = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        const auto ac = table.combination(mask, out[i].key);
+        const auto ac = combinationFromKey(schema, mask, out[i].key);
         const auto expected = table.aggregateFor(ac);
         EXPECT_EQ(ac.cuboidMask(), mask);
         EXPECT_EQ(out[i].total, expected.total) << "mask=" << mask;
@@ -443,7 +387,7 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
         EXPECT_TRUE(table.rowMatches(out[i].first_row, ac));
         if (i > 0) {
           EXPECT_LT(out[i - 1].key, out[i].key);
-          EXPECT_LT(table.combination(mask, out[i - 1].key), ac);
+          EXPECT_LT(combinationFromKey(schema, mask, out[i - 1].key), ac);
         }
         total += out[i].total;
       }
@@ -453,7 +397,7 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
       ASSERT_EQ(decoded.size(), count);
       for (std::size_t i = 0; i < count; ++i) {
         const auto expected = table.aggregateFor(decoded[i].ac);
-        EXPECT_EQ(decoded[i].ac, table.combination(mask, out[i].key));
+        EXPECT_EQ(decoded[i].ac, combinationFromKey(schema, mask, out[i].key));
         EXPECT_EQ(decoded[i].total, expected.total);
         EXPECT_EQ(decoded[i].v_sum, expected.v_sum);  // bit for bit
         EXPECT_EQ(decoded[i].f_sum, expected.f_sum);
@@ -486,49 +430,6 @@ TEST(LeafTable, GroupByWithRowsListsMembersAboveDenseLimit) {
     }
     EXPECT_EQ(members, rows.empty() ? table.size() : rows.size());
   }
-}
-
-// --------------------------------------------------------- InvertedIndex
-
-TEST(InvertedIndex, PostingsPartitionRows) {
-  const LeafTable table = tinyTable();
-  const InvertedIndex index(table);
-  for (AttrId a = 0; a < table.schema().attributeCount(); ++a) {
-    std::size_t total = 0;
-    for (ElemId e = 0; e < table.schema().cardinality(a); ++e) {
-      total += index.posting(a, e).size();
-    }
-    EXPECT_EQ(total, table.size());
-  }
-}
-
-TEST(InvertedIndex, RowsMatchingAgreesWithScan) {
-  const LeafTable table = tinyTable();
-  const InvertedIndex index(table);
-  const Schema& schema = table.schema();
-  for (const char* text :
-       {"(a1, *, *, *)", "(a1, b1, *, *)", "(*, b2, c1, d1)", "(*, *, *, *)",
-        "(a3, b2, c2, d2)"}) {
-    const auto ac = AttributeCombination::parse(schema, text).value();
-    std::vector<RowId> scanned;
-    for (RowId id = 0; id < table.size(); ++id) {
-      if (ac.matchesLeaf(table.row(id).ac)) scanned.push_back(id);
-    }
-    EXPECT_EQ(index.rowsMatching(ac), scanned) << text;
-  }
-}
-
-TEST(InvertedIndex, AggregateForMatchesTableScan) {
-  const LeafTable table = tinyTable();
-  const InvertedIndex index(table);
-  const auto ac = AttributeCombination::parse(table.schema(),
-                                              "(a1, *, c1, *)")
-                      .value();
-  const auto from_index = index.aggregateFor(ac);
-  const auto from_scan = table.aggregateFor(ac);
-  EXPECT_EQ(from_index.total, from_scan.total);
-  EXPECT_EQ(from_index.anomalous, from_scan.anomalous);
-  EXPECT_DOUBLE_EQ(from_index.v_sum, from_scan.v_sum);
 }
 
 }  // namespace

@@ -1315,6 +1315,45 @@ TEST_F(JournalDir, ReplayedCompletedWorkIsBitIdenticalViaTheCache) {
   EXPECT_EQ((*journal)->liveCount(), 0u);
 }
 
+TEST_F(JournalDir, SyncRequestsNeverTouchTheJournal) {
+  // The journal makes async admissions durable; it must stay off the
+  // sync path entirely.  A sync miss and a sync cache hit leave no
+  // record, no byte and no append; one async admission appends one.
+  const auto schema = dataset::Schema::tiny();
+  obs::setMetricsEnabled(true);  // before open(): it binds the counter
+  auto& appended =
+      obs::defaultRegistry().counter("rap_svc_journal_appended_total");
+  const std::string file = path("jobs.rapjrnl");
+  auto journal = svc::JobJournal::open({.path = file});
+  ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+  svc::LocalizeService::Options options = smallServiceOptions();
+  options.journal = journal->get();
+  svc::LocalizeService service(schema, core::RapMinerConfig{}, options);
+  const std::string body = csvBodyOf(demoTable(schema));
+
+  const std::uint64_t appended_before = appended.value();
+  const auto bytes_before = std::filesystem::file_size(file);
+  for (const char* expected : {"miss", "hit"}) {
+    const auto response = service.handleLocalize(postRequest(body));
+    ASSERT_EQ(response.status, 200) << response.body;
+    const auto* cache_state = headerOf(response, "X-Rap-Cache");
+    ASSERT_NE(cache_state, nullptr);
+    EXPECT_EQ(*cache_state, expected);
+    EXPECT_EQ((*journal)->liveCount(), 0u) << expected;
+    EXPECT_EQ(std::filesystem::file_size(file), bytes_before) << expected;
+    EXPECT_EQ(appended.value(), appended_before) << expected;
+  }
+
+  const auto accepted = service.handleLocalize(postRequest(body, "mode=async"));
+  ASSERT_EQ(accepted.status, 202) << accepted.body;
+  EXPECT_EQ(appended.value(), appended_before + 1);
+  EXPECT_GT(std::filesystem::file_size(file), bytes_before);
+  service.jobs().drain();
+  EXPECT_EQ((*journal)->liveCount(), 0u);  // the job completed
+  EXPECT_EQ(appended.value(), appended_before + 1);
+  obs::setMetricsEnabled(false);
+}
+
 TEST_F(JournalDir, KillDashNineLosesNoAcceptedJobs) {
   const auto schema = dataset::Schema::tiny();
   const std::string file = path("jobs.rapjrnl");

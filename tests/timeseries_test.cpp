@@ -61,7 +61,7 @@ TEST(TimeSeries, InjectedLeavesDropBelowHistoryLevel) {
     const double yesterday =
         s.history[s.history.size() - 96];  // one compressed day back
     EXPECT_LT(s.current, yesterday)
-        << s.leaf.debugString() << " should have dropped";
+        << s.leaf.toString(generator.schema()) << " should have dropped";
   }
 }
 
