@@ -17,10 +17,16 @@
 // a ~9k-row cdn CSV snapshot and fails if the warm decode makes more
 // than 64 heap allocations: the table's columns are reserved up front,
 // and nothing is allocated per row or per field (docs/service.md,
-// "Snapshot decoding").  The probe's replacement operator new/delete
-// are compiled into this binary only (see src/util/alloc_probe.h).
+// "Snapshot decoding").  Last, it drives a warm window through the
+// stream sealer's data path (4 sorted shard fragments merged by the
+// WindowAssembler, popped, decoded into a table) at 1k and at 9k rows
+// and fails unless both make the same number of heap allocations:
+// nothing per row (docs/streaming.md).  The probe's replacement
+// operator new/delete are compiled into this binary only (see
+// src/util/alloc_probe.h).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -41,6 +47,7 @@
 #include "mining/fpgrowth.h"
 #include "obs/metrics.h"
 #include "stats/histogram.h"
+#include "stream/window.h"
 #include "svc/snapshot.h"
 #include "util/alloc_probe.h"
 #include "util/rng.h"
@@ -463,6 +470,57 @@ int assertSearchAllocBudget() {
   return 0;
 }
 
+/// Heap allocations of one warm window of `rows` cdn leaves through the
+/// sealer's data path: 4 sorted fragments contributed, the window
+/// popped, its table filled.  The fragments are copied before the probe
+/// is armed, as shards hand theirs over already built.
+std::uint64_t windowAssemblyAllocs(std::size_t rows) {
+  const dataset::Schema schema = dataset::Schema::cdn();
+  constexpr std::int32_t kShards = 4;
+  std::vector<std::vector<stream::LeafEvent>> fragments(kShards);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::uint64_t leaf = (i * 7919) % schema.leafCount();
+    fragments[i % kShards].push_back(
+        {leaf, 0, static_cast<double>(i % 13), static_cast<double>(i % 7)});
+  }
+  for (auto& fragment : fragments) {
+    std::sort(fragment.begin(), fragment.end(), stream::canonicalLess);
+  }
+  stream::WindowAssembler assembler(kShards, /*window_width=*/60);
+  std::uint64_t allocs = 0;
+  for (std::int64_t epoch = 0; epoch < 2; ++epoch) {  // epoch 0 warms up
+    auto copies = fragments;
+    if (epoch == 1) util::allocProbeArm();
+    for (std::int32_t shard = 0; shard < kShards; ++shard) {
+      assembler.contribute(shard, epoch,
+                           std::move(copies[static_cast<std::size_t>(shard)]));
+      assembler.sealShardUpTo(shard, epoch);
+    }
+    auto window = assembler.popReady();
+    const auto table = stream::sealedTable(schema, window->rows);
+    benchmark::DoNotOptimize(table.size());
+    if (epoch == 1) allocs = util::allocProbeDisarm();
+  }
+  return allocs;
+}
+
+/// The window-assembly half of --assert-zero-alloc: the same allocation
+/// count at 1k and at 9k rows, so nothing is allocated per row.
+int assertWindowAssemblyAllocs() {
+  const std::uint64_t small = windowAssemblyAllocs(1000);
+  const std::uint64_t large = windowAssemblyAllocs(9000);
+  std::printf("window assembly alloc check: %llu heap allocations at 1000 "
+              "rows, %llu at 9000 rows (4 fragments -> merge -> table)\n",
+              static_cast<unsigned long long>(small),
+              static_cast<unsigned long long>(large));
+  if (small != large) {
+    std::fprintf(stderr, "FAIL: window assembly allocates per row\n");
+    return 1;
+  }
+  std::printf("OK: window assembly allocates nothing per row\n");
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -479,7 +537,11 @@ int main(int argc, char** argv) {
     const int groupby = assertZeroAlloc();
     const int search = assertSearchAllocBudget();
     const int decode = assertDecodeAllocBudget();
-    return groupby != 0 ? groupby : search != 0 ? search : decode;
+    const int window = assertWindowAssemblyAllocs();
+    for (const int code : {groupby, search, decode, window}) {
+      if (code != 0) return code;
+    }
+    return 0;
   }
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());

@@ -73,17 +73,27 @@ std::uint64_t combinationKey(const Schema& schema,
   return key;
 }
 
-AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
-                                        std::uint64_t key) {
+void decodeKey(const Schema& schema, CuboidMask mask, std::uint64_t key,
+               std::span<ElemId> slots) {
+  RAP_CHECK(slots.size() == static_cast<std::size_t>(schema.attributeCount()));
   // The last member attribute is the least significant digit.
-  AttributeCombination ac(schema.attributeCount());
   for (AttrId a = schema.attributeCount(); a-- > 0;) {
-    if ((mask & (1u << a)) == 0) continue;
+    ElemId& slot = slots[static_cast<std::size_t>(a)];
+    if ((mask & (1u << a)) == 0) {
+      slot = kWildcard;
+      continue;
+    }
     const auto card = static_cast<std::uint64_t>(schema.cardinality(a));
-    ac.setSlot(a, static_cast<ElemId>(key % card));
+    slot = static_cast<ElemId>(key % card);
     key /= card;
   }
-  return ac;
+}
+
+AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
+                                        std::uint64_t key) {
+  std::vector<ElemId> slots(static_cast<std::size_t>(schema.attributeCount()));
+  decodeKey(schema, mask, key, slots);
+  return AttributeCombination(std::move(slots));
 }
 
 AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dataset/attribute_combination.h"
@@ -46,8 +47,13 @@ CuboidMask allAttributesMask(const Schema& schema) noexcept;
 std::uint64_t combinationKey(const Schema& schema,
                              const AttributeCombination& ac);
 
-/// Inverse of combinationKey: the combination of cuboid `mask` whose key
-/// is `key`.
+/// Inverse of combinationKey, without allocating: writes the slots of
+/// the combination of cuboid `mask` whose key is `key` into `slots`
+/// (one per schema attribute; kWildcard outside the mask).
+void decodeKey(const Schema& schema, CuboidMask mask, std::uint64_t key,
+               std::span<ElemId> slots);
+
+/// decodeKey into a new AttributeCombination.
 AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
                                         std::uint64_t key);
 

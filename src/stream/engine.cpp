@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dataset/cuboid.h"
 #include "fault/fault.h"
 #include "io/checkpoint.h"
 #include "obs/trace.h"
@@ -16,16 +17,6 @@
 namespace rap::stream {
 
 namespace {
-
-/// Canonical row order for assembled windows: the sealed table's content
-/// is a pure function of the admitted events, independent of producer
-/// interleaving and shard scheduling — localization results are
-/// reproducible run to run.
-bool rowLess(const dataset::LeafRow& a, const dataset::LeafRow& b) noexcept {
-  if (a.ac.slots() != b.ac.slots()) return a.ac.slots() < b.ac.slots();
-  if (a.v != b.v) return a.v < b.v;
-  return a.f < b.f;
-}
 
 /// The stream-level localization deadline, when set, overrides the
 /// miner's own.
@@ -144,19 +135,19 @@ void StreamEngine::start() {
   }
 }
 
-const char* StreamEngine::invalidReason(
-    const StreamEvent& event) const noexcept {
-  if (event.leaf.attributeCount() != schema_.attributeCount()) {
+const char* StreamEngine::invalidReason(std::span<const dataset::ElemId> slots,
+                                        double v, double f) const noexcept {
+  if (slots.size() != static_cast<std::size_t>(schema_.attributeCount())) {
     return "attribute arity does not match schema";
   }
   for (dataset::AttrId a = 0; a < schema_.attributeCount(); ++a) {
-    const dataset::ElemId elem = event.leaf.slot(a);
+    const dataset::ElemId elem = slots[static_cast<std::size_t>(a)];
     // Rejects wildcards (kWildcard == -1) and out-of-range ids alike.
     if (elem < 0) return "wildcard or negative element id";
     if (elem >= schema_.cardinality(a)) return "element id out of range";
   }
-  if (!std::isfinite(event.v)) return "non-finite actual value";
-  if (!std::isfinite(event.f)) return "non-finite forecast value";
+  if (!std::isfinite(v)) return "non-finite actual value";
+  if (!std::isfinite(f)) return "non-finite forecast value";
   return nullptr;
 }
 
@@ -180,17 +171,22 @@ PushResult StreamEngine::ingestBatch(std::vector<StreamEvent> events) {
     // dropped_newest, never silently.
     total.dropped_newest = events.size();
   } else {
-    std::vector<std::vector<StreamEvent>> parts(shards_.size());
+    std::vector<std::vector<LeafEvent>> parts(shards_.size());
     dataset::AcHash hasher;
     for (auto& event : events) {
-      if (const char* reason = invalidReason(event)) {
+      if (const char* reason =
+              invalidReason(event.leaf.slots(), event.v, event.f)) {
         rejected += 1;
         quarantined += 1;
         quarantine_.add(std::move(event), reason);
         continue;
       }
+      // Routing hashes the combination, as it always has; from here on
+      // the leaf travels as its index.
       const std::size_t shard = hasher(event.leaf) % shards_.size();
-      parts[shard].push_back(std::move(event));
+      parts[shard].push_back(LeafEvent{
+          dataset::combinationKey(schema_, event.leaf), event.ts, event.v,
+          event.f});
     }
     for (std::size_t i = 0; i < parts.size(); ++i) {
       if (!parts[i].empty()) total += shards_[i]->offer(std::move(parts[i]));
@@ -337,16 +333,8 @@ void StreamEngine::processWindow(SealedWindow window) {
                      {{"epoch", window.epoch}, {"shard", shard}});
     }
   }
-  std::sort(window.rows.begin(), window.rows.end(), rowLess);
-
-  // The rows outlive the table build: their combinations are freed when
-  // `window` goes out of scope, after the window callback, not inside
-  // the seal latency.
-  dataset::LeafTable table(schema_);
-  table.reserve(window.rows.size());
-  for (const auto& row : window.rows) {
-    table.addRow(row.ac.slots(), row.v, row.f, row.anomalous);
-  }
+  // The assembler released the rows in canonical order already.
+  dataset::LeafTable table = sealedTable(schema_, window.rows);
 
   const std::uint32_t flagged = detector_.run(table);
   bool alarmed = false;
@@ -470,27 +458,38 @@ util::Result<io::StreamCheckpoint> StreamEngine::captureCheckpoint() {
   // restore never re-localizes a window this run already owned.
   pool_->wait();
 
+  // RAPCHKPT-1 stores rows as element ids: decode each leaf index.
+  const auto toRows = [this](const std::vector<LeafEvent>& events) {
+    std::vector<dataset::LeafRow> rows;
+    rows.reserve(events.size());
+    for (const LeafEvent& event : events) {
+      rows.push_back(dataset::LeafRow{
+          dataset::leafFromIndex(schema_, event.leaf), event.v, event.f,
+          /*anomalous=*/false});
+    }
+    return rows;
+  };
   io::StreamCheckpoint checkpoint;
   checkpoint.shards = config_.shards;
   checkpoint.window_width = config_.window_width;
   checkpoint.max_event_ts = watermark_.maxTimestamp();
   checkpoint.shard_sealed_up_to.resize(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    ShardState state = shards_[i]->snapshotState();
+    const ShardState state = shards_[i]->snapshotState();
     checkpoint.shard_sealed_up_to[i] = state.sealed_up_to;
-    for (auto& [epoch, rows] : state.open) {
+    for (const auto& [epoch, events] : state.open) {
       io::StreamCheckpoint::Fragment fragment;
       fragment.shard = static_cast<std::int32_t>(i);
       fragment.epoch = epoch;
-      fragment.rows = std::move(rows);
+      fragment.rows = toRows(events);
       checkpoint.fragments.push_back(std::move(fragment));
     }
   }
-  for (auto& [epoch, rows] : assembler_.snapshotPending()) {
+  for (const auto& [epoch, events] : assembler_.snapshotPending()) {
     io::StreamCheckpoint::Fragment fragment;
     fragment.shard = -1;
     fragment.epoch = epoch;
-    fragment.rows = std::move(rows);
+    fragment.rows = toRows(events);
     checkpoint.fragments.push_back(std::move(fragment));
   }
   return checkpoint;
@@ -509,7 +508,8 @@ util::Status StreamEngine::checkpoint(const std::string& path) {
   return util::Status::ok();
 }
 
-void StreamEngine::installCheckpoint(const io::StreamCheckpoint& checkpoint) {
+util::Status StreamEngine::installCheckpoint(
+    const io::StreamCheckpoint& checkpoint) {
   RAP_CHECK_MSG(!started_.load(), "restore only before start()");
   RAP_CHECK(checkpoint.shard_sealed_up_to.size() == shards_.size());
   if (checkpoint.max_event_ts != io::StreamCheckpoint::kNone) {
@@ -520,15 +520,35 @@ void StreamEngine::installCheckpoint(const io::StreamCheckpoint& checkpoint) {
     states[i].sealed_up_to = checkpoint.shard_sealed_up_to[i];
   }
   for (const auto& fragment : checkpoint.fragments) {
+    // Every row passes the ingest rules before it is encoded: the file
+    // is outside input, and a bad slot would otherwise encode to a wrong
+    // leaf or abort the table build at seal time.
+    std::vector<LeafEvent> events;
+    events.reserve(fragment.rows.size());
+    for (std::size_t r = 0; r < fragment.rows.size(); ++r) {
+      const dataset::LeafRow& row = fragment.rows[r];
+      if (const char* reason = invalidReason(row.ac.slots(), row.v, row.f)) {
+        return util::Status::invalidArgument(util::strFormat(
+            "checkpoint fragment (shard %d, epoch %lld) row %zu: %s",
+            fragment.shard, static_cast<long long>(fragment.epoch), r,
+            reason));
+      }
+      // The checkpoint keeps no event times; bucketed rows never read
+      // theirs again.
+      events.push_back(LeafEvent{dataset::combinationKey(schema_, row.ac),
+                                 /*ts=*/0, row.v, row.f});
+    }
     if (fragment.shard < 0) {
       // Already past the shards when checkpointed: contribute straight
-      // to the assembler, pending the remaining shards' seals.  The
+      // to the assembler, pending the remaining shards' seals.  Older
+      // files hold these rows in arrival order, so sort first.  The
       // originating shard is gone, so the fragment carries no flow lane.
-      assembler_.contribute(-1, fragment.epoch, fragment.rows);
+      std::sort(events.begin(), events.end(), canonicalLess);
+      assembler_.contribute(-1, fragment.epoch, std::move(events));
     } else {
       auto& open = states[static_cast<std::size_t>(fragment.shard)]
                        .open[fragment.epoch];
-      open.insert(open.end(), fragment.rows.begin(), fragment.rows.end());
+      open.insert(open.end(), events.begin(), events.end());
     }
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -538,6 +558,7 @@ void StreamEngine::installCheckpoint(const io::StreamCheckpoint& checkpoint) {
     }
     shards_[i]->restore(std::move(states[i]));
   }
+  return util::Status::ok();
 }
 
 util::Result<std::unique_ptr<StreamEngine>> StreamEngine::restore(
@@ -557,7 +578,7 @@ util::Result<std::unique_ptr<StreamEngine>> StreamEngine::restore(
         static_cast<long long>(config.window_width)));
   }
   auto engine = std::make_unique<StreamEngine>(std::move(schema), config);
-  engine->installCheckpoint(checkpoint);
+  RAP_RETURN_IF_ERROR(engine->installCheckpoint(checkpoint));
   RAP_LOG_KV(
       Info, {"path", path},
       {"fragments", static_cast<std::int64_t>(checkpoint.fragments.size())},

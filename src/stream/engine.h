@@ -1,10 +1,11 @@
 // StreamEngine — the streaming front-end of the paper's Fig. 1 workflow.
 //
 //   producers ──ingest──> shard queues ──consumers──> window fragments
-//                                            │ watermark seals
+//   (validate, encode                        │ watermark seals: each shard
+//    StreamEvent -> LeafEvent)               │ sorts its fragment
 //                                            v
-//                                     WindowAssembler
-//                                            │ whole windows, epoch order
+//                                     WindowAssembler (merges)
+//                                            │ canonical windows, epoch order
 //                                            v
 //              sealer thread: detect -> aggregate alarm -> trigger
 //                                            │ snapshot on trigger
@@ -33,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -230,9 +232,12 @@ class StreamEngine {
     ShardMetrics shard;
   };
 
-  /// nullptr when the event is valid, else a static reason string
+  /// nullptr when a leaf row is valid, else a static reason string
   /// (arity mismatch, wildcard / out-of-range id, non-finite KPI value).
-  const char* invalidReason(const StreamEvent& event) const noexcept;
+  /// Both ingested events and checkpointed fragment rows pass it before
+  /// their leaf is encoded.
+  const char* invalidReason(std::span<const dataset::ElemId> slots, double v,
+                            double f) const noexcept;
   void maybeBroadcastSeal();
   void onShardProgress();
   void sealerLoop();
@@ -240,7 +245,9 @@ class StreamEngine {
   bool allShardsAcked(std::uint64_t token) const;
   bool allShardsSnapshotAcked(std::uint64_t token) const;
   util::Result<io::StreamCheckpoint> captureCheckpoint();
-  void installCheckpoint(const io::StreamCheckpoint& checkpoint);
+  /// invalidArgument when a fragment row fails invalidReason; restore()
+  /// then discards the engine.
+  util::Status installCheckpoint(const io::StreamCheckpoint& checkpoint);
 
   dataset::Schema schema_;
   StreamConfig config_;

@@ -4,11 +4,18 @@
 // deployment of the paper's pipeline computes forecasts next to the
 // collection layer, so localization inputs arrive ready-made).
 //
+// LeafEvent — the same measurement once ingest has validated it: the
+// leaf packed into its mixed-radix index (dataset::combinationKey over
+// every attribute, attribute 0 most significant).  It is what queues,
+// shards, the window assembler and sealed windows carry, so nothing past
+// ingest allocates per event.
+//
 // Timestamps are abstract event-time units (the replay harnesses use
 // "seconds"); windows of width W cover [e*W, (e+1)*W) for epoch e.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 #include "dataset/attribute_combination.h"
 
@@ -20,6 +27,25 @@ struct StreamEvent {
   double v = 0.0;                      ///< actual KPI value
   double f = 0.0;                      ///< forecast KPI value
 };
+
+struct LeafEvent {
+  std::uint64_t leaf = 0;  ///< mixed-radix leaf index, < leafCount()
+  std::int64_t ts = 0;     ///< event time
+  double v = 0.0;          ///< actual KPI value
+  double f = 0.0;          ///< forecast KPI value
+};
+static_assert(sizeof(LeafEvent) == 32);
+static_assert(std::is_trivially_copyable_v<LeafEvent>);
+
+/// Canonical row order of a sealed window: leaf index, then v, then f.
+/// Leaf-index order is the lexicographic order of the leaves' element
+/// ids, so the sealed table's content is a pure function of the admitted
+/// events, independent of producer interleaving and shard scheduling.
+constexpr bool canonicalLess(const LeafEvent& a, const LeafEvent& b) noexcept {
+  if (a.leaf != b.leaf) return a.leaf < b.leaf;
+  if (a.v != b.v) return a.v < b.v;
+  return a.f < b.f;
+}
 
 /// Floor division, correct for negative timestamps (epochs must tile the
 /// whole time axis, not mirror around zero).

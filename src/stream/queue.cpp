@@ -10,19 +10,17 @@ BoundedEventQueue::BoundedEventQueue(std::size_t capacity,
   RAP_CHECK(capacity_ >= 1);
 }
 
-PushResult BoundedEventQueue::push(StreamEvent event) {
-  std::vector<StreamEvent> one;
-  one.push_back(std::move(event));
-  return pushMany(std::move(one));
+PushResult BoundedEventQueue::push(LeafEvent event) {
+  return pushMany(std::vector<LeafEvent>{event});
 }
 
-PushResult BoundedEventQueue::pushMany(std::vector<StreamEvent>&& batch) {
+PushResult BoundedEventQueue::pushMany(std::vector<LeafEvent>&& batch) {
   PushResult result;
   if (batch.empty()) return result;
   bool wake_consumer = false;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (auto& event : batch) {
+    for (const LeafEvent& event : batch) {
       if (closed_) {
         result.dropped_newest += 1;
         continue;
@@ -54,7 +52,7 @@ PushResult BoundedEventQueue::pushMany(std::vector<StreamEvent>&& batch) {
         }
       }
       if (event.ts > result.max_accepted_ts) result.max_accepted_ts = event.ts;
-      buffer_.push_back(std::move(event));
+      buffer_.push_back(event);
       result.accepted += 1;
       wake_consumer = true;
     }
@@ -64,7 +62,7 @@ PushResult BoundedEventQueue::pushMany(std::vector<StreamEvent>&& batch) {
   return result;
 }
 
-bool BoundedEventQueue::drainOrWait(std::vector<StreamEvent>& out) {
+bool BoundedEventQueue::drainOrWait(std::vector<LeafEvent>& out) {
   const std::size_t before = out.size();
   bool was_closed = false;
   {
@@ -72,10 +70,8 @@ bool BoundedEventQueue::drainOrWait(std::vector<StreamEvent>& out) {
     not_empty_.wait(lock,
                     [this] { return !buffer_.empty() || closed_ || nudged_; });
     nudged_ = false;
-    while (!buffer_.empty()) {
-      out.push_back(std::move(buffer_.front()));
-      buffer_.pop_front();
-    }
+    out.insert(out.end(), buffer_.begin(), buffer_.end());
+    buffer_.clear();
     was_closed = closed_;
   }
   const bool drained = out.size() > before;
@@ -83,15 +79,13 @@ bool BoundedEventQueue::drainOrWait(std::vector<StreamEvent>& out) {
   return drained || !was_closed;
 }
 
-void BoundedEventQueue::drainNow(std::vector<StreamEvent>& out) {
+void BoundedEventQueue::drainNow(std::vector<LeafEvent>& out) {
   bool drained = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    while (!buffer_.empty()) {
-      out.push_back(std::move(buffer_.front()));
-      buffer_.pop_front();
-      drained = true;
-    }
+    drained = !buffer_.empty();
+    out.insert(out.end(), buffer_.begin(), buffer_.end());
+    buffer_.clear();
   }
   if (drained) not_full_.notify_all();
 }

@@ -1,5 +1,6 @@
 // Bounded MPSC event queue with explicit backpressure policies — the
-// buffer between producer threads and one shard's consumer.
+// buffer between producer threads and one shard's consumer.  It carries
+// validated, packed LeafEvents (stream/event.h).
 //
 // Producers push single events or whole batches (one lock per batch);
 // the consumer drains everything queued in one swap-like move, so queue
@@ -52,17 +53,17 @@ class BoundedEventQueue {
   /// Offers one event / a whole batch under one lock.  kBlock waits for
   /// room (and accepts everything unless the queue closes mid-wait);
   /// the drop policies never wait.  Events in `batch` are consumed.
-  PushResult push(StreamEvent event);
-  PushResult pushMany(std::vector<StreamEvent>&& batch);
+  PushResult push(LeafEvent event);
+  PushResult pushMany(std::vector<LeafEvent>&& batch);
 
   /// Consumer side: appends every queued event to `out`.  Blocks until
   /// events arrive, nudge() is called, or the queue closes.  Returns
   /// false only when the queue is closed and nothing was drained (the
   /// terminal state).
-  bool drainOrWait(std::vector<StreamEvent>& out);
+  bool drainOrWait(std::vector<LeafEvent>& out);
 
   /// Non-blocking drain (used for the final flush).
-  void drainNow(std::vector<StreamEvent>& out);
+  void drainNow(std::vector<LeafEvent>& out);
 
   /// Wakes the consumer without delivering events (watermark advanced,
   /// drain requested, shutdown).  Spurious wakeups are expected by the
@@ -83,7 +84,7 @@ class BoundedEventQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;  ///< also signalled by nudge/close
   std::condition_variable not_full_;
-  std::deque<StreamEvent> buffer_;
+  std::deque<LeafEvent> buffer_;
   bool closed_ = false;
   bool nudged_ = false;
 };

@@ -1,5 +1,6 @@
 #include "stream/shard.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/trace.h"
@@ -34,7 +35,7 @@ void Shard::join() {
   if (consumer_.joinable()) consumer_.join();
 }
 
-PushResult Shard::offer(std::vector<StreamEvent>&& batch) {
+PushResult Shard::offer(std::vector<LeafEvent>&& batch) {
   PushResult result = queue_.pushMany(std::move(batch));
   if (result.max_accepted_ts != PushResult::kNoTimestamp) {
     // Watermark moves only after the events backing it are queued, so a
@@ -79,20 +80,19 @@ void Shard::restore(ShardState state) {
   open_ = std::move(state.open);
 }
 
-void Shard::bucketEvents(std::vector<StreamEvent>& batch) {
+void Shard::bucketEvents(std::vector<LeafEvent>& batch) {
   if (batch.empty()) return;
   const std::int64_t mark = watermark_.watermark();
   std::uint64_t late_admitted = 0;
   std::uint64_t late_dropped = 0;
-  for (auto& event : batch) {
+  for (const LeafEvent& event : batch) {
     const std::int64_t epoch = epochOf(event.ts, config_.window_width);
     if (epoch <= sealed_up_to_) {
       late_dropped += 1;
       continue;
     }
     if (mark != WatermarkTracker::kNone && event.ts < mark) late_admitted += 1;
-    open_[epoch].push_back(dataset::LeafRow{std::move(event.leaf), event.v,
-                                            event.f, /*anomalous=*/false});
+    open_[epoch].push_back(event);
   }
   counters_.queued.fetch_sub(static_cast<std::int64_t>(batch.size()),
                              std::memory_order_relaxed);
@@ -113,19 +113,22 @@ void Shard::bucketEvents(std::vector<StreamEvent>& batch) {
 
 void Shard::sealUpTo(std::int64_t epoch) {
   for (auto it = open_.begin(); it != open_.end() && it->first <= epoch;) {
+    std::vector<LeafEvent>& rows = it->second;
     if (obs::tracingEnabled()) {
       // The ingest-side stage of the window's trace lane: a span over
-      // this shard's fragment hand-off, starting the flow the sealer
-      // terminates in processWindow.
+      // this shard's fragment sort and hand-off, starting the flow the
+      // sealer terminates in processWindow.
       RAP_TRACE_SPAN("stream/shard_seal",
                      {{"epoch", it->first},
                       {"shard", id_},
-                      {"rows", static_cast<std::int64_t>(it->second.size())}});
+                      {"rows", static_cast<std::int64_t>(rows.size())}});
+      std::sort(rows.begin(), rows.end(), canonicalLess);
       obs::traceFlow('s', kWindowFlowName, windowFlowId(it->first, id_ + 1),
                      {{"epoch", it->first}, {"shard", id_}});
-      assembler_.contribute(id_, it->first, std::move(it->second));
+      assembler_.contribute(id_, it->first, std::move(rows));
     } else {
-      assembler_.contribute(id_, it->first, std::move(it->second));
+      std::sort(rows.begin(), rows.end(), canonicalLess);
+      assembler_.contribute(id_, it->first, std::move(rows));
     }
     it = open_.erase(it);
   }
@@ -135,7 +138,7 @@ void Shard::sealUpTo(std::int64_t epoch) {
 }
 
 void Shard::consumerLoop() {
-  std::vector<StreamEvent> batch;
+  std::vector<LeafEvent> batch;
   for (;;) {
     batch.clear();
     const bool alive = queue_.drainOrWait(batch);

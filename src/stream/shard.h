@@ -7,7 +7,9 @@
 // queue's.  Sealing decisions are local: the shard compares the shared
 // watermark against its own open epochs, hands sealed fragments to the
 // WindowAssembler, and drops events that arrive for epochs it has
-// already sealed (counted, never silent).
+// already sealed (counted, never silent).  Each fragment is sorted into
+// canonical order (canonicalLess) on this thread before it is handed
+// over, so the assembler only merges and the sealer never sorts.
 #pragma once
 
 #include <atomic>
@@ -50,7 +52,7 @@ struct ShardMetrics {
 /// snapshot protocol (checkpoint) and re-injected by restore().
 struct ShardState {
   std::int64_t sealed_up_to = WatermarkTracker::kNone;
-  std::map<std::int64_t, std::vector<dataset::LeafRow>> open;
+  std::map<std::int64_t, std::vector<LeafEvent>> open;
 };
 
 class Shard {
@@ -84,7 +86,7 @@ class Shard {
 
   /// Producer side: offers events to the bounded queue (backpressure
   /// policy applies) and advances the watermark by the accepted events.
-  PushResult offer(std::vector<StreamEvent>&& batch);
+  PushResult offer(std::vector<LeafEvent>&& batch);
 
   /// Flush request: the consumer will move every buffered event into its
   /// window fragments, seal ALL open epochs, and acknowledge `token`.
@@ -105,8 +107,9 @@ class Shard {
 
  private:
   void consumerLoop();
-  void bucketEvents(std::vector<StreamEvent>& batch);
-  /// Contributes every open epoch <= `epoch` and seals up to it.
+  void bucketEvents(std::vector<LeafEvent>& batch);
+  /// Sorts and contributes every open epoch <= `epoch`, then seals up
+  /// to it.
   void sealUpTo(std::int64_t epoch);
 
   const std::int32_t id_;
@@ -120,7 +123,7 @@ class Shard {
   BoundedEventQueue queue_;
 
   // Consumer-thread state.
-  std::map<std::int64_t, std::vector<dataset::LeafRow>> open_;
+  std::map<std::int64_t, std::vector<LeafEvent>> open_;
   std::int64_t sealed_up_to_ = WatermarkTracker::kNone;
 
   std::atomic<std::uint64_t> drain_requested_{0};

@@ -1,7 +1,9 @@
 #include "stream/window.h"
 
 #include <algorithm>
+#include <array>
 
+#include "dataset/cuboid.h"
 #include "stream/watermark.h"
 #include "util/status.h"
 
@@ -17,7 +19,7 @@ WindowAssembler::WindowAssembler(std::int32_t shard_count,
 }
 
 void WindowAssembler::contribute(std::int32_t shard, std::int64_t epoch,
-                                 std::vector<dataset::LeafRow> rows) {
+                                 std::vector<LeafEvent> rows) {
   if (rows.empty()) return;
   std::lock_guard<std::mutex> lock(mutex_);
   auto [it, inserted] = pending_.try_emplace(epoch);
@@ -26,8 +28,10 @@ void WindowAssembler::contribute(std::int32_t shard, std::int64_t epoch,
   if (slot.rows.empty()) {
     slot.rows = std::move(rows);
   } else {
-    slot.rows.insert(slot.rows.end(), std::make_move_iterator(rows.begin()),
-                     std::make_move_iterator(rows.end()));
+    const auto middle = static_cast<std::ptrdiff_t>(slot.rows.size());
+    slot.rows.insert(slot.rows.end(), rows.begin(), rows.end());
+    std::inplace_merge(slot.rows.begin(), slot.rows.begin() + middle,
+                       slot.rows.end(), canonicalLess);
   }
   slot.contributors.push_back(shard);
 }
@@ -43,10 +47,10 @@ std::int64_t WindowAssembler::sealedUpTo() const {
   return *std::min_element(shard_sealed_.begin(), shard_sealed_.end());
 }
 
-std::map<std::int64_t, std::vector<dataset::LeafRow>>
+std::map<std::int64_t, std::vector<LeafEvent>>
 WindowAssembler::snapshotPending() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::int64_t, std::vector<dataset::LeafRow>> out;
+  std::map<std::int64_t, std::vector<LeafEvent>> out;
   for (const auto& [epoch, pending] : pending_) out[epoch] = pending.rows;
   return out;
 }
@@ -83,6 +87,21 @@ bool WindowAssembler::hasReady() const {
       *std::min_element(shard_sealed_.begin(), shard_sealed_.end());
   return ready_up_to != WatermarkTracker::kNone &&
          pending_.begin()->first <= ready_up_to;
+}
+
+dataset::LeafTable sealedTable(const dataset::Schema& schema,
+                               std::span<const LeafEvent> rows) {
+  const dataset::CuboidMask leaves = dataset::allAttributesMask(schema);
+  std::array<dataset::ElemId, 32> buffer;  // a schema has <= 32 attributes
+  const std::span<dataset::ElemId> slots(
+      buffer.data(), static_cast<std::size_t>(schema.attributeCount()));
+  dataset::LeafTable table(schema);
+  table.reserve(rows.size());
+  for (const LeafEvent& row : rows) {
+    dataset::decodeKey(schema, leaves, row.leaf, slots);
+    table.addRow(slots, row.v, row.f, /*anomalous=*/false);
+  }
+  return table;
 }
 
 }  // namespace rap::stream

@@ -8,6 +8,10 @@
 // EVERY shard has sealed past it — the assembler then releases windows
 // in strictly increasing epoch order, which is what keeps the
 // aggregate-KPI alarm's seasonal phase arithmetic honest downstream.
+//
+// Fragments arrive sorted in canonical order (canonicalLess); the
+// assembler merges each one into the epoch's pending rows, so a released
+// window is already canonical and the sealer only decodes it.
 #pragma once
 
 #include <chrono>
@@ -15,6 +19,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dataset/leaf_table.h"
@@ -27,7 +32,7 @@ struct SealedWindow {
   std::int64_t epoch = 0;
   std::int64_t start_ts = 0;  ///< inclusive
   std::int64_t end_ts = 0;    ///< exclusive
-  std::vector<dataset::LeafRow> rows;  ///< concatenated shard fragments
+  std::vector<LeafEvent> rows;  ///< merged shard fragments, canonical order
   /// Shard ids that contributed fragments, ascending; -1 entries come
   /// from checkpoint-restored fragments whose origin is gone.  The
   /// sealer terminates each shard's trace flow against this list.
@@ -61,12 +66,13 @@ class WindowAssembler {
   WindowAssembler(const WindowAssembler&) = delete;
   WindowAssembler& operator=(const WindowAssembler&) = delete;
 
-  /// Appends one shard's fragment for `epoch`.  Must happen before that
-  /// shard seals past the epoch.  `shard` identifies the contributor
-  /// for trace correlation; pass -1 for fragments restored from a
-  /// checkpoint (their producing shard no longer exists).
+  /// Merges one shard's fragment for `epoch`, which must be sorted by
+  /// canonicalLess, into the epoch's pending rows.  Must happen before
+  /// that shard seals past the epoch.  `shard` identifies the
+  /// contributor for trace correlation; pass -1 for fragments restored
+  /// from a checkpoint (their producing shard no longer exists).
   void contribute(std::int32_t shard, std::int64_t epoch,
-                  std::vector<dataset::LeafRow> rows);
+                  std::vector<LeafEvent> rows);
 
   /// Shard `shard` promises no further contribute() at epoch <= `epoch`.
   /// Monotone per shard (lower values are ignored).
@@ -82,13 +88,13 @@ class WindowAssembler {
   /// while any shard has not sealed anything yet).
   std::int64_t sealedUpTo() const;
 
-  /// Copy of every pending (partially sealed) fragment, for checkpoints.
-  std::map<std::int64_t, std::vector<dataset::LeafRow>> snapshotPending()
-      const;
+  /// Copy of every pending (partially sealed) epoch's rows, canonical
+  /// order, for checkpoints.
+  std::map<std::int64_t, std::vector<LeafEvent>> snapshotPending() const;
 
  private:
   struct Pending {
-    std::vector<dataset::LeafRow> rows;
+    std::vector<LeafEvent> rows;  ///< canonical order
     std::vector<std::int32_t> contributors;
     std::chrono::steady_clock::time_point first_seen{};
   };
@@ -101,5 +107,11 @@ class WindowAssembler {
   std::map<std::int64_t, Pending> pending_;
   std::vector<std::int64_t> shard_sealed_;  ///< per shard, kNone initially
 };
+
+/// The leaf table of a sealed window's rows, in their order: each leaf
+/// index decoded straight into the table's columns, every verdict false
+/// until detection runs.
+dataset::LeafTable sealedTable(const dataset::Schema& schema,
+                               std::span<const LeafEvent> rows);
 
 }  // namespace rap::stream

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -402,6 +403,119 @@ TEST_F(TempDir, CheckpointRequiresRunningEngine) {
   StreamEngine engine(schema, StreamConfig{});
   EXPECT_EQ(engine.checkpoint(path("chk")).code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+/// A one-shard RAPCHKPT-1 file over Schema::cdn() carrying one fragment
+/// row, written the way a hostile or corrupted producer could.
+void writeOneRowCheckpoint(const std::string& file, std::int32_t shard,
+                           const std::string& row) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out << "RAPCHKPT 1\nshards 1\nwindow_width 60\nmax_event_ts 10\n"
+      << "sealed " << io::StreamCheckpoint::kNone << "\n"
+      << "fragment " << shard << " 0 1\n"
+      << row << "\nend\n";
+}
+
+TEST_F(TempDir, RestoreRejectsCheckpointRowsThatFailIngestRules) {
+  StreamConfig config;
+  config.shards = 1;
+  config.window_width = 60;
+  const struct {
+    const char* what;
+    const char* row;
+  } cases[] = {
+      // Location has 33 elements.
+      {"out-of-range slot", "99 0 0 0 0x1p+0 0x1p+0 0"},
+      {"short row", "1 0 0 0x1p+0 0x1p+0 0"},
+      {"wildcard slot", "1 -1 0 0 0x1p+0 0x1p+0 0"},
+      {"nan actual value", "1 0 0 0 nan 0x1p+0 0"},
+      {"infinite forecast", "1 0 0 0 0x1p+0 inf 0"},
+  };
+  for (const std::int32_t shard : {0, -1}) {
+    for (const auto& c : cases) {
+      writeOneRowCheckpoint(path("chk"), shard, c.row);
+      auto restored = StreamEngine::restore(Schema::cdn(), config, path("chk"));
+      EXPECT_EQ(restored.status().code(), util::StatusCode::kInvalidArgument)
+          << c.what << " (shard " << shard << ")";
+    }
+  }
+  // The same file with a valid row restores and drains cleanly.
+  writeOneRowCheckpoint(path("chk"), 0, "32 3 3 19 0x1p+0 0x1p+0 0");
+  auto restored = StreamEngine::restore(Schema::cdn(), config, path("chk"));
+  ASSERT_TRUE(restored.isOk()) << restored.status().message();
+  StreamEngine& engine = *restored.value();
+  engine.start();
+  engine.drain();
+  engine.stop();
+  EXPECT_EQ(engine.stats().windows_sealed, 1u);
+}
+
+TEST_F(TempDir, NonCanonicalPendingFragmentRestoresToSameLocalizations) {
+  // Older writers put assembler-pending fragments (shard -1) in arrival
+  // order; a restore must still seal the canonical window.  The RAPMD
+  // case's table is in leaf order, so it is the reference row for row.
+  const Schema schema = Schema::synthetic({6, 5, 4});
+  gen::RapmdConfig gen_config;
+  gen_config.num_cases = 1;
+  gen_config.label_noise = 0.0;
+  const gen::Case c =
+      gen::RapmdGenerator(schema, gen_config, /*seed=*/11).generateCase(0);
+  StreamConfig config;
+  config.shards = 3;
+  config.window_width = 60;
+  config.trigger = TriggerPolicy::kAnomalousWindow;
+
+  dataset::LeafTable reference = c.table;
+  detect::RelativeDeviationDetector(config.detect_threshold).run(reference);
+  const auto expected =
+      core::RapMiner(config.miner).localize(reference, config.top_k);
+  ASSERT_FALSE(expected.patterns.empty());
+
+  std::vector<dataset::LeafRow> rows;
+  for (const auto& row : c.table.rows()) {
+    rows.push_back({row.ac, row.v, row.f, false});
+  }
+  util::Rng rng(3);
+  rng.shuffle(rows);
+  io::StreamCheckpoint checkpoint;
+  checkpoint.shards = config.shards;
+  checkpoint.window_width = config.window_width;
+  checkpoint.max_event_ts = config.window_width - 1;
+  // Shards 0 and 1 sealed epoch 0; shard 2 had not, so epoch 0 waits in
+  // the assembler.
+  checkpoint.shard_sealed_up_to = {0, 0, io::StreamCheckpoint::kNone};
+  checkpoint.fragments.push_back({-1, 0, std::move(rows)});
+  ASSERT_TRUE(io::saveStreamCheckpoint(checkpoint, path("chk")).isOk());
+
+  auto restored = StreamEngine::restore(schema, config, path("chk"));
+  ASSERT_TRUE(restored.isOk()) << restored.status().message();
+  StreamEngine& engine = *restored.value();
+  std::vector<dataset::LeafRow> sealed;
+  engine.setWindowCallback([&](const StreamEngine::WindowInfo& info) {
+    for (const auto& row : info.table.rows()) sealed.push_back(row);
+  });
+  engine.start();
+  engine.drain();
+  engine.stop();
+
+  // The sealed window is the canonical one, row for row.
+  ASSERT_EQ(sealed.size(), reference.size());
+  for (dataset::RowId r = 0; r < reference.size(); ++r) {
+    const dataset::LeafRow want = reference.row(r);
+    EXPECT_EQ(sealed[r].ac, want.ac) << "row " << r;
+    EXPECT_EQ(sealed[r].v, want.v);
+    EXPECT_EQ(sealed[r].f, want.f);
+    EXPECT_EQ(sealed[r].anomalous, want.anomalous);
+  }
+  const auto localizations = engine.takeLocalizations();
+  ASSERT_EQ(localizations.size(), 1u);
+  const auto& got = localizations.front().result.patterns;
+  ASSERT_EQ(got.size(), expected.patterns.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].ac, expected.patterns[i].ac);
+    EXPECT_EQ(got[i].score, expected.patterns[i].score);
+    EXPECT_EQ(got[i].confidence, expected.patterns[i].confidence);
+  }
 }
 
 // ---------------------------------------------------------------------------

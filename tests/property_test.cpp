@@ -12,6 +12,7 @@
 #include "gen/rapmd.h"
 #include "gen/squeeze_gen.h"
 #include "io/csv.h"
+#include "stream/event.h"
 #include "util/rng.h"
 
 namespace rap {
@@ -66,7 +67,8 @@ TEST_P(RandomTableProperty, GroupByPartitionsEveryCuboid) {
 
 TEST_P(RandomTableProperty, CombinationCodecAgreesWithGroupByKeys) {
   // The one mixed-radix codec: in every cuboid, the k-th combination in
-  // lexicographic order has key k and decodes back from it, and every
+  // lexicographic order has key k and decodes back from it (through
+  // combinationFromKey and the non-allocating decodeKey alike), and every
   // key groupByInto's column sweep produces is the codec's key of the
   // group's combination, whether that is decoded or projected from the
   // group's first row.
@@ -75,6 +77,8 @@ TEST_P(RandomTableProperty, CombinationCodecAgreesWithGroupByKeys) {
   const Schema& schema = table.schema();
   dataset::GroupByScratch scratch;
   std::vector<dataset::KeyedGroup> out;
+  std::vector<dataset::ElemId> slots(
+      static_cast<std::size_t>(schema.attributeCount()), 99);
   for (const auto mask :
        dataset::allCuboidsByLayer(dataset::allAttributesMask(schema))) {
     std::uint64_t position = 0;
@@ -83,6 +87,8 @@ TEST_P(RandomTableProperty, CombinationCodecAgreesWithGroupByKeys) {
           EXPECT_EQ(dataset::combinationKey(schema, ac), position)
               << "mask=" << mask;
           EXPECT_EQ(dataset::combinationFromKey(schema, mask, position), ac);
+          dataset::decodeKey(schema, mask, position, slots);
+          EXPECT_EQ(slots, ac.slots()) << "mask=" << mask;
           ++position;
         });
     EXPECT_EQ(position, dataset::cuboidSize(schema, mask));
@@ -360,6 +366,86 @@ TEST_P(LatticeProperty, CuboidCountsMatchBinomials) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, LatticeProperty,
                          ::testing::Values(2, 3, 4, 5, 6, 8, 10));
+
+// ---------------------------------------------------------------------------
+// Leaf-index order: sorting stream rows by (combinationKey, v, f) is the
+// lexicographic slot order the windows were once sorted in.
+
+/// The comparator sealed windows were sorted with before rows carried
+/// their leaf index.
+bool rowLess(const dataset::LeafRow& a, const dataset::LeafRow& b) {
+  if (a.ac.slots() != b.ac.slots()) return a.ac.slots() < b.ac.slots();
+  if (a.v != b.v) return a.v < b.v;
+  return a.f < b.f;
+}
+
+/// A schema whose leaf space ends just below 2^64 — (2^16 - 1)^4 — which
+/// fromSpec accepts.
+Schema nearFullLeafSpace() {
+  std::vector<dataset::AttributeSpec> spec;
+  for (int i = 0; i < 8; ++i) {
+    const int card = i % 2 == 0 ? 255 : 257;
+    dataset::AttributeSpec attr{"A" + std::to_string(i), {}};
+    for (int e = 0; e < card; ++e) {
+      attr.elements.push_back("e" + std::to_string(e));
+    }
+    spec.push_back(std::move(attr));
+  }
+  auto schema = Schema::fromSpec(std::move(spec));
+  RAP_CHECK(schema.isOk());
+  return schema.value();
+}
+
+class LeafOrderProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LeafOrderProperty, LeafIndexOrderEqualsSlotOrder) {
+  util::Rng rng(GetParam());
+  std::vector<Schema> schemas{Schema::cdn(), nearFullLeafSpace()};
+  EXPECT_GT(schemas.back().leafCount(),
+            ~std::uint64_t{0} - (std::uint64_t{1} << 51));
+  for (int i = 0; i < 3; ++i) schemas.push_back(randomTable(rng).schema());
+  for (const Schema& schema : schemas) {
+    // Random leaves, many repeated with a different v or f only, and
+    // some repeated exactly.
+    std::vector<dataset::LeafRow> rows;
+    for (int r = 0; r < 400; ++r) {
+      std::vector<dataset::ElemId> slots;
+      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+        // Favour the extreme digits, where a wrong radix would show.
+        const auto card = schema.cardinality(a);
+        const double pick = rng.uniform(0.0, 1.0);
+        slots.push_back(pick < 0.2   ? 0
+                        : pick < 0.4 ? card - 1
+                                     : static_cast<dataset::ElemId>(
+                                           rng.uniformInt(0, card - 1)));
+      }
+      const double v = static_cast<double>(rng.uniformInt(0, 3));
+      const double f = static_cast<double>(rng.uniformInt(0, 3));
+      const AttributeCombination leaf(std::move(slots));
+      rows.push_back({leaf, v, f, false});
+      if (rng.bernoulli(0.3)) rows.push_back({leaf, v + 1.0, f, false});
+      if (rng.bernoulli(0.3)) rows.push_back({leaf, v, f - 1.0, false});
+      if (rng.bernoulli(0.1)) rows.push_back(rows.back());
+    }
+    std::vector<stream::LeafEvent> events;
+    for (const auto& row : rows) {
+      events.push_back(
+          {dataset::combinationKey(schema, row.ac), 0, row.v, row.f});
+    }
+    std::sort(rows.begin(), rows.end(), rowLess);
+    std::sort(events.begin(), events.end(), stream::canonicalLess);
+    ASSERT_EQ(rows.size(), events.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(dataset::leafFromIndex(schema, events[i].leaf), rows[i].ac)
+          << "row " << i;
+      EXPECT_EQ(events[i].v, rows[i].v);
+      EXPECT_EQ(events[i].f, rows[i].f);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LeafOrderProperty,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 }  // namespace
 }  // namespace rap

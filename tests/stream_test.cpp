@@ -126,10 +126,10 @@ TEST(Watermark, LagsMaxTimestampByAllowedLateness) {
 // ---------------------------------------------------------------------------
 // Bounded queue policies.
 
-std::vector<StreamEvent> numberedEvents(int n) {
-  std::vector<StreamEvent> events;
+std::vector<LeafEvent> numberedEvents(int n) {
+  std::vector<LeafEvent> events;
   for (int i = 0; i < n; ++i) {
-    events.push_back(makeEvent({0}, i, static_cast<double>(i), 0.0));
+    events.push_back(LeafEvent{0, i, static_cast<double>(i), 0.0});
   }
   return events;
 }
@@ -142,7 +142,7 @@ TEST(BoundedEventQueue, DropOldestEvictsResidents) {
   EXPECT_EQ(result.dropped_newest, 0u);
   EXPECT_EQ(result.max_accepted_ts, 7);
 
-  std::vector<StreamEvent> out;
+  std::vector<LeafEvent> out;
   queue.drainNow(out);
   ASSERT_EQ(out.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i].ts, 4 + i);
@@ -156,7 +156,7 @@ TEST(BoundedEventQueue, DropNewestRejectsArrivals) {
   // The rejected tail must not advance the watermark.
   EXPECT_EQ(result.max_accepted_ts, 3);
 
-  std::vector<StreamEvent> out;
+  std::vector<LeafEvent> out;
   queue.drainNow(out);
   ASSERT_EQ(out.size(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i].ts, i);
@@ -168,9 +168,9 @@ TEST(BoundedEventQueue, BlockWaitsForRoomAndLosesNothing) {
   std::thread producer(
       [&] { result = queue.pushMany(numberedEvents(10)); });
 
-  std::vector<StreamEvent> out;
+  std::vector<LeafEvent> out;
   while (out.size() < 10) {
-    std::vector<StreamEvent> chunk;
+    std::vector<LeafEvent> chunk;
     ASSERT_TRUE(queue.drainOrWait(chunk));
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
@@ -182,7 +182,7 @@ TEST(BoundedEventQueue, BlockWaitsForRoomAndLosesNothing) {
 
 TEST(BoundedEventQueue, CloseUnblocksProducerAndReportsDrops) {
   BoundedEventQueue queue(1, BackpressurePolicy::kBlock);
-  ASSERT_EQ(queue.push(makeEvent({0}, 0, 0.0, 0.0)).accepted, 1u);
+  ASSERT_EQ(queue.push(LeafEvent{0, 0, 0.0, 0.0}).accepted, 1u);
 
   PushResult result;
   std::thread producer(
@@ -215,7 +215,7 @@ TEST(BoundedEventQueue, ClosePushRaceLosesNoAccountedEvent) {
       producers.emplace_back([&, p] {
         for (int i = 0; i < kPerProducer; ++i) {
           const PushResult r =
-              queue.push(makeEvent({0}, p * kPerProducer + i, 1.0, 1.0));
+              queue.push(LeafEvent{0, p * kPerProducer + i, 1.0, 1.0});
           accepted += r.accepted;
           dropped_oldest += r.dropped_oldest;
           dropped_newest += r.dropped_newest;
@@ -224,7 +224,7 @@ TEST(BoundedEventQueue, ClosePushRaceLosesNoAccountedEvent) {
     }
     std::atomic<std::uint64_t> drained{0};
     std::thread consumer([&] {
-      std::vector<StreamEvent> out;
+      std::vector<LeafEvent> out;
       while (queue.drainOrWait(out)) {
         drained += out.size();
         out.clear();
@@ -246,10 +246,10 @@ TEST(BoundedEventQueue, ClosePushRaceLosesNoAccountedEvent) {
 TEST(BoundedEventQueue, PushAfterCloseIsRejected) {
   BoundedEventQueue queue(4, BackpressurePolicy::kBlock);
   queue.close();
-  const PushResult r = queue.push(makeEvent({0}, 0, 1.0, 1.0));
+  const PushResult r = queue.push(LeafEvent{0, 0, 1.0, 1.0});
   EXPECT_EQ(r.accepted, 0u);
   EXPECT_EQ(r.dropped_newest, 1u);
-  std::vector<StreamEvent> out;
+  std::vector<LeafEvent> out;
   EXPECT_FALSE(queue.drainOrWait(out));
   EXPECT_TRUE(out.empty());
 }
@@ -260,7 +260,7 @@ TEST(BoundedEventQueue, CloseRacingNudgeAndDrainTerminates) {
     for (int i = 0; i < 1000; ++i) queue.nudge();
   });
   std::thread consumer([&] {
-    std::vector<StreamEvent> out;
+    std::vector<LeafEvent> out;
     while (queue.drainOrWait(out)) out.clear();
   });
   queue.close();
@@ -274,10 +274,8 @@ TEST(BoundedEventQueue, CloseRacingNudgeAndDrainTerminates) {
 
 TEST(WindowAssembler, ReleasesEpochsInOrderOnceEveryShardSealed) {
   WindowAssembler assembler(/*shard_count=*/2, /*window_width=*/10);
-  assembler.contribute(/*shard=*/0, /*epoch=*/0,
-                       {dataset::LeafRow{leafAc({0}), 1.0, 1.0, false}});
-  assembler.contribute(/*shard=*/0, /*epoch=*/1,
-                       {dataset::LeafRow{leafAc({1}), 2.0, 2.0, false}});
+  assembler.contribute(/*shard=*/0, /*epoch=*/0, {LeafEvent{0, 0, 1.0, 1.0}});
+  assembler.contribute(/*shard=*/0, /*epoch=*/1, {LeafEvent{1, 10, 2.0, 2.0}});
 
   assembler.sealShardUpTo(0, 1);
   EXPECT_FALSE(assembler.hasReady());  // shard 1 has not sealed anything
@@ -300,16 +298,28 @@ TEST(WindowAssembler, ReleasesEpochsInOrderOnceEveryShardSealed) {
 
 TEST(WindowAssembler, MergesFragmentsFromAllShards) {
   WindowAssembler assembler(3, 10);
-  assembler.contribute(0, 5, {dataset::LeafRow{leafAc({0}), 1.0, 1.0, false}});
-  assembler.contribute(1, 5, {dataset::LeafRow{leafAc({1}), 2.0, 2.0, false}});
-  assembler.contribute(2, 5, {dataset::LeafRow{leafAc({2}), 3.0, 3.0, false}});
+  assembler.contribute(1, 5, {LeafEvent{1, 51, 2.0, 2.0}});
+  assembler.contribute(
+      0, 5, {LeafEvent{0, 50, 1.0, 1.0}, LeafEvent{2, 50, 3.0, 3.0}});
+  assembler.contribute(
+      2, 5, {LeafEvent{2, 52, 2.5, 3.0}, LeafEvent{3, 52, 0.0, 0.0}});
   for (std::int32_t shard = 0; shard < 3; ++shard) {
     assembler.sealShardUpTo(shard, 5);
   }
   auto window = assembler.popReady();
   ASSERT_TRUE(window.has_value());
   EXPECT_EQ(window->epoch, 5);
-  EXPECT_EQ(window->rows.size(), 3u);
+  // The sorted fragments merge into one canonical run.
+  using Row = std::tuple<std::uint64_t, double, double>;
+  std::vector<Row> rows;
+  for (const LeafEvent& row : window->rows) {
+    rows.emplace_back(row.leaf, row.v, row.f);
+  }
+  EXPECT_EQ(rows, (std::vector<Row>{{0, 1.0, 1.0},
+                                    {1, 2.0, 2.0},
+                                    {2, 2.5, 3.0},
+                                    {2, 3.0, 3.0},
+                                    {3, 0.0, 0.0}}));
   // The contributor list drives trace-flow termination in the sealer.
   EXPECT_EQ(window->contributors, (std::vector<std::int32_t>{0, 1, 2}));
 }
@@ -402,6 +412,96 @@ TEST(StreamEngine, OutOfOrderAcrossProducersMatchesBatchGrouping) {
   EXPECT_EQ(stats.ingested, events.size());
   EXPECT_EQ(stats.late_dropped, 0u);
   EXPECT_EQ(stats.queue_depth, 0);
+}
+
+/// The batch reference for one window: its events as LeafRows sorted by
+/// the lexicographic slot order windows were once sorted in, then
+/// detected like the engine detects.
+dataset::LeafTable batchTable(const dataset::Schema& schema,
+                              std::vector<StreamEvent> events,
+                              double detect_threshold) {
+  std::vector<dataset::LeafRow> rows;
+  for (auto& e : events) rows.push_back({std::move(e.leaf), e.v, e.f, false});
+  std::sort(rows.begin(), rows.end(),
+            [](const dataset::LeafRow& a, const dataset::LeafRow& b) {
+              if (a.ac.slots() != b.ac.slots()) {
+                return a.ac.slots() < b.ac.slots();
+              }
+              if (a.v != b.v) return a.v < b.v;
+              return a.f < b.f;
+            });
+  dataset::LeafTable table(schema);
+  for (auto& row : rows) table.addRow(std::move(row));
+  detect::RelativeDeviationDetector(detect_threshold).run(table);
+  return table;
+}
+
+TEST(StreamEngine, SealedTableMatchesRowLessBatchTableColumnByColumn) {
+  const auto schema = dataset::Schema::synthetic({5, 4, 3});
+  StreamConfig config = testConfig();
+  config.shards = 4;
+  config.allowed_lateness = 1000000;
+  StreamEngine engine(schema, config);
+  std::mutex mutex;
+  std::map<std::int64_t, dataset::LeafTable> sealed;
+  engine.setWindowCallback([&](const StreamEngine::WindowInfo& info) {
+    std::lock_guard<std::mutex> lock(mutex);
+    sealed.emplace(info.epoch, info.table);
+  });
+  engine.start();
+
+  // Every leaf once per window, plus duplicates that differ only in v or
+  // only in f, exact duplicates, and some failing leaves for detection.
+  util::Rng rng(5);
+  std::vector<StreamEvent> events;
+  std::map<std::int64_t, std::vector<StreamEvent>> by_epoch;
+  for (std::int64_t e = 0; e < 3; ++e) {
+    for (std::uint64_t i = 0; i < schema.leafCount(); ++i) {
+      const auto leaf = dataset::leafFromIndex(schema, i);
+      const double f = static_cast<double>(rng.uniformInt(1, 4)) * 10.0;
+      const double v = rng.bernoulli(0.1) ? f * 0.5 : f;
+      std::vector<StreamEvent> copies{makeEvent(leaf.slots(), 0, v, f)};
+      if (rng.bernoulli(0.3)) {
+        copies.push_back(makeEvent(leaf.slots(), 0, v + 1.0, f));
+      }
+      if (rng.bernoulli(0.3)) {
+        copies.push_back(makeEvent(leaf.slots(), 0, v, f + 1.0));
+      }
+      if (rng.bernoulli(0.2)) copies.push_back(copies.front());
+      for (auto& event : copies) {
+        event.ts = e * config.window_width +
+                   rng.uniformInt(0, config.window_width - 1);
+        by_epoch[e].push_back(event);
+        events.push_back(std::move(event));
+      }
+    }
+  }
+  rng.shuffle(events);
+  ReplaySource::Config replay;
+  replay.producers = 3;
+  replay.batch_size = 11;
+  EXPECT_EQ(ReplaySource(replay).run(engine, events).accepted, events.size());
+  engine.drain();
+  engine.stop();
+
+  std::lock_guard<std::mutex> lock(mutex);
+  ASSERT_EQ(sealed.size(), by_epoch.size());
+  for (auto& [epoch, window_events] : by_epoch) {
+    const dataset::LeafTable batch =
+        batchTable(schema, window_events, config.detect_threshold);
+    const dataset::LeafTable& got = sealed.at(epoch);
+    ASSERT_EQ(got.size(), batch.size()) << "epoch " << epoch;
+    EXPECT_GT(batch.anomalousCount(), 0u);
+    for (dataset::RowId r = 0; r < batch.size(); ++r) {
+      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+        ASSERT_EQ(got.elem(r, a), batch.elem(r, a))
+            << "epoch " << epoch << " row " << r << " attr " << a;
+      }
+      ASSERT_EQ(got.v(r), batch.v(r)) << "epoch " << epoch << " row " << r;
+      ASSERT_EQ(got.f(r), batch.f(r)) << "epoch " << epoch << " row " << r;
+      ASSERT_EQ(got.isAnomalous(r), batch.isAnomalous(r));
+    }
+  }
 }
 
 TEST(StreamEngine, LateEventWithinLatenessIsAdmitted) {
