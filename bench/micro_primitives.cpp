@@ -13,7 +13,10 @@
 // (docs/algorithms.md, "Workspace reuse").  It then runs a warm serial
 // acGuidedSearch on a retained workspace and fails if it allocates more
 // than its result (the candidate vector and one combination per
-// candidate): nothing per group or per cuboid.  The same mode then decodes
+// candidate): nothing per group or per cuboid.  A warm search whose
+// layers fan out on a 2-worker pool must allocate the same count beyond
+// its result at 1k and at 9k rows, at most one fan-out block per layer.
+// The same mode then decodes
 // a ~9k-row cdn CSV snapshot and fails if the warm decode makes more
 // than 64 heap allocations: the table's columns are reserved up front,
 // and nothing is allocated per row or per field (docs/service.md,
@@ -52,6 +55,7 @@
 #include "util/alloc_probe.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -470,6 +474,85 @@ int assertSearchAllocBudget() {
   return 0;
 }
 
+/// What one warm pooled search of a `rows`-row table allocates beyond
+/// its result, and the number of its layers that can fan out.
+struct PooledSearchAllocs {
+  std::uint64_t beyond_result = 0;
+  std::uint64_t fan_out_layers = 0;
+};
+
+/// A warm acGuidedSearch on a 2-worker pool over `rows` leaves of an
+/// 8-attribute schema (one anomalous pattern at layer 2), early stop off
+/// so every layer is walked.  Which thread judges which cuboid varies
+/// from run to run, so a helper's buffers may reach their high-water
+/// mark late; the count is the least over several warm runs, which
+/// still carries every allocation made per row, group or cuboid.
+PooledSearchAllocs pooledSearchAllocs(std::size_t rows,
+                                      util::ThreadPool& pool,
+                                      core::SearchWorkspace& workspace) {
+  const dataset::Schema schema =
+      dataset::Schema::synthetic({5, 4, 4, 3, 3, 3, 2, 2});
+  dataset::LeafTable table(schema);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto leaf = dataset::leafFromIndex(
+        schema, (static_cast<std::uint64_t>(i) * 7919) % schema.leafCount());
+    const bool anomalous = leaf.slot(0) == 0 && leaf.slot(1) == 1;
+    table.addRow(leaf, anomalous ? 10.0 : 100.0, 100.0, anomalous);
+  }
+  std::vector<dataset::AttrId> kept(
+      static_cast<std::size_t>(schema.attributeCount()));
+  for (std::size_t a = 0; a < kept.size(); ++a) {
+    kept[a] = static_cast<dataset::AttrId>(a);
+  }
+  core::SearchConfig search;
+  search.early_stop = false;
+  core::SearchStats stats;
+  PooledSearchAllocs out;
+  out.beyond_result = UINT64_MAX;
+  for (int run = 0; run < 8; ++run) {
+    stats.layers.clear();
+    util::allocProbeArm();
+    const auto candidates =
+        core::acGuidedSearch(table, kept, search, workspace, stats, &pool);
+    const std::uint64_t allocs = util::allocProbeDisarm();
+    const std::uint64_t result = candidates.empty() ? 0 : 1 + candidates.size();
+    if (run >= 2) {  // runs 0 and 1 warm up
+      out.beyond_result = std::min(out.beyond_result, allocs - result);
+    }
+  }
+  for (const auto& layer : stats.layers) {
+    if (layer.cuboids_visited > 1) out.fan_out_layers += 1;
+  }
+  return out;
+}
+
+/// The pooled half of --assert-zero-alloc: a warm search whose layers
+/// fan out on a 2-worker pool allocates, beyond its result, the same
+/// count at 1k and at 9k rows and at most one fan-out block per layer —
+/// nothing per cuboid, group or row.
+int assertPooledSearchAllocs() {
+  util::ThreadPool pool(2);
+  core::SearchWorkspace workspace;
+  pooledSearchAllocs(9000, pool, workspace);  // size for the larger table
+  const PooledSearchAllocs small = pooledSearchAllocs(1000, pool, workspace);
+  const PooledSearchAllocs large = pooledSearchAllocs(9000, pool, workspace);
+  std::printf("pooled search alloc check: %llu heap allocations beyond the "
+              "result at 1000 rows, %llu at 9000 rows (2-worker pool), "
+              "budget %llu (one per layer of more than one cuboid)\n",
+              static_cast<unsigned long long>(small.beyond_result),
+              static_cast<unsigned long long>(large.beyond_result),
+              static_cast<unsigned long long>(large.fan_out_layers));
+  if (small.beyond_result != large.beyond_result ||
+      large.beyond_result > large.fan_out_layers) {
+    std::fprintf(stderr,
+                 "FAIL: the pooled search allocates beyond its per-layer "
+                 "fan-out bookkeeping\n");
+    return 1;
+  }
+  std::printf("OK: a warm pooled search allocates only per layer\n");
+  return 0;
+}
+
 /// Heap allocations of one warm window of `rows` cdn leaves through the
 /// sealer's data path: 4 sorted fragments contributed, the window
 /// popped, its table filled.  The fragments are copied before the probe
@@ -536,9 +619,10 @@ int main(int argc, char** argv) {
   if (assert_zero_alloc) {
     const int groupby = assertZeroAlloc();
     const int search = assertSearchAllocBudget();
+    const int pooled = assertPooledSearchAllocs();
     const int decode = assertDecodeAllocBudget();
     const int window = assertWindowAssemblyAllocs();
-    for (const int code : {groupby, search, decode, window}) {
+    for (const int code : {groupby, search, pooled, decode, window}) {
       if (code != 0) return code;
     }
     return 0;

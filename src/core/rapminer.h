@@ -8,9 +8,9 @@
 // performs:
 //   1. Algorithm 1 — CP-based redundant attribute deletion (cp.t_cp);
 //   2. Algorithm 2 — AC-guided layer-by-layer top-down search
-//      (search.t_conf, early stop), serial, or fanned out across a
-//      thread pool the caller passes — the two schedules are
-//      bit-identical;
+//      (search.t_conf, early stop), judged with the help of the idle
+//      workers of a thread pool the caller passes, if any — the results
+//      are bit-identical either way;
 //   3. RAPScore ranking (Eq. 3) and truncation to the top k patterns.
 //
 // Configuration is nested by pipeline stage:
@@ -96,11 +96,11 @@ class RapMiner {
   /// Mines the root anomaly patterns of one labeled leaf table and
   /// returns the top `k` by RAPScore (k <= 0 returns all candidates).
   ///
-  /// `pool` (optional) fans each search layer's cuboid aggregations out
-  /// across the caller's workers; results are bit-identical to the
-  /// serial search run without one.  The pool must not run tasks that
-  /// block on this search — give the miner a dedicated search pool, not
-  /// the pool the caller's own blocking task runs on.
+  /// `pool` (optional) lends each search layer the workers it has idle
+  /// at that moment to judge cuboids beside the calling thread; results
+  /// are bit-identical to the search run without one.  The search waits
+  /// only for helpers that started, so the pool may be the one the
+  /// calling task itself runs on, even when every worker is busy.
   ///
   /// `workspaces` (optional) supplies the search workspaces instead of
   /// the miner's own retained pool: callers that rebuild a miner per

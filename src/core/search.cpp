@@ -68,14 +68,13 @@ void orderLayer(const std::vector<dataset::AttrId>& kept, std::int32_t layer,
   }
 }
 
-/// Applies Criteria 3 and 2 to the `groups` groups of cuboid `mask` that
-/// groupByInto just left in `w`, in ascending key order.  Only
-/// candidates of strictly lower layers can stamp, so several workers may
-/// judge one layer's cuboids at once, each with its own worker memory
-/// and outcome slot.
-void judgeCuboid(const LeafTable& table, CuboidMask mask, std::size_t groups,
-                 double t_conf, const SearchWorkspace& ws, Worker& w,
-                 Outcome& out) {
+/// Judges cuboid `mask` into `out`: aggregates it and applies Criteria 3
+/// and 2 to each group as forEachGroup emits it, in ascending key order.
+/// Only candidates of strictly lower layers can stamp, so several
+/// threads may judge one layer's cuboids at once, each with its own
+/// worker memory and outcome slot.
+void judgeCuboid(const LeafTable& table, CuboidMask mask, double t_conf,
+                 const SearchWorkspace& ws, Worker& w, Outcome& out) {
   const std::size_t n = table.size();
 
   // Stamp the rows of every accepted candidate whose cuboid is a proper
@@ -99,24 +98,24 @@ void judgeCuboid(const LeafTable& table, CuboidMask mask, std::size_t groups,
   }
 
   out.accepted.clear();
+  std::uint32_t groups = 0;
   std::uint32_t pruned = 0;
   std::uint32_t members = 0;
   dataset::RowId scan_from = static_cast<dataset::RowId>(n);
-  for (std::size_t gi = 0; gi < groups; ++gi) {
-    const dataset::KeyedGroup& g = w.groups[gi];
+  table.forEachGroup(mask, w.scratch, [&](const dataset::KeyedGroup& g) {
+    const std::uint32_t index = groups++;
     if (stamped && w.stamp[g.first_row] == epoch) {  // Criteria 3
       pruned += 1;
-      continue;
+      return;
     }
     const double confidence = g.confidence();
     if (confidence > t_conf) {  // Criteria 2
-      out.accepted.push_back({g.key, confidence,
-                              static_cast<std::uint32_t>(gi), pruned, members,
-                              g.total});
+      out.accepted.push_back(
+          {g.key, confidence, index, pruned, members, g.total});
       members += g.total;
       scan_from = std::min(scan_from, g.first_row);
     }
-  }
+  });
   out.groups = groups;
   out.pruned = pruned;
 
@@ -144,53 +143,136 @@ void judgeCuboid(const LeafTable& table, CuboidMask mask, std::size_t groups,
   }
 }
 
-/// Aggregates and judges every cuboid of one layer concurrently: `pool`
-/// workers and the calling thread pull cuboid indices off a shared
-/// cursor (balanced even when cuboid sizes differ wildly) and write
-/// disjoint slots of
-/// `ws.outcomes` through per-worker memory.  Returns the number of pool
-/// helpers actually enlisted (the layer used helpers + 1 threads), and
-/// only once every helper task has exited, so the borrowed stack state
-/// cannot dangle even if the caller early-stops the layer right after.
-std::size_t evaluateLayer(const LeafTable& table, double t_conf,
-                          util::ThreadPool& pool, SearchWorkspace& ws) {
-  const std::size_t n = ws.cuboids.size();
-  if (ws.outcomes.size() < n) ws.outcomes.resize(n);
-  const std::size_t helpers = std::min(pool.threadCount(), n > 0 ? n - 1 : 0);
-  if (ws.workers.size() < helpers + 1) ws.workers.resize(helpers + 1);
-
-  std::atomic<std::size_t> cursor{0};
-  const auto work = [&table, &cursor, &ws, t_conf, n](std::size_t worker) {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
-      Worker& w = ws.workers[worker];
-      const CuboidMask mask = ws.cuboids[i];
-      judgeCuboid(table, mask, table.groupByInto(mask, w.scratch, w.groups),
-                  t_conf, ws, w, ws.outcomes[i]);
-    }
-  };
-
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t exited = 0;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([&work, &mutex, &cv, &exited, h] {
-      work(h + 1);
-      // Notify while holding the lock: the waiter owns the cv's storage
-      // (caller stack) and may destroy it the moment it observes the
-      // final count, so the notify must complete before the count is
-      // visible.
-      std::lock_guard<std::mutex> lock(mutex);
-      ++exited;
-      cv.notify_all();
-    });
+/// One layer's schedule, shared by the canonical walk and the pool
+/// helpers it enlisted.  Cuboids are claimed in canonical order off one
+/// cursor, never `ring` or more places ahead of the walk, and judged
+/// into ring slot i % ring.  The walk (seat 0) judges the next
+/// unclaimed cuboid itself whenever the one it needs is not ready.
+///
+/// With helpers the block lives on the heap, reference-counted by the
+/// walk and every enqueued helper task.  A helper claims a seat when it
+/// starts; close() stops the claims and waits only for seated helpers,
+/// so a helper still queued when the layer closes (behind the very task
+/// that enlisted it, on a saturated pool) touches nothing but this block
+/// and returns.
+class LayerWalk {
+ public:
+  LayerWalk(const LeafTable& table, double t_conf, SearchWorkspace& ws,
+            std::size_t refs)
+      : table_(table), t_conf_(t_conf), ws_(ws), refs_(refs) {
+    ws_.outcomes[0].cuboid = Outcome::kNone;
   }
-  work(0);
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&exited, helpers] { return exited == helpers; });
-  return helpers;
-}
+
+  /// Hands up to `wanted` helper tasks to the idle workers of `pool` and
+  /// sizes the ring for them; returns how many it enqueued.  The walk's
+  /// reference and those of the enqueued tasks remain.
+  std::size_t enlist(util::ThreadPool& pool, std::size_t wanted) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::size_t helpers = pool.submitToIdle(
+        wanted, [self = this] { self->help(); });
+    ring_ = helpers == 0 ? 1 : 2 * (helpers + 1);
+    for (std::size_t slot = 0; slot < ring_; ++slot) {
+      ws_.outcomes[slot].cuboid = Outcome::kNone;
+    }
+    refs_.fetch_sub(wanted - helpers, std::memory_order_relaxed);
+    return helpers;
+  }
+
+  /// The outcome of cuboid `i`, the next one the walk accepts from.
+  const Outcome& await(std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    const Outcome& slot = ws_.outcomes[i % ring_];
+    while (slot.cuboid != i) {
+      std::size_t claimed = 0;
+      if (claim(claimed)) {
+        judge(claimed, ws_.workers[0], lock);
+      } else {
+        progress_.wait(lock);
+      }
+    }
+    return slot;
+  }
+
+  /// The walk is done with cuboid `walked_`: its slot may be reused.
+  void advance() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++walked_;
+    progress_.notify_all();
+  }
+
+  /// Stops all claims and returns once every seated helper has left.
+  void close() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    closed_ = true;
+    progress_.notify_all();
+    progress_.wait(lock, [this] { return active_ == 0; });
+  }
+
+  /// Drops one reference; the last one frees the block.
+  void release() {
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
+
+ private:
+  /// A helper task: takes a seat unless the layer is closed, judges
+  /// claimable cuboids until none is left, then leaves.
+  void help() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (!closed_) {
+        Worker& w = ws_.workers[++seats_];
+        ++active_;
+        for (;;) {
+          std::size_t claimed = 0;
+          if (claim(claimed)) {
+            judge(claimed, w, lock);
+          } else if (closed_ || next_ == ws_.cuboids.size()) {
+            break;
+          } else {
+            progress_.wait(lock);  // the ring is full: wait for the walk
+          }
+        }
+        if (--active_ == 0) progress_.notify_all();
+      }
+    }
+    release();
+  }
+
+  /// Claims the next cuboid if the layer is open and it lies within the
+  /// ring ahead of the walk.  Requires the lock.
+  bool claim(std::size_t& i) {
+    if (closed_ || next_ == ws_.cuboids.size() || next_ >= walked_ + ring_) {
+      return false;
+    }
+    i = next_++;
+    return true;
+  }
+
+  /// Judges claimed cuboid `i` outside the lock and publishes its slot.
+  void judge(std::size_t i, Worker& w, std::unique_lock<std::mutex>& lock) {
+    Outcome& slot = ws_.outcomes[i % ring_];
+    lock.unlock();
+    judgeCuboid(table_, ws_.cuboids[i], t_conf_, ws_, w, slot);
+    lock.lock();
+    slot.cuboid = i;
+    progress_.notify_all();
+  }
+
+  const LeafTable& table_;
+  const double t_conf_;
+  SearchWorkspace& ws_;  ///< dereferenced only while the layer is open
+  std::atomic<std::size_t> refs_;
+  std::mutex mutex_;
+  /// A cuboid was judged, the walk advanced, or a helper left.
+  std::condition_variable progress_;
+  // Guarded by mutex_.
+  std::size_t ring_ = 1;
+  std::size_t next_ = 0;    ///< next unclaimed cuboid
+  std::size_t walked_ = 0;  ///< cuboids the walk has accepted from
+  bool closed_ = false;
+  std::size_t seats_ = 0;   ///< helpers that took a seat
+  std::size_t active_ = 0;  ///< seated helpers not yet left
+};
 
 }  // namespace
 
@@ -203,15 +285,11 @@ std::vector<CuboidMask> orderedCuboids(
   return out;
 }
 
-// The two schedules differ only in when a layer's cuboid outcomes are
-// produced: the serial path evaluates each cuboid right before walking
-// it (so an early stop skips the rest of the layer entirely), the
-// pooled path evaluates the whole layer via evaluateLayer and then walks
-// the slots in canonical order.  Everything that depends on the order —
-// acceptance, member rows joining the candidate set, the early stop,
-// the counters — happens in that single-threaded walk, in the exact
-// order of the serial reference, which is what makes the two schedules
-// bit-identical.
+// Everything that depends on the visit order — acceptance, member rows
+// joining the candidate set, the early stop, the counters — happens in
+// the single-threaded walk, in canonical order, whoever judged the
+// cuboid.  That is what makes a search with helpers bit-identical to one
+// without.
 std::vector<ScoredPattern> acGuidedSearch(
     const LeafTable& table, const std::vector<dataset::AttrId>& kept_attributes,
     const SearchConfig& config, SearchWorkspace& ws, SearchStats& stats,
@@ -242,9 +320,8 @@ std::vector<ScoredPattern> acGuidedSearch(
     return out;
   };
 
-  // Concurrency actually used: 1 until some layer enlists pool helpers;
-  // evaluateLayer reports how many it took (a layer with c cuboids
-  // never uses more than c threads, so small tenants report honestly).
+  // Concurrency actually used: 1 until some layer enlists pool helpers
+  // (a layer with c cuboids never enlists more than c - 1).
   stats.search_threads = 1;
 
   // Early-stop bookkeeping: a covered flag per row and the number of
@@ -254,17 +331,6 @@ std::vector<ScoredPattern> acGuidedSearch(
     ws.covered.assign(table.size(), 0);
     uncovered = table.anomalousCount();
   }
-
-  // Accumulates the current layer's effort; flushed into stats.layers
-  // when the layer finishes (or the early stop fires inside it).
-  LayerSearchStats layer_stats;
-  const auto flushLayer = [&stats, &layer_stats]() {
-    stats.cuboids_visited += layer_stats.cuboids_visited;
-    stats.combinations_evaluated += layer_stats.combinations_evaluated;
-    stats.combinations_pruned += layer_stats.combinations_pruned;
-    stats.candidates_found += layer_stats.candidates_found;
-    stats.layers.push_back(layer_stats);
-  };
 
   const auto max_layer = static_cast<std::int32_t>(kept_attributes.size());
   for (std::int32_t layer = 1; layer <= max_layer; ++layer) {
@@ -290,60 +356,63 @@ std::vector<ScoredPattern> acGuidedSearch(
 
     RAP_TRACE_SPAN("search/layer", {{"layer", layer}});
     const util::WallTimer layer_timer;
-    layer_stats = LayerSearchStats{};
+    LayerSearchStats layer_stats;
     layer_stats.layer = layer;
     orderLayer(kept_attributes, layer, config.order, ws.cuboids, ws.weighted);
+    const std::size_t cuboids = ws.cuboids.size();
 
-    // Pooled schedule: evaluate the whole layer up front.  Wasted only
-    // when the early stop fires mid-layer (the walk then discards the
-    // slots past the stop point).
-    const bool parallel = pool != nullptr && ws.cuboids.size() > 1;
-    if (parallel) {
-      const util::WallTimer aggregate_timer;
-      const std::size_t helpers =
-          evaluateLayer(table, config.t_conf, *pool, ws);
-      stats.search_threads =
-          std::max(stats.search_threads,
-                   static_cast<std::int32_t>(helpers) + 1);
-      layer_stats.seconds_aggregate = aggregate_timer.elapsedSeconds();
+    // Fan out to the pool's idle workers, if any: the block goes on the
+    // heap so helpers that start after the layer closed stay safe.
+    const std::size_t wanted =
+        pool != nullptr ? std::min(pool->threadCount(), cuboids - 1) : 0;
+    LayerWalk serial(table, config.t_conf, ws, /*refs=*/1);
+    LayerWalk* walk = &serial;
+    if (wanted > 0) {
+      if (ws.workers.size() < wanted + 1) ws.workers.resize(wanted + 1);
+      if (ws.outcomes.size() < 2 * (wanted + 1)) {
+        ws.outcomes.resize(2 * (wanted + 1));
+      }
+      walk = new LayerWalk(table, config.t_conf, ws, 1 + wanted);
+      const std::size_t helpers = walk->enlist(*pool, wanted);
+      stats.search_threads = std::max(stats.search_threads,
+                                      static_cast<std::int32_t>(helpers) + 1);
     }
 
-    for (std::size_t i = 0; i < ws.cuboids.size(); ++i) {
+    // The canonical walk: accept each cuboid's surviving groups in key
+    // order.  This layer's candidates collect in the pending lists, which
+    // no judging thread reads.
+    ws.pending.clear();
+    ws.pending_rows.clear();
+    bool stop = false;
+    for (std::size_t i = 0; i < cuboids; ++i) {
       // Mid-layer deadline: stop before the next cuboid, keep the effort
       // already spent in the stats (the layer entry is partial, like an
       // early-stopped one).
       if (deadlineExpired()) {
         stats.degraded_reason = "deadline";
-        layer_stats.seconds = layer_timer.elapsedSeconds();
-        flushLayer();
-        return result();
+        stop = true;
+        break;
       }
       layer_stats.cuboids_visited += 1;
       const CuboidMask mask = ws.cuboids[i];
-      Outcome& outcome = ws.outcomes[parallel ? i : 0];
-      if (!parallel) {
-        Worker& w = ws.workers[0];
-        const util::WallTimer aggregate_timer;
-        const std::size_t groups = table.groupByInto(mask, w.scratch, w.groups);
-        layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
-        judgeCuboid(table, mask, groups, config.t_conf, ws, w, outcome);
-      }
+      const util::WallTimer aggregate_timer;
+      const Outcome& outcome = walk->await(i);
+      layer_stats.seconds_aggregate += aggregate_timer.elapsedSeconds();
 
-      // The canonical walk: accept the surviving groups in key order.
       for (const auto& a : outcome.accepted) {
-        const std::size_t rows_begin = ws.candidate_rows.size();
-        ws.candidate_rows.insert(ws.candidate_rows.end(),
-                                 outcome.rows.begin() + a.rows_begin,
-                                 outcome.rows.begin() + a.rows_begin + a.total);
-        ws.candidates.push_back({mask, layer, a.key, a.confidence, rows_begin,
-                                 ws.candidate_rows.size()});
+        const std::size_t rows_begin = ws.pending_rows.size();
+        ws.pending_rows.insert(ws.pending_rows.end(),
+                               outcome.rows.begin() + a.rows_begin,
+                               outcome.rows.begin() + a.rows_begin + a.total);
+        ws.pending.push_back({mask, layer, a.key, a.confidence, rows_begin,
+                              ws.pending_rows.size()});
         layer_stats.candidates_found += 1;
 
         // Early stop (Algorithm 2 lines 9-11): the candidate set
         // already explains every anomalous leaf.
         if (!config.early_stop) continue;
-        for (std::size_t k = rows_begin; k < ws.candidate_rows.size(); ++k) {
-          const dataset::RowId r = ws.candidate_rows[k];
+        for (std::size_t k = rows_begin; k < ws.pending_rows.size(); ++k) {
+          const dataset::RowId r = ws.pending_rows[k];
           if (ws.covered[r] != 0) continue;
           ws.covered[r] = 1;
           if (table.isAnomalous(r)) uncovered -= 1;
@@ -352,16 +421,35 @@ std::vector<ScoredPattern> acGuidedSearch(
           layer_stats.combinations_pruned += a.pruned_before;
           layer_stats.combinations_evaluated += a.index + 1 - a.pruned_before;
           stats.early_stopped = true;
-          layer_stats.seconds = layer_timer.elapsedSeconds();
-          flushLayer();
-          return result();
+          stop = true;
+          break;
         }
       }
+      if (stop) break;
       layer_stats.combinations_pruned += outcome.pruned;
       layer_stats.combinations_evaluated += outcome.groups - outcome.pruned;
+      walk->advance();
     }
+
+    // Helpers gone, the layer's candidates join the ones judging reads.
+    walk->close();
+    if (walk != &serial) walk->release();
+    const std::size_t offset = ws.candidate_rows.size();
+    ws.candidate_rows.insert(ws.candidate_rows.end(), ws.pending_rows.begin(),
+                             ws.pending_rows.end());
+    for (auto c : ws.pending) {
+      c.rows_begin += offset;
+      c.rows_end += offset;
+      ws.candidates.push_back(c);
+    }
+
     layer_stats.seconds = layer_timer.elapsedSeconds();
-    flushLayer();
+    stats.cuboids_visited += layer_stats.cuboids_visited;
+    stats.combinations_evaluated += layer_stats.combinations_evaluated;
+    stats.combinations_pruned += layer_stats.combinations_pruned;
+    stats.candidates_found += layer_stats.candidates_found;
+    stats.layers.push_back(layer_stats);
+    if (stop) return result();
   }
   return result();
 }

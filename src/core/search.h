@@ -10,7 +10,7 @@
 // descendant sub-DAG is pruned (Criteria 3).  The search early-stops as
 // soon as the candidates cover every anomalous leaf.
 //
-// Support counts come from LeafTable::groupByInto, which emits each
+// Support counts come from LeafTable::forEachGroup, which emits each
 // group as a mixed-radix key with its counts and first row; a group is
 // decoded into an AttributeCombination only once it is accepted.
 // Criteria 3 is a per-row test: every row of a group in cuboid M has the
@@ -21,17 +21,17 @@
 // a covered flag per row and a count of the anomalous rows still
 // uncovered.
 //
-// One entry point, two bit-identical schedules chosen by the caller:
-//   * no pool — the serial reference implementation;
-//   * a caller-owned util::ThreadPool — each layer's cuboids are
-//     aggregated and judged (stamps, Criteria 3, Criteria 2, member
-//     rows) concurrently, then a single-threaded walk accepts the
-//     surviving groups in the canonical visit order and applies the
-//     early stop and the counters.  Stamps only ever come from
-//     candidates at strictly lower layers (a same-layer cuboid is never
-//     a proper subset), so judging a layer's cuboids out of order is
-//     safe; the walk re-imposes the canonical order for acceptance and
-//     bookkeeping.
+// One entry point, one schedule.  A single thread walks each layer's
+// cuboids in the canonical visit order and accepts their surviving
+// groups, applying the early stop and the counters.  Judging a cuboid
+// (stamps, Criteria 3, Criteria 2, member rows) is independent of the
+// other cuboids of its layer: stamps only ever come from candidates at
+// strictly lower layers (a same-layer cuboid is never a proper subset).
+// So when the caller passes a util::ThreadPool, workers idle at that
+// moment join as helpers and judge cuboids a few places ahead of the
+// walk, into a small ring of outcome slots; without a pool, or with no
+// idle worker, the walk judges each cuboid itself right before
+// accepting it.  Either way the results are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -91,10 +91,9 @@ struct SearchWorkspace {
   SearchWorkspace(const SearchWorkspace&) = delete;
   SearchWorkspace& operator=(const SearchWorkspace&) = delete;
 
-  /// Memory of one fan-out worker (slot 0 is the calling thread).
+  /// Memory of one judging thread (slot 0 is the walk's own thread).
   struct Worker {
     dataset::GroupByScratch scratch;
-    std::vector<dataset::KeyedGroup> groups;
     /// [row] the last epoch in which a candidate whose cuboid is a
     /// proper subset of the cuboid being judged covered the row.
     std::vector<std::uint32_t> stamp;
@@ -108,13 +107,17 @@ struct SearchWorkspace {
   /// member rows, each group's ascending.
   struct Outcome {
     struct Accepted {
-      std::uint64_t key = 0;            ///< LeafTable::combination key
+      std::uint64_t key = 0;            ///< combinationKey of the group
       double confidence = 0.0;
       std::uint32_t index = 0;          ///< position among the groups
       std::uint32_t pruned_before = 0;  ///< Criteria-3 skips before it
       std::uint32_t rows_begin = 0;     ///< members: rows[rows_begin, +total)
       std::uint32_t total = 0;
     };
+    /// Position in its layer of the cuboid judged into this slot
+    /// (kNone: none yet this layer).
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    std::size_t cuboid = kNone;
     std::uint64_t groups = 0;  ///< groups with at least one leaf
     std::uint64_t pruned = 0;  ///< groups with an accepted proper ancestor
     std::vector<Accepted> accepted;
@@ -122,7 +125,8 @@ struct SearchWorkspace {
   };
 
   /// An accepted candidate: its cuboid, key and member rows
-  /// (candidate_rows[rows_begin, rows_end)).
+  /// (candidate_rows[rows_begin, rows_end), or pending_rows while its
+  /// layer is being walked).
   struct Candidate {
     dataset::CuboidMask mask = 0;
     std::int32_t layer = 0;
@@ -132,13 +136,20 @@ struct SearchWorkspace {
     std::size_t rows_end = 0;
   };
 
-  /// Per-worker memory; sized to the widest fan-out seen so far.
+  /// Per-thread memory; sized to the widest fan-out seen so far.
   std::vector<Worker> workers;
-  /// Slot i holds cuboid i's outcome for the layer being walked (the
-  /// serial schedule uses slot 0 only).
+  /// Ring of outcome slots: cuboid i of a layer is judged into slot
+  /// i % R, where R = 2 x (helpers + 1), or 1 when the walk judges
+  /// alone.
   std::vector<Outcome> outcomes;
+  /// Candidates of the layers already walked — what judging reads for
+  /// Criteria 3, so it stays unchanged while a layer is being walked.
   std::vector<Candidate> candidates;
   std::vector<dataset::RowId> candidate_rows;
+  /// The current layer's accepted candidates, spliced into `candidates`
+  /// once its helpers have left.
+  std::vector<Candidate> pending;
+  std::vector<dataset::RowId> pending_rows;
   std::vector<std::uint8_t> covered;  ///< [row] 1 once a candidate covers it
   std::vector<dataset::CuboidMask> cuboids;  ///< the current layer, in order
   std::vector<std::pair<std::uint64_t, dataset::CuboidMask>> weighted;
@@ -196,15 +207,17 @@ class WorkspacePool {
 ///
 /// All working memory comes from `workspace`, so a warm search over a
 /// same-shaped table allocates only the returned vector and one
-/// combination per candidate (plus `stats.layers` growth, if any).
+/// combination per candidate (plus `stats.layers` growth, if any); with
+/// a pool, also one fan-out block per layer of more than one cuboid.
 ///
-/// With `pool == nullptr` the search runs the serial reference schedule.
-/// With a pool, each layer's cuboid evaluations fan out across its
-/// workers (the calling thread participates too) and the results are
-/// bit for bit those of the serial schedule; when a layer early-stops
-/// mid-way, evaluations computed past the stop point are discarded, so
-/// the stats match too.  The pool must not run tasks that block on this
-/// search.
+/// With a pool, each layer enlists at most as many helper tasks as the
+/// pool has idle workers at that moment (and one fewer than the layer
+/// has cuboids); the calling thread judges whatever no helper claimed.
+/// The results are bit for bit those of the search without a pool, the
+/// stats included: when a layer early-stops mid-way, helpers stop
+/// claiming and outcomes judged past the stop point are discarded.  The
+/// caller waits only for helpers that started, so the pool may be the
+/// one the caller itself runs on, saturated or shutting down.
 std::vector<ScoredPattern> acGuidedSearch(
     const dataset::LeafTable& table,
     const std::vector<dataset::AttrId>& kept_attributes,

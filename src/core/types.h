@@ -26,13 +26,12 @@ struct LayerSearchStats {
   std::uint64_t combinations_pruned = 0;
   std::uint64_t candidates_found = 0;
   double seconds = 0.0;  ///< wall time spent in this layer
-  /// Wall time spent aggregating the layer's cuboids
-  /// (LeafTable::groupByInto).  Under the parallel schedule this is the
-  /// fan-out + join time of the whole layer, which also judges every
-  /// group (Criteria 3 and 2, member rows), so seconds /
-  /// seconds_aggregate exposes the per-layer speedup next to the serial
-  /// baseline.  The rest of the layer, seconds - seconds_aggregate, is
-  /// its merge time.
+  /// Wall time the layer's canonical walk spent obtaining cuboid
+  /// outcomes: aggregating and judging cuboids itself
+  /// (LeafTable::forEachGroup, Criteria 3 and 2, member rows) or
+  /// waiting for a pool helper's.  The rest of the layer, seconds -
+  /// seconds_aggregate, is its merge time: accepting candidates, the
+  /// early stop, closing the layer.
   double seconds_aggregate = 0.0;
 };
 
@@ -56,10 +55,12 @@ struct SearchStats {
   /// a degraded result is still a valid (if incomplete) localization.
   std::string degraded_reason;
   /// Concurrency the search ACTUALLY used: 1 + the most pool helpers
-  /// any layer enlisted (a layer with c cuboids never uses more than c
-  /// threads).  1 = every layer ran serially — including trivial
-  /// tables, single-cuboid layers and the serial reference schedule —
-  /// regardless of how many workers the pool had idle.
+  /// any layer enlisted — no more than the pool's idle workers at that
+  /// moment, and a layer with c cuboids never uses more than c threads.
+  /// 1 = every layer was judged by the walk alone (no pool, a busy
+  /// pool, trivial tables, single-cuboid layers).  It depends on pool
+  /// occupancy, so the result document (io::resultToJson) leaves it
+  /// out.
   std::int32_t search_threads = 1;
   /// Per-layer breakdown of the totals above, in visit order; the last
   /// entry is partial when the search early-stopped inside it.

@@ -83,12 +83,12 @@ double LeafTable::totalF() const noexcept {
   return sum;
 }
 
-std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
-                                   std::vector<KeyedGroup>& out) const {
+LeafTable::Emit LeafTable::aggregate(CuboidMask mask, GroupByScratch& scratch,
+                                     std::uint64_t& cells) const {
   // Member attributes + mixed-radix strides, into reused buffers; the
   // first member varies slowest, so ascending keys are lexicographic
   // element order.
-  const std::uint64_t cells = cuboidSize(schema_, mask);
+  cells = cuboidSize(schema_, mask);
   scratch.attrs.clear();
   for (AttrId a = 0; a < schema_.attributeCount(); ++a) {
     if ((mask & (1u << a)) != 0) scratch.attrs.push_back(a);
@@ -122,67 +122,52 @@ std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
     }
   }
 
-  // Moves a finished cell into output slot j and zeroes it again.
-  const auto emit = [&out](std::size_t j, std::uint64_t key, GroupCell& cell) {
-    out[j] = KeyedGroup{key, cell.first_row, cell.total, cell.anomalous};
-    cell = GroupCell{};
-  };
-  scratch.group_keys.clear();
-  if (cells <= kDenseLimit) {
-    // Cell `key` accumulates its group.  The array is zero-filled only
-    // when it grows; between calls every cell is zero (restored by
-    // emit), so the scatter detects a group's first row by total == 0.
-    if (scratch.dense.size() < cells) {
-      scratch.dense.resize(static_cast<std::size_t>(cells));
-    }
-    GroupCell* dense = scratch.dense.data();
-    for (std::size_t r = 0; r < n; ++r) {
-      GroupCell& cell = dense[keys[r]];
-      if (cell.total == 0) {
-        scratch.group_keys.push_back(keys[r]);
-        cell.first_row = static_cast<RowId>(r);
-      }
-      cell.total += 1;
-      cell.anomalous += anomalous_[r];
-    }
-    const std::size_t groups = scratch.group_keys.size();
-    if (out.size() < groups) out.resize(groups);
-    if (cells <= 4 * static_cast<std::uint64_t>(groups)) {
-      // The groups fill at least a quarter of the cells: walking the
-      // cells yields the keys in ascending order, cheaper than sorting.
-      std::size_t j = 0;
-      for (std::uint64_t key = 0; key < cells; ++key) {
-        if (dense[key].total != 0) emit(j++, key, dense[key]);
-      }
-    } else {
-      // Sparse cuboid: sort the touched keys and visit only those cells.
-      std::sort(scratch.group_keys.begin(), scratch.group_keys.end());
-      for (std::size_t j = 0; j < groups; ++j) {
-        emit(j, scratch.group_keys[j], dense[scratch.group_keys[j]]);
-      }
-    }
-    return groups;
+  if (cells > kDenseLimit) {
+    // Too many cells for a dense array: sort the rows by (key, row).
+    scratch.order.resize(n);
+    std::iota(scratch.order.begin(), scratch.order.end(), RowId{0});
+    std::sort(scratch.order.begin(), scratch.order.end(),
+              [keys](RowId a, RowId b) {
+                return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
+              });
+    return Emit::kSortedRows;
   }
 
-  // Too many cells for a dense array: sort the rows by (key, row); each
-  // run of equal keys is one group, its first row the run's first.
-  scratch.order.resize(n);
-  std::iota(scratch.order.begin(), scratch.order.end(), RowId{0});
-  std::sort(scratch.order.begin(), scratch.order.end(),
-            [keys](RowId a, RowId b) {
-              return keys[a] != keys[b] ? keys[a] < keys[b] : a < b;
-            });
-  std::size_t groups = 0;
-  for (std::size_t i = 0; i < n;) {
-    const RowId first = scratch.order[i];
-    KeyedGroup g{keys[first], first, 0, 0};
-    for (; i < n && keys[scratch.order[i]] == g.key; ++i) {
-      g.total += 1;
-      g.anomalous += anomalous_[scratch.order[i]];
+  // Cell `key` accumulates its group.  The array is zero-filled only
+  // when it grows; between calls every cell is zero (restored as the
+  // groups are emitted), so the scatter detects a group's first row by
+  // total == 0.
+  scratch.group_keys.clear();
+  if (scratch.dense.size() < cells) {
+    scratch.dense.resize(static_cast<std::size_t>(cells));
+  }
+  GroupCell* dense = scratch.dense.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    GroupCell& cell = dense[keys[r]];
+    if (cell.total == 0) {
+      scratch.group_keys.push_back(keys[r]);
+      cell.first_row = static_cast<RowId>(r);
     }
+    cell.total += 1;
+    cell.anomalous += anomalous_[r];
+  }
+  // The groups fill at least a quarter of the cells: walking the cells
+  // yields the keys in ascending order, cheaper than sorting.  Sparse
+  // cuboid: sort the touched keys and visit only those cells.
+  if (cells <= 4 * static_cast<std::uint64_t>(scratch.group_keys.size())) {
+    return Emit::kCellWalk;
+  }
+  std::sort(scratch.group_keys.begin(), scratch.group_keys.end());
+  return Emit::kTouchedKeys;
+}
+
+std::size_t LeafTable::groupByInto(CuboidMask mask, GroupByScratch& scratch,
+                                   std::vector<KeyedGroup>& out) const {
+  std::size_t groups = 0;
+  forEachGroup(mask, scratch, [&out, &groups](const KeyedGroup& g) {
     if (out.size() <= groups) out.resize(groups + 1);
     out[groups++] = g;
-  }
+  });
   return groups;
 }
 

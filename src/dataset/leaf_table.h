@@ -7,8 +7,8 @@
 // attribute, a v column, an f column and a 0/1 verdict column.  That is
 // the layout the counting wants — every quantity of Algorithms 1-2 is a
 // sweep over a few of these columns — so the table is also the one
-// aggregation plane: groupByInto projects every leaf onto a cuboid and
-// accumulates counts and KPI sums per projected combination.
+// aggregation plane: forEachGroup projects every leaf onto a cuboid and
+// accumulates counts per projected combination (groupBy adds KPI sums).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ inline double groupConfidence(std::uint32_t anomalous,
                           static_cast<double>(total);
 }
 
-/// One group of LeafTable::groupByInto: the leaves whose projection onto
+/// One group of LeafTable::forEachGroup: the leaves whose projection onto
 /// the cuboid has mixed-radix key `key` (combinationKey; decoded by
 /// combinationFromKey).  `total`/`anomalous` are the paper's
 /// support_count(ac) and support_count(ac, Anomaly); `first_row` is the
@@ -86,13 +86,13 @@ struct GroupCell {
   RowId first_row = 0;
 };
 
-/// Caller-owned scratch memory for LeafTable::groupByInto.  All buffers
-/// grow to the high-water mark of the cuboids aggregated through them
-/// and are then reused without reallocation.  Invariant between calls:
-/// every cell of `dense` is zero (groupByInto restores it before
-/// returning).  After a call, `keys` holds every row's projection key
-/// onto the cuboid.  A scratch serves one thread at a time; give each
-/// worker its own.
+/// Caller-owned scratch memory for LeafTable::forEachGroup (and its
+/// wrapper groupByInto).  All buffers grow to the high-water mark of the
+/// cuboids aggregated through them and are then reused without
+/// reallocation.  Invariant between calls: every cell of `dense` is zero
+/// (forEachGroup restores it as it emits the groups).  After a call,
+/// `keys` holds every row's projection key onto the cuboid.  A scratch
+/// serves one thread at a time; give each worker its own.
 struct GroupByScratch {
   std::vector<std::uint64_t> keys;        ///< [row] projection keys
   std::vector<std::uint64_t> group_keys;  ///< [group] keys, first touch
@@ -162,20 +162,26 @@ class LeafTable {
   double totalV() const noexcept;
   double totalF() const noexcept;
 
-  /// Aggregation of all leaves by their projection onto `mask` into
-  /// `out[0 .. returned count)`, one group per combination with at least
-  /// one supporting leaf (the table may be sparse), in ascending
-  /// mixed-radix key order (attribute order, element id: the
-  /// lexicographic order of the decoded combinations).  Nothing is
-  /// decoded and no KPI is summed: a group is its key, first row and
-  /// support counts, and combinationFromKey(schema(), mask, key) turns
-  /// it into an AttributeCombination.  `out` only ever grows; entries
-  /// past the returned count are stale.  In steady state (row count and cuboid
-  /// sizes no larger than already seen through `scratch`) the call
-  /// performs no heap allocation.  Cuboids with more than kDenseLimit
-  /// cells are aggregated by sorting the rows by key instead of through
-  /// the dense cell array.  Safe to call from several threads at once,
-  /// each with its own scratch.
+  /// Aggregation of all leaves by their projection onto `mask`: calls
+  /// fn(const KeyedGroup&) once per combination with at least one
+  /// supporting leaf (the table may be sparse), in ascending mixed-radix
+  /// key order (attribute order, element id: the lexicographic order of
+  /// the decoded combinations).  Nothing is decoded and no KPI is
+  /// summed: a group is its key, first row and support counts, and
+  /// combinationFromKey(schema(), mask, key) turns it into an
+  /// AttributeCombination.  The groups are handed over as they are
+  /// emitted, so no array of them is built; when fn runs, scratch.keys
+  /// already holds every row's projection key.  In steady state (row
+  /// count and cuboid sizes no larger than already seen through
+  /// `scratch`) the call performs no heap allocation.  Cuboids with more
+  /// than kDenseLimit cells are aggregated by sorting the rows by key
+  /// instead of through the dense cell array.  Safe to call from several
+  /// threads at once, each with its own scratch; fn must not throw.
+  template <typename Fn>
+  void forEachGroup(CuboidMask mask, GroupByScratch& scratch, Fn&& fn) const;
+
+  /// forEachGroup into `out[0 .. returned count)`.  `out` only ever
+  /// grows; entries past the returned count are stale.
   std::size_t groupByInto(CuboidMask mask, GroupByScratch& scratch,
                           std::vector<KeyedGroup>& out) const;
 
@@ -207,6 +213,21 @@ class LeafTable {
   static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
 
  private:
+  /// How forEachGroup hands out the groups aggregate() left in scratch.
+  enum class Emit : std::uint8_t {
+    kCellWalk,     ///< walk every dense cell in key order
+    kTouchedKeys,  ///< visit the sorted touched keys' cells
+    kSortedRows,   ///< runs of equal keys in scratch.order
+  };
+
+  /// forEachGroup's first half: sweeps every row's key onto `mask` into
+  /// scratch.keys and aggregates them — into scratch.dense (touched keys
+  /// in scratch.group_keys, sorted unless the cell walk is cheaper) or,
+  /// above kDenseLimit cells, by sorting scratch.order by (key, row).
+  /// `cells` receives the cuboid size.
+  Emit aggregate(CuboidMask mask, GroupByScratch& scratch,
+                 std::uint64_t& cells) const;
+
   /// groupBy's groups; with `rows`, also each group's member rows.
   std::vector<GroupAggregate> decodedGroups(
       CuboidMask mask, std::vector<std::vector<RowId>>* rows) const;
@@ -217,5 +238,43 @@ class LeafTable {
   std::vector<double> f_;                     ///< [row] forecast values
   std::vector<std::uint8_t> anomalous_;       ///< [row] 0/1 verdicts
 };
+
+template <typename Fn>
+void LeafTable::forEachGroup(CuboidMask mask, GroupByScratch& scratch,
+                             Fn&& fn) const {
+  std::uint64_t cells = 0;
+  const Emit emit = aggregate(mask, scratch, cells);
+  if (emit == Emit::kSortedRows) {
+    // Each run of equal keys is one group, its first row the run's first.
+    const std::uint64_t* keys = scratch.keys.data();
+    const std::size_t n = scratch.order.size();
+    for (std::size_t i = 0; i < n;) {
+      const RowId first = scratch.order[i];
+      KeyedGroup g{keys[first], first, 0, 0};
+      for (; i < n && keys[scratch.order[i]] == g.key; ++i) {
+        g.total += 1;
+        g.anomalous += anomalous_[scratch.order[i]];
+      }
+      fn(g);
+    }
+    return;
+  }
+  // Hands a finished cell out and zeroes it again, restoring the
+  // all-zero invariant of scratch.dense.
+  GroupCell* dense = scratch.dense.data();
+  const auto visit = [dense, &fn](std::uint64_t key) {
+    const KeyedGroup g{key, dense[key].first_row, dense[key].total,
+                       dense[key].anomalous};
+    dense[key] = GroupCell{};
+    fn(g);
+  };
+  if (emit == Emit::kCellWalk) {
+    for (std::uint64_t key = 0; key < cells; ++key) {
+      if (dense[key].total != 0) visit(key);
+    }
+  } else {
+    for (const std::uint64_t key : scratch.group_keys) visit(key);
+  }
+}
 
 }  // namespace rap::dataset

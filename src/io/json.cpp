@@ -131,8 +131,6 @@ std::string resultToJson(const dataset::Schema& schema,
   } else {
     w.value(result.stats.degraded_reason);
   }
-  w.key("search_threads");
-  w.value(static_cast<std::int64_t>(result.stats.search_threads));
   w.key("layers");
   w.beginArray();
   for (const auto& layer : result.stats.layers) {

@@ -51,6 +51,10 @@ class JsonWriter {
 /// Serializes a localization result:
 /// {"patterns":[{"pattern":"(L1, *, *, Site1)","confidence":..,
 ///   "layer":..,"score":..}...],"stats":{...}}
+/// The document depends only on the table and the thresholds, apart
+/// from wall times: stats.search_threads, which varies with how many
+/// pool workers were idle, is left out, so the result cache and the
+/// journal replay reproduce it byte for byte.
 std::string resultToJson(const dataset::Schema& schema,
                          const core::LocalizationResult& result);
 

@@ -55,8 +55,9 @@ struct StreamConfig {
   bool detect_two_sided = false;
 
   /// Thresholds of the per-window RapMiner.  Each window's search runs
-  /// serially on its localize_threads worker; localize_threads bounds
-  /// how many windows localize at once.
+  /// on a localize_threads worker and fans out to the workers idle at
+  /// that moment; localize_threads bounds how many windows localize at
+  /// once.
   core::RapMinerConfig miner;
   /// Patterns kept per localization (RapMiner::localize's k).
   std::int32_t top_k = 5;

@@ -410,8 +410,9 @@ void StreamEngine::processWindow(SealedWindow window) {
       // miner_ persists across epochs, so its internal WorkspacePool
       // retains the search scratch: steady-state epochs reuse capacity
       // instead of reallocating, and concurrent localize_pool_ workers
-      // each lease their own workspace from it.
-      out.result = miner_.localize(table, config_.top_k);
+      // each lease their own workspace from it.  The search fans out to
+      // whichever localize workers are idle.
+      out.result = miner_.localize(table, config_.top_k, pool_.get());
     } catch (const std::exception& e) {
       localize_failures_.fetch_add(1, std::memory_order_relaxed);
       if (obs::metricsEnabled()) metrics_.localize_failures->increment();

@@ -69,6 +69,8 @@ JobManager::JobManager(Options options, ResultCache* cache)
   if (options_.shared_pool == nullptr) {
     pool_ = std::make_unique<util::ThreadPool>(options_.workers);
   }
+  executing_pool_ =
+      options_.shared_pool != nullptr ? options_.shared_pool : pool_.get();
 }
 
 JobManager::~JobManager() {
@@ -87,11 +89,9 @@ JobManager::~JobManager() {
 }
 
 void JobManager::dispatchLocked(std::size_t n) {
-  util::ThreadPool* pool =
-      options_.shared_pool != nullptr ? options_.shared_pool : pool_.get();
   for (std::size_t i = 0; i < n; ++i) {
     ++tasks_outstanding_;
-    pool->submit([this] { drainOne(); });
+    executing_pool_->submit([this] { drainOne(); });
   }
 }
 
@@ -368,8 +368,10 @@ JobManager::ExecOutcome JobManager::executeImpl(JobRequest& request,
     detect::RelativeDeviationDetector(request.detect_threshold).run(table);
   }
 
+  // The search fans out to the executing pool's idle workers, if any —
+  // the pool this job runs on when queued, or beside it when sync.
   const core::LocalizationResult result = miner.value().localize(
-      table, request.k, /*pool=*/nullptr, &localize_workspaces_);
+      table, request.k, executing_pool_, &localize_workspaces_);
   outcome.ok = true;
   outcome.result_json = io::resultToJson(table.schema(), result);
   if (cache_ != nullptr && request.cache_key != 0) {

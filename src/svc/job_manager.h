@@ -21,7 +21,10 @@
 // manager, quota (`max_active`), and metric labels over a process-wide
 // pool.  Each job runs under its own RapMiner built from the job's
 // config (validated at admission — a bad override is a 400 at submit
-// time, never a RAP_CHECK abort in a worker).
+// time, never a RAP_CHECK abort in a worker).  Every search, queued or
+// sync, passes that executing pool to RapMiner::localize, so Algorithm 2
+// borrows whichever workers are idle at each layer and never waits on
+// one that is busy.
 //
 // Every execution consults the ResultCache first (keyed by the request's
 // content hash) and stores its rendered result document on completion,
@@ -171,7 +174,8 @@ class JobManager {
 
   /// Runs a request synchronously on the calling thread (the service's
   /// sync mode) — same cache/execute path as queued jobs, no admission
-  /// control.  Returns the rendered result document.
+  /// control; its search may borrow idle workers of the executing pool.
+  /// Returns the rendered result document.
   util::Result<std::string> executeInline(JobRequest request);
 
   /// While paused, admitted jobs stay queued (workers idle); tests use
@@ -270,6 +274,12 @@ class JobManager {
   obs::Gauge* jobs_running_ = nullptr;
   obs::Histogram* job_seconds_ = nullptr;
   obs::Histogram* queue_delay_ = nullptr;  ///< rap_svc_queue_delay_seconds
+
+  /// The pool jobs execute on (options_.shared_pool or pool_), set once
+  /// at construction.  Searches fan out to its idle workers; it stays
+  /// valid while the destructor joins pool_, and searches running then
+  /// simply get no helpers.
+  util::ThreadPool* executing_pool_ = nullptr;
 
   /// Last member: joins its workers first on destruction, while the
   /// members above are still alive for in-flight drainOne() calls.

@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "util/status.h"
@@ -30,10 +31,25 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RAP_CHECK_MSG(!shutting_down_, "submit after shutdown");
-    queue_.push(std::move(task));
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   work_available_.notify_one();
+}
+
+std::size_t ThreadPool::submitToIdle(std::size_t max_tasks,
+                                     const std::function<void()>& task) {
+  RAP_CHECK(task != nullptr);
+  std::size_t enqueued = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shutting_down_ || in_flight_ >= workers_.size()) return 0;
+    enqueued = std::min(max_tasks, workers_.size() - in_flight_);
+    for (std::size_t i = 0; i < enqueued; ++i) queue_.push_back(task);
+    in_flight_ += enqueued;
+  }
+  for (std::size_t i = 0; i < enqueued; ++i) work_available_.notify_one();
+  return enqueued;
 }
 
 void ThreadPool::wait() {
@@ -52,13 +68,19 @@ void ThreadPool::workerLoop() {
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
+          lock, [this] { return shutting_down_ || head_ < queue_.size(); });
+      if (head_ == queue_.size()) {
         if (shutting_down_) return;
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop();
+      task = std::move(queue_[head_++]);
+      // Reclaim the popped prefix once it dominates the buffer (all of
+      // it when the queue drains); the capacity stays for later submits.
+      if (2 * head_ >= queue_.size()) {
+        queue_.erase(queue_.begin(),
+                     queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
     }
     task();
     {

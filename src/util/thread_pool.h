@@ -1,16 +1,17 @@
 // Minimal fixed-size thread pool plus a parallel-for helper.
 //
-// Used by the evaluation runner to fan localization cases across cores
-// during parameter sweeps.  Timing-sensitive benches stay serial (the
-// Fig. 9 harnesses measure per-case wall time); the pool is for the
-// sweeps where only the aggregate metric matters.
+// Runs the service's localization jobs and the stream engine's
+// localizations, fans evaluation sweeps across cores, and lends idle
+// workers to Algorithm 2: a search running on (or beside) a pool hands
+// it helper tasks through submitToIdle, which never queues more helpers
+// than there are idle workers, and waits only for helpers that started.
+// So a search inside a pool task cannot deadlock a saturated pool.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -31,6 +32,16 @@ class ThreadPool {
   /// workers; violate this and the process terminates, loudly).
   void submit(std::function<void()> task);
 
+  /// Enqueues up to `max_tasks` copies of `task`, never more than the
+  /// workers idle right now (threadCount() minus the tasks queued or
+  /// running), and returns how many it enqueued.  Counting and enqueueing
+  /// happen under one lock, so concurrent callers never oversubscribe
+  /// the pool.  Returns 0 once shutdown has begun, where submit() would
+  /// abort: a task that outlives the pool's teardown falls back to
+  /// running its work itself.
+  std::size_t submitToIdle(std::size_t max_tasks,
+                           const std::function<void()>& task);
+
   /// Block until every submitted task has finished.
   void wait();
 
@@ -42,7 +53,10 @@ class ThreadPool {
   void workerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
+  /// FIFO of pending tasks: queue_[head_, size()).  Popped slots are
+  /// reclaimed in place, so a steady submit/run rate allocates nothing.
+  std::vector<std::function<void()>> queue_;
+  std::size_t head_ = 0;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable all_done_;

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -32,6 +34,7 @@
 #include "io/json.h"
 #include "stream/engine.h"
 #include "stream/source.h"
+#include "svc/job_manager.h"
 #include "util/rng.h"
 
 namespace rap {
@@ -694,6 +697,39 @@ TEST_F(Chaos, SearchLayerFaultDegradesLocalization) {
   const auto result = miner->localize(layer2Table(), 3);
   EXPECT_TRUE(result.degraded);
   EXPECT_EQ(result.stats.degraded_reason, "fault");
+}
+
+TEST_F(Chaos, OwnedPoolTeardownMidSearchDoesNotAbort) {
+  RAP_REQUIRE_FAULT_BUILD();
+  // Every search layer sleeps 20 ms, so the queued job is still inside
+  // Algorithm 2 when its manager tears down the pool the search fans out
+  // on.  The layers left must judge alone instead of submitting helpers
+  // to a pool that is shutting down, and the job must still finish.
+  fault::FaultSpec spec;
+  spec.action = fault::Action::kDelay;
+  spec.delay_micros = 20000;
+  fault::Registry::instance().arm("search.layer", spec);
+  std::atomic<int> finished_ok{0};
+  {
+    svc::JobManager::Options options;
+    options.workers = 2;
+    options.on_terminal = [&finished_ok](std::uint64_t, std::uint64_t,
+                                         bool ok) {
+      if (ok) finished_ok.fetch_add(1);
+    };
+    svc::JobManager manager(std::move(options));
+    svc::JobRequest request(layer2Table());
+    request.miner.cp.enable_attribute_deletion = false;
+    request.miner.search.early_stop = false;
+    const auto id = manager.submit(std::move(request));
+    ASSERT_TRUE(id.isOk()) << id.status().toString();
+    for (int i = 0; i < 2000; ++i) {
+      if (manager.status(*id)->state == svc::JobState::kRunning) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(manager.status(*id)->state, svc::JobState::kRunning);
+  }
+  EXPECT_EQ(finished_ok.load(), 1);
 }
 
 }  // namespace

@@ -177,6 +177,41 @@ TEST(ParallelSearch, SharedPoolSurvivesConcurrentLocalizations) {
   }
 }
 
+TEST(ParallelSearch, PoolTasksLocalizeThroughTheirOwnPool) {
+  // The served pattern: every worker of a 1- and a 2-worker pool runs a
+  // task that localizes through that same pool, with more tasks queued
+  // behind them.  A search waits only for helpers that started, so the
+  // saturated pool cannot deadlock on helpers queued behind the tasks
+  // that enlisted them (ctest's TIMEOUT turns a regression into a
+  // failure instead of a hang).
+  const auto cases = rapmdCases(606, 6);
+  RapMinerConfig exhaustive;
+  exhaustive.cp.enable_attribute_deletion = false;
+  exhaustive.search.early_stop = false;
+  for (const RapMinerConfig& config : {RapMinerConfig{}, exhaustive}) {
+    const RapMiner miner(config);
+    std::vector<LocalizationResult> serial;
+    for (const auto& c : cases) serial.push_back(miner.localize(c.table, 0));
+    for (const std::size_t workers : {1u, 2u}) {
+      util::ThreadPool pool(workers);
+      std::vector<LocalizationResult> pooled(cases.size());
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        pool.submit([&miner, &cases, &pooled, &pool, i] {
+          pooled[i] = miner.localize(cases[i].table, 0, &pool);
+        });
+      }
+      pool.wait();
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "workers=" << workers
+                                          << " case=" << i);
+        expectBitIdentical(serial[i], pooled[i]);
+        EXPECT_LE(pooled[i].stats.search_threads,
+                  static_cast<std::int32_t>(workers) + 1);
+      }
+    }
+  }
+}
+
 // ------------------------------------------ threads actually used
 
 /// Fully populated labeled table over Schema::synthetic(cards); every

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -365,6 +366,15 @@ TEST(ResultCache, CapacityZeroDisablesCaching) {
 // ---------------------------------------------------------------------------
 // JobManager.
 
+/// A result document with every wall-time value zeroed: the rest of it
+/// is a function of the snapshot and the thresholds alone.
+std::string withoutTimes(const std::string& doc) {
+  static const std::regex timed(
+      "(\"(?:seconds|seconds_aggregate|attribute_deletion|search|ranking)\":)"
+      "[-+.0-9eE]+");
+  return std::regex_replace(doc, timed, "$010");
+}
+
 svc::JobRequest demoJob(std::uint64_t cache_key = 0) {
   svc::JobRequest request(demoTable(dataset::Schema::tiny()));
   request.cache_key = cache_key;
@@ -440,6 +450,44 @@ TEST(JobManager, ServesIdenticalResubmissionsFromTheCache) {
   EXPECT_EQ(status->state, svc::JobState::kDone);
   EXPECT_TRUE(status->cache_hit);
   EXPECT_EQ(status->result_json, *first);
+}
+
+TEST(JobManager, AsyncJobsOnAOneWorkerSharedPoolAllComplete) {
+  // Each queued search runs on the pool's only worker and fans out on
+  // that same pool; sync searches beside them borrow the worker only
+  // while it is idle.  Every job must finish with the document of a
+  // search run without a pool.
+  util::ThreadPool pool(1);
+  svc::JobManager manager({.queue_capacity = 16, .shared_pool = &pool});
+  const dataset::Schema schema = dataset::Schema::tiny();
+  dataset::LeafTable labeled = demoTable(schema);
+  detect::RelativeDeviationDetector(0.095).run(labeled);
+  const std::string reference = withoutTimes(
+      io::resultToJson(schema, core::RapMiner().localize(labeled, 5)));
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 8; ++i) {
+    const auto id = manager.submit(demoJob());
+    ASSERT_TRUE(id.isOk()) << id.status().toString();
+    ids.push_back(*id);
+  }
+  std::vector<std::thread> sync_callers;
+  std::vector<std::string> sync_docs(2);
+  for (std::size_t t = 0; t < sync_docs.size(); ++t) {
+    sync_callers.emplace_back([&manager, &sync_docs, t] {
+      const auto doc = manager.executeInline(demoJob());
+      if (doc.isOk()) sync_docs[t] = *doc;
+    });
+  }
+  for (auto& caller : sync_callers) caller.join();
+  manager.drain();
+  for (const auto id : ids) {
+    const auto status = manager.status(id);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, svc::JobState::kDone) << "job " << id;
+    EXPECT_EQ(withoutTimes(status->result_json), reference) << "job " << id;
+  }
+  for (const auto& doc : sync_docs) EXPECT_EQ(withoutTimes(doc), reference);
 }
 
 // ---------------------------------------------------------------------------
@@ -1313,6 +1361,58 @@ TEST_F(JournalDir, ReplayedCompletedWorkIsBitIdenticalViaTheCache) {
   EXPECT_EQ(status->result_json, original.body);
   // on_terminal wrote the completion marker.
   EXPECT_EQ((*journal)->liveCount(), 0u);
+}
+
+TEST_F(JournalDir, ResultDocumentIgnoresPoolOccupancyAndReplay) {
+  // With the cache off every request runs its own search, and the
+  // search's width depends on how many job workers are idle.  The
+  // document must not: the same snapshot renders the same bytes (wall
+  // times aside) on an idle pool, beside a saturating async load, and
+  // when a journaled job is replayed.
+  const auto schema = dataset::Schema::tiny();
+  auto journal = svc::JobJournal::open({.path = path("jobs.rapjrnl")});
+  ASSERT_TRUE(journal.isOk());
+  svc::LocalizeService::Options options = smallServiceOptions();
+  options.jobs.workers = 2;
+  options.jobs.queue_capacity = 64;
+  options.cache.capacity = 0;
+  options.journal = journal->get();
+  svc::LocalizeService service(schema, core::RapMinerConfig{}, options);
+  const std::string body = csvBodyOf(demoTable(schema));
+
+  const auto idle = service.handleLocalize(postRequest(body, "mode=sync"));
+  ASSERT_EQ(idle.status, 200) << idle.body;
+  EXPECT_EQ(idle.body.find("search_threads"), std::string::npos);
+
+  for (int i = 0; i < 24; ++i) {
+    ASSERT_EQ(service.handleLocalize(postRequest(body, "mode=async")).status,
+              202);
+  }
+  const auto busy = service.handleLocalize(postRequest(body, "mode=sync"));
+  ASSERT_EQ(busy.status, 200) << busy.body;
+  EXPECT_EQ(withoutTimes(busy.body), withoutTimes(idle.body));
+  service.jobs().drain();
+  for (const auto& job : service.jobs().list()) {
+    ASSERT_EQ(job.state, svc::JobState::kDone);
+    EXPECT_EQ(withoutTimes(job.result_json), withoutTimes(idle.body));
+  }
+
+  svc::JobJournal::Record record;
+  record.tenant = "default";
+  record.content_type = "csv";
+  record.query = "mode=async";
+  record.body = body;
+  const auto record_id = (*journal)->append(record);
+  ASSERT_TRUE(record_id.isOk());
+  record.id = *record_id;
+  const auto replayed = service.replayJob(record);
+  ASSERT_TRUE(replayed.isOk()) << replayed.status().toString();
+  service.jobs().drain();
+  const auto status = service.jobs().status(*replayed);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, svc::JobState::kDone);
+  EXPECT_FALSE(status->cache_hit);
+  EXPECT_EQ(withoutTimes(status->result_json), withoutTimes(idle.body));
 }
 
 TEST_F(JournalDir, SyncRequestsNeverTouchTheJournal) {
