@@ -16,17 +16,17 @@
 // candidate): nothing per group or per cuboid.  A warm search whose
 // layers fan out on a 2-worker pool must allocate the same count beyond
 // its result at 1k and at 9k rows, at most one fan-out block per layer.
-// The same mode then decodes
-// a ~9k-row cdn CSV snapshot and fails if the warm decode makes more
-// than 64 heap allocations: the table's columns are reserved up front,
-// and nothing is allocated per row or per field (docs/service.md,
-// "Snapshot decoding").  Last, it drives a warm window through the
-// stream sealer's data path (4 sorted shard fragments merged by the
-// WindowAssembler, popped, decoded into a table) at 1k and at 9k rows
-// and fails unless both make the same number of heap allocations:
-// nothing per row (docs/streaming.md).  The probe's replacement
-// operator new/delete are compiled into this binary only (see
-// src/util/alloc_probe.h).
+// The same mode then decodes a ~9k-row cdn CSV snapshot and a labeled
+// 8-attribute one (the svc_incident and svc_deep shapes) and fails if
+// either warm decode makes more than 64 heap allocations: the table's
+// columns are reserved up front, and nothing is allocated per row or
+// per field (docs/service.md, "Snapshot decoding").  Last, it drives a
+// warm window through the stream sealer's data path (4 sorted shard
+// fragments merged by the WindowAssembler, popped, decoded into a
+// table) at 1k and at 9k rows and fails unless both make the same
+// number of heap allocations: nothing per row (docs/streaming.md).
+// The probe's replacement operator new/delete are compiled into this
+// binary only (see src/util/alloc_probe.h).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -315,72 +315,115 @@ void BM_JsonResultSerialization(benchmark::State& state) {
 }
 BENCHMARK(BM_JsonResultSerialization);
 
-/// The rapmd case as an unlabeled `attr...,real,predict` CSV request
-/// body, KPIs at %.6g — the shape of the svc_incident snapshots.
-const std::string& snapshotBody() {
-  static const std::string kBody = [] {
-    const auto& table = rapmdCase().table;
-    const auto& schema = table.schema();
-    std::vector<io::CsvRow> rows;
-    io::CsvRow header;
-    for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
-      header.push_back(schema.attribute(a).name());
-    }
-    header.emplace_back("real");
-    header.emplace_back("predict");
-    rows.push_back(std::move(header));
-    for (const auto& row : table.rows()) {
-      io::CsvRow out;
-      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
-        out.push_back(schema.attribute(a).elementName(row.ac.slot(a)));
-      }
-      out.push_back(util::strFormat("%.6g", row.v));
-      out.push_back(util::strFormat("%.6g", row.f));
-      rows.push_back(std::move(out));
-    }
-    return io::writeCsv(rows);
+/// The svc_deep shape: a rapmd case over the 8-attribute synthetic
+/// schema (8,640 leaves), labels with 2% noise.
+const gen::Case& deepCase() {
+  static const gen::Case kCase = [] {
+    gen::RapmdConfig config;
+    config.num_cases = 1;
+    config.label_noise = 0.02;
+    gen::RapmdGenerator generator(
+        dataset::Schema::synthetic({5, 4, 4, 3, 3, 3, 2, 2}), config, 1234);
+    return generator.generateCase(0);
   }();
+  return kCase;
+}
+
+/// `table` as an `attr...,real,predict[,label]` CSV request body, KPIs
+/// at %.6g — the shape perfbench posts.
+std::string csvBody(const dataset::LeafTable& table, bool labeled) {
+  const auto& schema = table.schema();
+  std::vector<io::CsvRow> rows;
+  io::CsvRow header;
+  for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+    header.push_back(schema.attribute(a).name());
+  }
+  header.emplace_back("real");
+  header.emplace_back("predict");
+  if (labeled) header.emplace_back("label");
+  rows.push_back(std::move(header));
+  for (const auto& row : table.rows()) {
+    io::CsvRow out;
+    for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+      out.push_back(schema.attribute(a).elementName(row.ac.slot(a)));
+    }
+    out.push_back(util::strFormat("%.6g", row.v));
+    out.push_back(util::strFormat("%.6g", row.f));
+    if (labeled) out.push_back(row.anomalous ? "1" : "0");
+    rows.push_back(std::move(out));
+  }
+  return io::writeCsv(rows);
+}
+
+/// The rapmd case, unlabeled: the shape of the svc_incident snapshots.
+const std::string& snapshotBody() {
+  static const std::string kBody = csvBody(rapmdCase().table, false);
   return kBody;
 }
 
-void BM_DecodeCsvSnapshot(benchmark::State& state) {
-  const auto& schema = rapmdCase().table.schema();
-  const std::string& body = snapshotBody();
+/// The deep case, labeled: the shape of the svc_deep snapshots.
+const std::string& deepSnapshotBody() {
+  static const std::string kBody = csvBody(deepCase().table, true);
+  return kBody;
+}
+
+void decodeBenchmark(benchmark::State& state, const gen::Case& c,
+                     const std::string& body) {
+  const auto& schema = c.table.schema();
   for (auto _ : state) {
     benchmark::DoNotOptimize(svc::parseCsvSnapshot(schema, body));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rapmdCase().table.size()));
+                          static_cast<std::int64_t>(c.table.size()));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(body.size()));
 }
+
+void BM_DecodeCsvSnapshot(benchmark::State& state) {
+  decodeBenchmark(state, rapmdCase(), snapshotBody());
+}
 BENCHMARK(BM_DecodeCsvSnapshot);
+
+void BM_DecodeCsvSnapshotLabeled8(benchmark::State& state) {
+  decodeBenchmark(state, deepCase(), deepSnapshotBody());
+}
+BENCHMARK(BM_DecodeCsvSnapshotLabeled8);
 
 /// The decode half of --assert-zero-alloc: a warm single-pass decode
 /// may make a fixed number of allocations (the table's reserved
 /// columns, the schema and error plumbing), never per row, per field or
-/// for a materialized document.
+/// for a materialized document.  Checked on both snapshot shapes.
 int assertDecodeAllocBudget() {
-  const auto& schema = rapmdCase().table.schema();
-  const std::string& body = snapshotBody();
-  if (!svc::parseCsvSnapshot(schema, body).isOk()) {  // warm-up
-    std::fprintf(stderr, "FAIL: the snapshot body does not decode\n");
-    return 1;
-  }
-  util::allocProbeArm();
-  const auto table = svc::parseCsvSnapshot(schema, body);
-  const std::uint64_t allocs = util::allocProbeDisarm();
-  const std::uint64_t rows = table.isOk() ? table->size() : 0;
   constexpr std::uint64_t budget = 64;
-  std::printf("decode alloc check: %llu heap allocations decoding %llu rows "
-              "(%zu bytes), budget %llu\n",
-              static_cast<unsigned long long>(allocs),
-              static_cast<unsigned long long>(rows), body.size(),
-              static_cast<unsigned long long>(budget));
-  if (!table.isOk() || allocs > budget) {
-    std::fprintf(stderr,
-                 "FAIL: snapshot decoding exceeded its allocation budget\n");
-    return 1;
+  const struct {
+    const char* name;
+    const gen::Case& c;
+    const std::string& body;
+  } shapes[] = {{"cdn", rapmdCase(), snapshotBody()},
+                {"labeled 8-attribute", deepCase(), deepSnapshotBody()}};
+  for (const auto& shape : shapes) {
+    const auto& schema = shape.c.table.schema();
+    if (!svc::parseCsvSnapshot(schema, shape.body).isOk()) {  // warm-up
+      std::fprintf(stderr, "FAIL: the %s snapshot body does not decode\n",
+                   shape.name);
+      return 1;
+    }
+    util::allocProbeArm();
+    const auto table = svc::parseCsvSnapshot(schema, shape.body);
+    const std::uint64_t allocs = util::allocProbeDisarm();
+    const std::uint64_t rows = table.isOk() ? table->size() : 0;
+    std::printf("decode alloc check (%s): %llu heap allocations decoding "
+                "%llu rows (%zu bytes), budget %llu\n",
+                shape.name, static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(rows), shape.body.size(),
+                static_cast<unsigned long long>(budget));
+    if (!table.isOk() || allocs > budget) {
+      std::fprintf(stderr,
+                   "FAIL: %s snapshot decoding exceeded its allocation "
+                   "budget\n",
+                   shape.name);
+      return 1;
+    }
   }
   std::printf("OK: snapshot decoding is within 64 allocations\n");
   return 0;

@@ -1,5 +1,7 @@
 #include "dataset/schema.h"
 
+#include <bit>
+#include <cstring>
 #include <string_view>
 #include <unordered_set>
 
@@ -7,16 +9,70 @@
 
 namespace rap::dataset {
 
+namespace {
+
+/// Hash of an element name for Attribute's index.  Names are short, so
+/// a name under eight bytes is read with at most two fixed-size loads
+/// (overlapping; the length is hashed too), never byte by byte; longer
+/// names go eight bytes per multiply.  A murmur3-style finalizer makes
+/// the low bits, the slot, depend on every byte.
+std::uint64_t elementHash(std::string_view text) noexcept {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  const char* p = text.data();
+  const std::size_t n = text.size();
+  std::uint64_t h = kMul ^ n;
+  if (n >= 8) {
+    std::uint64_t word;
+    for (std::size_t i = 0; i + 8 <= n; i += 8) {
+      std::memcpy(&word, p + i, 8);
+      h = (h ^ word) * kMul;
+    }
+    std::memcpy(&word, p + n - 8, 8);
+    h = (h ^ word) * kMul;
+  } else if (n >= 4) {
+    std::uint32_t head;
+    std::uint32_t tail;
+    std::memcpy(&head, p, 4);
+    std::memcpy(&tail, p + n - 4, 4);
+    h = (h ^ (std::uint64_t{head} << 32 | tail)) * kMul;
+  } else if (n > 0) {
+    const auto byte = [p](std::size_t i) {
+      return static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]));
+    };
+    h = (h ^ (byte(0) << 16 | byte(n / 2) << 8 | byte(n - 1))) * kMul;
+  }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  return h;
+}
+
+}  // namespace
+
 Attribute::Attribute(std::string name, std::vector<std::string> elements)
     : name_(std::move(name)), elements_(std::move(elements)) {
   RAP_CHECK_MSG(!elements_.empty(), "attribute '" << name_ << "' has no elements");
-  index_.reserve(elements_.size());
+  slots_.assign(std::bit_ceil(2 * elements_.size()), kNoElement);
+  const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = 0; i < elements_.size(); ++i) {
-    const bool inserted =
-        index_.emplace(elements_[i], static_cast<ElemId>(i)).second;
-    RAP_CHECK_MSG(inserted, "duplicate element '" << elements_[i]
-                                                  << "' in attribute '"
-                                                  << name_ << "'");
+    RAP_CHECK_MSG(findElement(elements_[i]) == kNoElement,
+                  "duplicate element '" << elements_[i] << "' in attribute '"
+                                        << name_ << "'");
+    std::size_t slot = elementHash(elements_[i]) & mask;
+    while (slots_[slot] != kNoElement) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<ElemId>(i);
+  }
+}
+
+ElemId Attribute::findElement(std::string_view element_name) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t slot = elementHash(element_name) & mask;;
+       slot = (slot + 1) & mask) {
+    const ElemId id = slots_[slot];
+    if (id == kNoElement ||
+        elements_[static_cast<std::size_t>(id)] == element_name) {
+      return id;
+    }
   }
 }
 
@@ -27,12 +83,12 @@ const std::string& Attribute::elementName(ElemId id) const {
 }
 
 util::Result<ElemId> Attribute::elementId(std::string_view element_name) const {
-  auto it = index_.find(element_name);
-  if (it == index_.end()) {
+  const ElemId id = findElement(element_name);
+  if (id == kNoElement) {
     return util::Status::notFound("element '" + std::string(element_name) +
                                   "' not in attribute '" + name_ + "'");
   }
-  return it->second;
+  return id;
 }
 
 Schema::Schema(std::vector<Attribute> attributes) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -22,15 +21,6 @@ namespace rap::dataset {
 using AttrId = std::int32_t;
 using ElemId = std::int32_t;
 
-/// Hash for string-keyed maps that look up by std::string_view without
-/// building a temporary std::string.
-struct StringViewHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view text) const noexcept {
-    return std::hash<std::string_view>{}(text);
-  }
-};
-
 /// One dimension of the KPI space: a name plus an element dictionary.
 class Attribute {
  public:
@@ -43,12 +33,20 @@ class Attribute {
   const std::string& elementName(ElemId id) const;
   /// Returns the element id, or an error if the name is unknown.
   util::Result<ElemId> elementId(std::string_view element_name) const;
+  /// The element id, or kNoElement if the name is unknown: the decoders'
+  /// per-row lookup, which builds no Status and allocates nothing.
+  ElemId findElement(std::string_view element_name) const noexcept;
+
+  static constexpr ElemId kNoElement = -1;
 
  private:
   std::string name_;
   std::vector<std::string> elements_;
-  std::unordered_map<std::string, ElemId, StringViewHash, std::equal_to<>>
-      index_;
+  /// Open-addressing index of elements_: a power-of-two table at most
+  /// half full, each slot an element id or kNoElement, probed linearly
+  /// from the name's hash.  Built once here; a Schema's attributes live
+  /// in its shared immutable dictionary, so copies never rebuild it.
+  std::vector<ElemId> slots_;
 };
 
 /// One attribute as outside input (a tenant spec, a schema file) states

@@ -1,6 +1,7 @@
 #include "io/dataset_io.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "util/strings.h"
 
@@ -52,15 +53,45 @@ util::Result<LeafTable> leafTableFromCsvRows(const Schema& schema,
                                              const std::string& source) {
   LeafRowDecoder decoder(schema, source, /*csv_header=*/true);
   decoder.reserve(rows.empty() ? 0 : rows.size() - 1);
+  std::vector<std::string_view> views;
   for (const CsvRow& row : rows) {
-    if (!decoder.add(CsvFields(row)).isOk()) break;
+    views.assign(row.begin(), row.end());
+    if (!decoder.add(CsvFields(views)).isOk()) break;
   }
   return std::move(decoder).finish();
 }
 
 namespace {
 
+// A decoder cell is a CSV view or a JSON LeafCell; these read either.
+std::string_view textOf(std::string_view cell) noexcept { return cell; }
+std::string_view textOf(const LeafCell& cell) noexcept { return cell.text; }
+const double* numberOf(std::string_view) noexcept { return nullptr; }
+const double* numberOf(const LeafCell& cell) noexcept {
+  return cell.number ? &*cell.number : nullptr;
+}
+
+/// a == b without a memcmp call for the short strings element names
+/// are: at most two fixed-size loads per side under eight bytes.
+inline bool sameBytes(std::string_view a, std::string_view b) noexcept {
+  const std::size_t n = a.size();
+  if (n != b.size()) return false;
+  if (n >= 8) return std::memcmp(a.data(), b.data(), n) == 0;
+  if (n >= 4) {
+    std::uint32_t a4[2];
+    std::uint32_t b4[2];
+    std::memcpy(&a4[0], a.data(), 4);
+    std::memcpy(&a4[1], a.data() + n - 4, 4);
+    std::memcpy(&b4[0], b.data(), 4);
+    std::memcpy(&b4[1], b.data() + n - 4, 4);
+    return a4[0] == b4[0] && a4[1] == b4[1];
+  }
+  return n == 0 ||
+         (a[0] == b[0] && a[n / 2] == b[n / 2] && a[n - 1] == b[n - 1]);
+}
+
 /// Renders a cell for an error message: its text, or its number.
+std::string cellText(std::string_view cell) { return std::string(cell); }
 std::string cellText(const LeafCell& cell) {
   if (!cell.number) return std::string(cell.text);
   return util::strFormat("%.17g", *cell.number);
@@ -74,25 +105,30 @@ LeafRowDecoder::LeafRowDecoder(const Schema& schema, std::string source,
       table_(schema),
       header_pending_(csv_header),
       slots_(static_cast<std::size_t>(schema.attributeCount()),
-             dataset::kWildcard) {}
-
-util::Status LeafRowDecoder::add(CsvFields fields) {
-  if (header_pending_) {
-    header_pending_ = false;
-    return util::Status::ok();
+             dataset::kWildcard) {
+  columns_.reserve(slots_.size());
+  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
+    columns_.push_back({&table_.schema().attribute(a), {}});
   }
-  cells_.resize(fields.size());
-  for (std::size_t c = 0; c < fields.size(); ++c) {
-    cells_[c] = LeafCell{fields[c], std::nullopt};
-  }
-  return add(std::span<const LeafCell>(cells_));
 }
 
-util::Status LeafRowDecoder::add(std::span<const LeafCell> cells) {
+const util::Status& LeafRowDecoder::add(CsvFields fields) {
+  if (header_pending_) {
+    header_pending_ = false;
+    return status_;
+  }
+  return addRow(fields);
+}
+
+const util::Status& LeafRowDecoder::add(std::span<const LeafCell> cells) {
+  return addRow(cells);
+}
+
+template <typename Cell>
+const util::Status& LeafRowDecoder::addRow(std::span<const Cell> cells) {
   if (!status_.isOk()) return status_;
   line_ += 1;
-  status_ = decode(cells);
-  if (!status_.isOk()) {
+  if (!decode(cells)) {
     status_ = util::Status(
         status_.code(),
         util::strFormat("%s:%zu: ", source_.c_str(), line_) + status_.message());
@@ -100,73 +136,89 @@ util::Status LeafRowDecoder::add(std::span<const LeafCell> cells) {
   return status_;
 }
 
-util::Status LeafRowDecoder::decode(std::span<const LeafCell> cells) {
-  const Schema& schema = table_.schema();
-  const auto n_attrs = static_cast<std::size_t>(schema.attributeCount());
+template <typename Cell>
+bool LeafRowDecoder::decode(std::span<const Cell> cells) {
+  const std::size_t n_attrs = slots_.size();
   const std::size_t min_cols = n_attrs + 2;  // + real + predict
   if (cells.size() < min_cols) {
-    return util::Status::invalidArgument(util::strFormat(
+    status_ = util::Status::invalidArgument(util::strFormat(
         "expected >= %zu columns, got %zu", min_cols, cells.size()));
+    return false;
   }
 
   for (std::size_t a = 0; a < n_attrs; ++a) {
-    const dataset::Attribute& attr = schema.attribute(static_cast<AttrId>(a));
+    Column& column = columns_[a];
+    const std::string_view text = textOf(cells[a]);
     // Snapshots list leaves mostly in order, so a slot usually repeats
-    // the previous row's element: one string compare instead of a hash.
-    const dataset::ElemId last = slots_[a];
-    if (last != dataset::kWildcard && cells[a].text == attr.elementName(last)) {
+    // the previous row's element: one string compare instead of a probe.
+    if (slots_[a] != dataset::kWildcard && sameBytes(text, column.last)) {
       continue;
     }
-    auto elem = attr.elementId(cells[a].text);
-    if (!elem) return util::Status::invalidArgument(elem.status().message());
-    slots_[a] = elem.value();
+    const dataset::ElemId elem = column.attr->findElement(text);
+    if (elem == dataset::Attribute::kNoElement) {
+      status_ = util::Status::invalidArgument(
+          column.attr->elementId(text).status().message());
+      return false;
+    }
+    slots_[a] = elem;
+    column.last = column.attr->elementName(elem);
   }
 
   double kpi[2];
   for (std::size_t k = 0; k < 2; ++k) {
-    const LeafCell& cell = cells[n_attrs + k];
-    if (cell.number) {
+    const Cell& cell = cells[n_attrs + k];
+    if (const double* number = numberOf(cell)) {
       // The accept set of the number's text form: strtod reports a
       // subnormal as out of range.
-      if (std::fpclassify(*cell.number) == FP_SUBNORMAL) {
-        return util::Status::outOfRange("number out of range: '" +
-                                        cellText(cell) + "'");
+      if (std::fpclassify(*number) == FP_SUBNORMAL) {
+        status_ = util::Status::outOfRange("number out of range: '" +
+                                           cellText(cell) + "'");
+        return false;
       }
-      kpi[k] = *cell.number;
+      kpi[k] = *number;
       continue;
     }
-    auto value = util::parseDouble(cell.text);
-    if (!value) return value.status();
+    if (util::parseDoubleFast(textOf(cell), &kpi[k])) continue;
+    auto value = util::parseDouble(textOf(cell));
+    if (!value) {
+      status_ = value.status();
+      return false;
+    }
     kpi[k] = value.value();
   }
   // NaN/Inf KPI values poison every ratio downstream (deviation,
   // RAPScore); reject them here with the row that carried them.
   if (!std::isfinite(kpi[0]) || !std::isfinite(kpi[1])) {
-    return util::Status::invalidArgument(
+    status_ = util::Status::invalidArgument(
         util::strFormat("non-finite KPI value (real=%s predict=%s)",
                         cellText(cells[n_attrs]).c_str(),
                         cellText(cells[n_attrs + 1]).c_str()));
+    return false;
   }
 
   bool anomalous = false;
   if (cells.size() > min_cols) {
-    const LeafCell& label = cells[min_cols];
+    const Cell& label = cells[min_cols];
     bool valid = true;
-    if (label.number) {
-      valid = *label.number == 0.0 || *label.number == 1.0;
-      anomalous = *label.number == 1.0;
+    if (const double* number = numberOf(label)) {
+      valid = *number == 0.0 || *number == 1.0;
+      anomalous = *number == 1.0;
     } else {
-      const std::string_view text = util::trim(label.text);
+      // A bare "0" or "1" (every label a snapshot carries) skips trim().
+      const std::string_view raw = textOf(label);
+      const std::string_view text =
+          raw == "0" || raw == "1" ? raw : util::trim(raw);
       valid = text.empty() || text == "0" || text == "1";
       anomalous = text == "1";
     }
     if (!valid) {
-      return util::Status::invalidArgument(
+      status_ = util::Status::invalidArgument(
           "label must be 0, 1 or empty, got '" + cellText(label) + "'");
+      return false;
     }
   }
   table_.addRow(slots_, kpi[0], kpi[1], anomalous);
-  return util::Status::ok();
+  return true;
 }
 
 util::Result<LeafTable> LeafRowDecoder::finish() && {

@@ -38,7 +38,8 @@ util::Result<dataset::LeafTable> leafTableFromCsvRows(
     const dataset::Schema& schema, const std::vector<CsvRow>& rows,
     const std::string& source);
 
-/// One cell of a leaf row: its text, or (a JSON number) its value.
+/// One cell of a JSON leaf row: its text, or (a JSON number) its value.
+/// CSV rows need no such wrapper: add(CsvFields) decodes their views.
 struct LeafCell {
   std::string_view text;
   std::optional<double> number;
@@ -56,6 +57,12 @@ struct LeafCell {
 ///     (anomalous); a number label must equal 0 or 1.
 /// Row errors read "<source>:<line>: <what>", where line 1 is the
 /// header (a JSON body's first row is line 2 too).
+///
+/// A CSV row decodes straight from the tokenizer's views: an element
+/// name is compared with the previous row's in its slot, else looked up
+/// in the attribute's flat index; a KPI takes util::parseDoubleFast and
+/// falls back to util::parseDouble only for the spellings it declines.
+/// A row that decodes builds no Status and copies no field.
 class LeafRowDecoder {
  public:
   /// `csv_header`: the first CSV row handed to add() is a header and is
@@ -65,28 +72,42 @@ class LeafRowDecoder {
 
   void reserve(std::size_t rows) { table_.reserve(rows); }
 
-  /// Decodes the next data row.  After the first error every later row
-  /// is ignored and the error is returned again.
-  util::Status add(std::span<const LeafCell> cells);
+  /// Decodes the next data row and returns the decoder's status: OK, or
+  /// the first error, after which every later row is ignored.  The
+  /// reference is valid until the next call.
+  const util::Status& add(std::span<const LeafCell> cells);
   /// A CSV row: every cell is text.
-  util::Status add(CsvFields fields);
+  const util::Status& add(CsvFields fields);
 
   /// The decoded table, or the first error.
   util::Result<dataset::LeafTable> finish() &&;
 
  private:
-  /// Checks and appends one row; errors without the source:line prefix.
-  util::Status decode(std::span<const LeafCell> cells);
+  /// Counts the line, decodes it, and prefixes an error with
+  /// "<source>:<line>: ".
+  template <typename Cell>
+  const util::Status& addRow(std::span<const Cell> cells);
+  /// Checks and appends one row; on failure sets status_ to the error,
+  /// without the source:line prefix, and returns false.
+  template <typename Cell>
+  bool decode(std::span<const Cell> cells);
 
   std::string source_;
   dataset::LeafTable table_;
   bool header_pending_;
   std::size_t line_ = 1;  ///< the header's line; data rows start at 2
   util::Status status_;
-  std::vector<LeafCell> cells_;  ///< add(CsvFields)'s reused row
   /// The row being decoded; a slot not yet decoded holds the previous
   /// row's element (kWildcard before the first row).
   std::vector<dataset::ElemId> slots_;
+  /// Per attribute: its dictionary and the name of slots_'s element
+  /// there, so the previous-row compare reads neither through the
+  /// schema.
+  struct Column {
+    const dataset::Attribute* attr;
+    std::string_view last;
+  };
+  std::vector<Column> columns_;
 };
 
 /// Schema sidecar: one row per attribute, "name,elem1,elem2,...".

@@ -97,6 +97,42 @@ RecvResult recvSome(int fd, std::string& out, char* buf, std::size_t cap) {
   }
 }
 
+/// Commits at most this much body memory before the body's bytes
+/// arrive: a client that declares a large body and sends nothing must
+/// not pin max_body_bytes per worker.
+constexpr std::size_t kBodyUpfrontBytes = std::size_t{1} << 20;
+
+/// Reads a declared body of `length` bytes into `*body`: the bytes that
+/// arrived with the header section (raw[body_begin, ...), cut at
+/// `length`), then recv straight into the string's tail, asking each
+/// time for everything still missing.  The string is sized once from
+/// `length` up to kBodyUpfrontBytes and doubles past that as bytes
+/// arrive, never beyond `length`.  Returns kData with exactly `length`
+/// bytes, or the receive outcome that cut the body short.
+RecvResult readBody(int fd, const std::string& raw, std::size_t body_begin,
+                    std::size_t length, std::string* body) {
+  const std::size_t have = std::min(raw.size() - body_begin, length);
+  body->resize(std::min(length, std::max(have, kBodyUpfrontBytes)));
+  std::memcpy(body->data(), raw.data() + body_begin, have);
+  std::size_t got = have;
+  while (got < length) {
+    if (got == body->size()) {
+      body->resize(std::min(length, 2 * body->size()));
+    }
+    const ssize_t n = ::recv(fd, body->data() + got, body->size() - got, 0);
+    if (n > 0) {
+      got += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    body->resize(got);
+    if (n == 0) return RecvResult::kClosed;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return RecvResult::kTimeout;
+    return RecvResult::kError;
+  }
+  return RecvResult::kData;
+}
+
 /// Maps the request-line method token to a route method class;
 /// returns false for methods this plane refuses (405).
 bool methodClass(const std::string& token, HttpMethod* out) {
@@ -508,24 +544,14 @@ void AdminServer::serveConnection(int fd) {
         }
       }
       if (dispatch) {
-        request.body = raw.substr(header_end + 4);
-        bool body_timeout = false;
-        while (request.body.size() < content_length) {
-          const RecvResult r = recvSome(fd, request.body, buf, sizeof(buf));
-          if (r == RecvResult::kTimeout) {
-            body_timeout = true;
-            break;
-          }
-          if (r != RecvResult::kData) break;
-        }
-        if (request.body.size() < content_length) {
-          response = body_timeout
+        const RecvResult r = readBody(fd, raw, header_end + 4,
+                                      content_length, &request.body);
+        if (r != RecvResult::kData) {
+          response = r == RecvResult::kTimeout
                          ? errorResponse(408, "timeout", "request timed out")
                          : errorResponse(400, "bad_request",
                                          "truncated request body");
           dispatch = false;
-        } else {
-          request.body.resize(content_length);
         }
       }
     }

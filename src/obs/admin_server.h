@@ -22,7 +22,12 @@
 //   * max_body_bytes — an oversized declared body gets 413 before the
 //     body is read;
 //   * POST without Content-Length gets 411 (chunked uploads are not
-//     accepted on this plane).
+//     accepted on this plane);
+//   * the body is received straight into HttpRequest::body, sized from
+//     Content-Length but committing at most 1 MiB before body bytes
+//     arrive (then doubling as they do), so a client that declares
+//     8 MiB and sends nothing pins no 8 MiB; bytes past Content-Length
+//     are never read.
 //
 // Threading: handlers run on worker threads, concurrently with each
 // other and with the rest of the process — they must only touch

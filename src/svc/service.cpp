@@ -13,6 +13,7 @@
 #include "svc/snapshot.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/timer.h"
 
 namespace rap::svc {
 
@@ -106,6 +107,17 @@ LocalizeService::LocalizeService(dataset::Schema schema,
                                                   options_.jobs.metric_labels);
     degraded_served_ = &obs::defaultRegistry().counter(
         "rap_svc_degraded_served_total", options_.jobs.metric_labels);
+    // 10 us to ~6 s in steps of 1.5x: fine enough that a bucket-median
+    // reads a millisecond-scale decode to within a quarter.
+    const auto stage = [this](const char* name) {
+      obs::Labels labels = options_.jobs.metric_labels;
+      labels.emplace_back("stage", name);
+      return &obs::defaultRegistry().histogram(
+          "rap_svc_stage_seconds", obs::exponentialBuckets(1e-5, 1.5, 34),
+          labels);
+    };
+    stage_hash_ = stage("hash");
+    stage_parse_ = stage("parse");
   }
 }
 
@@ -203,7 +215,11 @@ obs::HttpResponse LocalizeService::handleLocalize(
   if (!knobs.isOk()) {
     return obs::errorResponse(400, "bad_parameter", knobs.status().message());
   }
+  util::WallTimer hash_timer;
   const std::uint64_t key = requestKey(request.body, *knobs);
+  if (stage_hash_ != nullptr) {
+    stage_hash_->observe(hash_timer.elapsedSeconds());
+  }
 
   // Circuit-breaker gate, ahead of even the cache fast path: while the
   // tenant's breaker is open the service answers from the result cache
@@ -238,8 +254,12 @@ obs::HttpResponse LocalizeService::handleLocalize(
   const std::string* content_type = request.header("content-type");
   const bool is_json = content_type != nullptr &&
                        content_type->find("json") != std::string::npos;
+  util::WallTimer parse_timer;
   auto table = is_json ? parseJsonSnapshot(schema_, request.body)
                        : parseCsvSnapshot(schema_, request.body);
+  if (stage_parse_ != nullptr) {
+    stage_parse_->observe(parse_timer.elapsedSeconds());
+  }
   if (!table.isOk()) {
     return obs::errorResponse(400, "bad_snapshot", table.status().message());
   }

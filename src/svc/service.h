@@ -144,6 +144,10 @@ class LocalizeService {
   std::atomic<std::uint64_t> jitter_state_;
   obs::Counter* cache_hits_ = nullptr;  ///< shared rap_svc_cache_hits_total
   obs::Counter* degraded_served_ = nullptr;
+  /// rap_svc_stage_seconds{stage="hash"|"parse"}: handleLocalize's
+  /// request-key hash (every request) and snapshot decode (misses).
+  obs::Histogram* stage_hash_ = nullptr;
+  obs::Histogram* stage_parse_ = nullptr;
 };
 
 }  // namespace rap::svc

@@ -1,6 +1,5 @@
 #include "svc/snapshot.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -22,8 +21,15 @@ util::Result<dataset::LeafTable> parseCsvSnapshot(
     const dataset::Schema& schema, const std::string& body) {
   io::LeafRowDecoder decoder(schema, "request body", /*csv_header=*/true);
   // One row per line at most; the header line's slot is slack.
-  decoder.reserve(
-      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')));
+  std::size_t lines = 0;
+  const char* const end = body.data() + body.size();
+  for (const char* p = body.data();
+       (p = static_cast<const char*>(std::memchr(p, '\n', end - p))) !=
+       nullptr;
+       ++p) {
+    ++lines;
+  }
+  decoder.reserve(lines);
   RAP_RETURN_IF_ERROR(io::streamCsv(
       body, [&decoder](io::CsvFields row) { (void)decoder.add(row); }));
   return std::move(decoder).finish();

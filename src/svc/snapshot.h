@@ -7,8 +7,9 @@
 //   * CSV (text/csv, the default): the saveLeafTable layout,
 //       attr1,...,attrN,real,predict[,label]
 //     with a header row, decoded in one pass: io::CsvStreamParser hands
-//     each row to io::LeafRowDecoder (field-size caps, NUL rejection,
-//     schema, finite-KPI and label checks), with no row vector between;
+//     each row, as views into the body, to io::LeafRowDecoder
+//     (field-size caps, NUL rejection, schema, finite-KPI and label
+//     checks), with no row vector and no field copy between;
 //
 //   * JSON (application/json): {"rows": [[...], ...]} where each inner
 //     array mirrors one CSV data row — N element-name strings followed

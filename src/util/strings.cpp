@@ -56,24 +56,40 @@ bool endsWith(std::string_view text, std::string_view suffix) noexcept {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
-Result<double> parseDouble(std::string_view text) {
-  const std::string_view field = trim(text);
-  // Fast path: no copy, no NUL terminator, no errno.  Taken only when
-  // from_chars consumes the whole field and lands on a finite number
-  // above the smallest normal, where it and strtod agree bit for bit
-  // (both round correctly).  Zero, subnormals, DBL_MIN itself (glibc's
-  // strtod reports ERANGE for a tiny input that rounds up to it), inf,
-  // nan, a leading '+', hex and every partial or failed parse fall
-  // through to strtod, which owns the accept set and the error messages.
-  double fast = 0.0;
+bool parseDoubleFast(std::string_view text, double* out) noexcept {
+  // trim() asks the locale about each edge byte; a field that starts
+  // and ends with a digit, '-' or '.' (every KPI a snapshot carries) has
+  // nothing to trim.
+  const auto plain = [](char c) {
+    return (c >= '0' && c <= '9') || c == '-' || c == '.';
+  };
+  const std::string_view field =
+      !text.empty() && plain(text.front()) && plain(text.back()) ? text
+                                                                 : trim(text);
+  // Taken only when from_chars consumes the whole field and lands on a
+  // finite number above the smallest normal, where it and strtod agree
+  // bit for bit (both round correctly).  Zero, subnormals, DBL_MIN
+  // itself (glibc's strtod reports ERANGE for a tiny input that rounds
+  // up to it), inf, nan, a leading '+', hex and every partial or failed
+  // parse fall through to strtod, which owns the accept set and the
+  // error messages.
+  double value = 0.0;
   const auto [stop, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), fast);
+      std::from_chars(field.data(), field.data() + field.size(), value);
   if (ec == std::errc() && stop == field.data() + field.size() &&
-      std::isfinite(fast) &&
-      std::fabs(fast) > std::numeric_limits<double>::min()) {
-    return fast;
+      std::isfinite(value) &&
+      std::fabs(value) > std::numeric_limits<double>::min()) {
+    *out = value;
+    return true;
   }
-  const std::string buf{field};
+  return false;
+}
+
+Result<double> parseDouble(std::string_view text) {
+  // Fast path: no copy, no NUL terminator, no errno.
+  double fast = 0.0;
+  if (parseDoubleFast(text, &fast)) return fast;
+  const std::string buf{trim(text)};
   if (buf.empty()) return Status::invalidArgument("empty number");
   errno = 0;
   char* end = nullptr;

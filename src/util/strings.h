@@ -28,6 +28,13 @@ bool endsWith(std::string_view text, std::string_view suffix) noexcept;
 Result<double> parseDouble(std::string_view text);
 Result<std::int64_t> parseInt(std::string_view text);
 
+/// parseDouble's fast path alone: true, with `*out` set to the value
+/// parseDouble returns, when `text` (trimmed) is a number std::from_chars
+/// reads whole and strtod reads bit for bit the same; false means "ask
+/// parseDouble", which settles the rest and owns the error messages.
+/// Builds no Result, Status or string.
+bool parseDoubleFast(std::string_view text, double* out) noexcept;
+
 /// printf-style formatting into a std::string.
 std::string strFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

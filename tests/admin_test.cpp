@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,6 +319,145 @@ TEST(AdminServer, StalledClientIs408NotAHungWorker) {
   const std::string response =
       httpRequest(server.port(), "GET /x HT");  // no terminator, recv blocks
   EXPECT_EQ(statusOf(response), 408);
+}
+
+// ------------------------------------------------ hostile body reads
+
+/// Connects, sends `pieces` one by one with `pause` between them
+/// (TCP_NODELAY, so each piece leaves as its own segment), then reads
+/// the whole response.  The write side stays open: a stalled piece
+/// list stalls the request.
+std::string httpPieces(std::uint16_t port,
+                       const std::vector<std::string>& pieces,
+                       std::chrono::milliseconds pause) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return "";
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return "";
+  }
+  for (std::size_t p = 0; p < pieces.size(); ++p) {
+    if (p > 0) std::this_thread::sleep_for(pause);
+    std::size_t sent = 0;
+    while (sent < pieces[p].size()) {
+      const ssize_t n = ::send(fd, pieces[p].data() + sent,
+                               pieces[p].size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  return response;
+}
+
+std::string postHead(std::size_t content_length) {
+  return "POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+         std::to_string(content_length) + "\r\n\r\n";
+}
+
+/// A body of `size` bytes that no shifted or truncated copy matches.
+std::string patternBody(std::size_t size) {
+  std::string body(size, '\0');
+  for (std::size_t i = 0; i < size; ++i) {
+    body[i] = static_cast<char>('a' + (i * 7 + i / 26) % 26);
+  }
+  return body;
+}
+
+/// An AdminServer whose POST /echo answers with the body it received.
+class EchoServer : public ::testing::Test {
+ protected:
+  void SetUp() override { start(obs::AdminServer::Options{}); }
+
+  void start(obs::AdminServer::Options options) {
+    server_ = std::make_unique<obs::AdminServer>(options);
+    server_->handlePost("/echo", [](const obs::HttpRequest& request) {
+      return obs::HttpResponse{200, "application/octet-stream", request.body,
+                               {}};
+    });
+    ASSERT_TRUE(server_->start().isOk());
+  }
+
+  std::uint16_t port() const { return server_->port(); }
+
+  std::unique_ptr<obs::AdminServer> server_;
+};
+
+TEST_F(EchoServer, LargeDeclaredBodyThatStallsIs408) {
+  obs::AdminServer::Options options;
+  options.read_timeout_seconds = 0.2;
+  start(options);
+  // 8 MiB declared (the default cap), ten bytes sent, then silence: the
+  // read times out instead of waiting for, or committing, 8 MiB.
+  const std::string response =
+      httpPieces(port(), {postHead(8u << 20) + "0123456789"},
+                 std::chrono::milliseconds(0));
+  EXPECT_EQ(statusOf(response), 408);
+}
+
+TEST_F(EchoServer, BodyTrickledOneByteAtATimeArrivesIntact) {
+  const std::string body = patternBody(48);
+  std::vector<std::string> pieces{postHead(body.size())};
+  for (const char c : body) pieces.emplace_back(1, c);
+  const std::string response =
+      httpPieces(port(), pieces, std::chrono::milliseconds(1));
+  EXPECT_EQ(statusOf(response), 200);
+  EXPECT_EQ(bodyOf(response), body);
+}
+
+TEST_F(EchoServer, HeaderAndBodyInOnePacketArriveIntact) {
+  const std::string body = patternBody(3000);  // within the first read
+  const std::string response = httpPieces(
+      port(), {postHead(body.size()) + body}, std::chrono::milliseconds(0));
+  EXPECT_EQ(statusOf(response), 200);
+  EXPECT_EQ(bodyOf(response), body);
+}
+
+TEST_F(EchoServer, BytesPastContentLengthAreNotHandedToTheHandler) {
+  // Past the end of the first read, and inside it.
+  for (const std::size_t size : {std::size_t{5}, std::size_t{20000}}) {
+    const std::string body = patternBody(size);
+    const std::string response =
+        httpPieces(port(), {postHead(size) + body + "EXTRA BYTES"},
+                   std::chrono::milliseconds(0));
+    EXPECT_EQ(statusOf(response), 200) << size;
+    EXPECT_EQ(bodyOf(response), body) << size;
+  }
+}
+
+TEST_F(EchoServer, BodyInTwoHalvesWithAPauseArrivesIntact) {
+  const std::string body = patternBody(200000);
+  const std::string response = httpPieces(
+      port(),
+      {postHead(body.size()) + body.substr(0, body.size() / 2),
+       body.substr(body.size() / 2)},
+      std::chrono::milliseconds(50));
+  EXPECT_EQ(statusOf(response), 200);
+  EXPECT_EQ(bodyOf(response), body);
+}
+
+TEST_F(EchoServer, BodyPastTheUpfrontCommitmentArrivesIntact) {
+  // Larger than the 1 MiB committed before any body byte arrives, so
+  // the string grows while the bytes come in.
+  const std::string body = patternBody(3u << 20);
+  const std::string response = httpPieces(
+      port(), {postHead(body.size()), body}, std::chrono::milliseconds(5));
+  EXPECT_EQ(statusOf(response), 200);
+  EXPECT_EQ(bodyOf(response).size(), body.size());
+  EXPECT_TRUE(bodyOf(response) == body);
 }
 
 TEST(AdminServer, TracezRejectsGarbledLimit) {

@@ -562,6 +562,35 @@ TEST(LocalizeService, IdenticalResubmissionIsABitIdenticalCacheHit) {
   obs::setMetricsEnabled(false);
 }
 
+TEST(LocalizeService, StageTelemetryTimesHashAlwaysAndParseOnMissesOnly) {
+  const auto schema = dataset::Schema::tiny();
+  obs::setMetricsEnabled(true);
+  svc::LocalizeService service(schema, core::RapMinerConfig{},
+                               smallServiceOptions());
+  // The service registered both series (bounds are its own).
+  const auto stage = [](const char* name) -> obs::Histogram& {
+    return obs::defaultRegistry().histogram(
+        "rap_svc_stage_seconds", {}, {{"tenant", "default"}, {"stage", name}});
+  };
+  const std::uint64_t hash_before = stage("hash").count();
+  const std::uint64_t parse_before = stage("parse").count();
+  const std::string body = csvBodyOf(demoTable(schema));
+
+  ASSERT_EQ(service.handleLocalize(postRequest(body)).status, 200);  // miss
+  EXPECT_EQ(stage("hash").count(), hash_before + 1);
+  EXPECT_EQ(stage("parse").count(), parse_before + 1);
+  EXPECT_GT(stage("parse").sum(), 0.0);
+
+  const auto hit = service.handleLocalize(postRequest(body));
+  ASSERT_EQ(hit.status, 200);
+  const auto* cache_state = headerOf(hit, "X-Rap-Cache");
+  ASSERT_NE(cache_state, nullptr);
+  EXPECT_EQ(*cache_state, "hit");
+  EXPECT_EQ(stage("hash").count(), hash_before + 2);
+  EXPECT_EQ(stage("parse").count(), parse_before + 1);  // no decode on a hit
+  obs::setMetricsEnabled(false);
+}
+
 TEST(LocalizeService, SyncMissThenResubmitCountsOneLookupEach) {
   // The pre-parse fast path and the job path both consult the cache; a
   // sync request must still count exactly one lookup.
