@@ -13,10 +13,10 @@
 #include "eval/runner.h"
 #include "gen/rapmd.h"
 #include "gen/squeeze_gen.h"
-#include "io/json.h"
 #include "obs/build_info.h"
 #include "obs/export.h"
 #include "util/flags.h"
+#include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/table.h"
 
@@ -103,7 +103,7 @@ inline void printHeader(const char* figure, const char* description,
 /// Release one — otherwise a regression gate compares apples to oranges.
 /// `threads` is the worker count the harness actually used (for sweeps,
 /// the largest swept value).
-inline void writeProvenance(io::JsonWriter& json, std::int64_t threads) {
+inline void writeProvenance(util::JsonWriter& json, std::int64_t threads) {
   const obs::BuildInfo& build = obs::buildInfo();
   json.key("provenance");
   json.beginObject();

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   }
   table.setHeader(header);
 
-  io::JsonWriter json;
+  util::JsonWriter json;
   json.beginObject();
   json.key("bench");
   json.value("ext_scalability");

@@ -24,7 +24,7 @@
 #include <thread>
 
 #include "bench/bench_common.h"
-#include "io/json.h"
+#include "util/json_writer.h"
 #include "util/strings.h"
 
 using namespace rap;
@@ -131,7 +131,7 @@ int runThreadSweep(const util::FlagParser& flags) {
   util::TextTable table;
   table.setHeader({"threads", "mean", "p50", "p95", "max", "speedup"});
 
-  io::JsonWriter json;
+  util::JsonWriter json;
   json.beginObject();
   json.key("bench");
   json.value("parallel_search");

@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
   const bool pass = rows_per_s >= 1e6;
   const std::string out_path = flags.getString("json-out");
   if (!out_path.empty()) {
-    io::JsonWriter json;
+    util::JsonWriter json;
     json.beginObject();
     json.key("bench");
     json.value("stream_ingest");

@@ -16,6 +16,7 @@
 
 #include "obs/build_info.h"
 #include "obs/query_params.h"
+#include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -159,26 +160,31 @@ bool methodClass(const std::string& token, HttpMethod* out) {
 
 std::string errorEnvelope(int status, std::string_view code,
                           std::string_view message,
-                          std::string_view extra_fields) {
-  std::string out = "{\"error\":{\"code\":\"";
-  out += util::escapeJson(code);
-  out += "\",\"status\":";
-  out += std::to_string(status);
-  out += ",\"message\":\"";
-  out += util::escapeJson(message);
-  out += "\"";
-  if (!extra_fields.empty()) {
-    out += ",";
-    out += extra_fields;
+                          std::optional<double> retry_after_seconds) {
+  util::JsonWriter w;
+  w.beginObject();
+  w.beginObject("error");
+  w.field("code", code);
+  w.field("status", status);
+  w.field("message", message);
+  if (retry_after_seconds) {
+    w.field("retry_after_seconds", *retry_after_seconds,
+            util::NumberFormat::kFixed0);
   }
-  out += "}}";
-  return out;
+  w.endObject();
+  w.endObject();
+  return std::move(w).str();
 }
 
 HttpResponse errorResponse(int status, std::string_view code,
                            std::string_view message) {
   return HttpResponse{status, "application/json",
                       errorEnvelope(status, code, message), {}};
+}
+
+HttpResponse jsonResponse(int status, std::string body) {
+  return HttpResponse{status, "application/json; charset=utf-8",
+                      std::move(body), {}};
 }
 
 const std::string* HttpRequest::header(const std::string& lower_name) const {
@@ -592,28 +598,28 @@ std::string renderTracez(const TraceRecorder& recorder, std::size_t limit) {
               return a.ts_us < b.ts_us;
             });
   const std::size_t begin = events.size() > limit ? events.size() - limit : 0;
-  std::string out = "{\"total\":" + std::to_string(events.size()) +
-                    ",\"events\":[";
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("total", events.size());
+  w.beginArray("events");
   for (std::size_t i = begin; i < events.size(); ++i) {
     const TraceEvent& event = events[i];
-    if (i > begin) out += ",";
-    out += "{\"name\":\"";
-    out += util::escapeJson(event.name);
-    out += "\",\"ph\":\"";
-    out += event.phase;
-    out += "\",\"ts_us\":" + std::to_string(event.ts_us);
-    if (event.phase == 'X') {
-      out += ",\"dur_us\":" + std::to_string(event.dur_us);
+    w.beginObject();
+    w.field("name", event.name);
+    w.field("ph", std::string_view(&event.phase, 1));
+    w.field("ts_us", event.ts_us);
+    if (event.phase == 'X') w.field("dur_us", event.dur_us);
+    if (event.flow_id != 0) w.field("id", event.flow_id);
+    w.field("tid", event.tid);
+    if (!event.args_json.empty()) {
+      w.key("args");
+      w.embed(event.args_json);
     }
-    if (event.flow_id != 0) {
-      out += ",\"id\":" + std::to_string(event.flow_id);
-    }
-    out += ",\"tid\":" + std::to_string(event.tid);
-    if (!event.args_json.empty()) out += ",\"args\":" + event.args_json;
-    out += "}";
+    w.endObject();
   }
-  out += "]}";
-  return out;
+  w.endArray();
+  w.endObject();
+  return std::move(w).str();
 }
 
 void registerObsEndpoints(AdminServer& server, MetricsRegistry* registry,

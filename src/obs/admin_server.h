@@ -99,15 +99,19 @@ enum class HttpMethod : std::uint8_t { kGet, kPost, kPut, kDelete };
 /// Canonical JSON error body shared by the server core and every API
 /// handler:
 ///   {"error":{"code":"not_found","status":404,"message":"..."}}
-/// `extra_fields` is raw JSON appended inside the error object (e.g.
-/// "\"retry_after_seconds\":1"); empty adds nothing.
-std::string errorEnvelope(int status, std::string_view code,
-                          std::string_view message,
-                          std::string_view extra_fields = {});
+/// A `retry_after_seconds` hint, when given, is one more member of the
+/// error object, in whole seconds.
+std::string errorEnvelope(
+    int status, std::string_view code, std::string_view message,
+    std::optional<double> retry_after_seconds = std::nullopt);
 
 /// errorEnvelope wrapped in an application/json HttpResponse.
 HttpResponse errorResponse(int status, std::string_view code,
                            std::string_view message);
+
+/// `body`, a JSON document, as an HttpResponse typed
+/// "application/json; charset=utf-8" (the API documents).
+HttpResponse jsonResponse(int status, std::string body);
 
 class AdminServer {
  public:

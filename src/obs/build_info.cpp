@@ -1,6 +1,6 @@
 #include "obs/build_info.h"
 
-#include "util/strings.h"
+#include "util/json_writer.h"
 
 namespace rap::obs {
 
@@ -55,16 +55,14 @@ void registerBuildInfo(MetricsRegistry& registry) {
 
 std::string buildInfoJson() {
   const BuildInfo& info = buildInfo();
-  std::string out = "{\"version\":\"";
-  out += util::escapeJson(info.version);
-  out += "\",\"compiler\":\"";
-  out += util::escapeJson(info.compiler);
-  out += "\",\"build_type\":\"";
-  out += util::escapeJson(info.build_type);
-  out += "\",\"fault_injection\":";
-  out += info.fault_injection ? "true" : "false";
-  out += "}";
-  return out;
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("version", info.version);
+  w.field("compiler", info.compiler);
+  w.field("build_type", info.build_type);
+  w.field("fault_injection", info.fault_injection);
+  w.endObject();
+  return std::move(w).str();
 }
 
 }  // namespace rap::obs

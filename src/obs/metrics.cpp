@@ -1,50 +1,15 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
-#include "obs/obs_internal.h"
+#include "util/json_writer.h"
 #include "util/status.h"
-#include "util/strings.h"
 
 namespace rap::obs {
 
 namespace internal {
 
 std::atomic<bool> g_metrics_enabled{false};
-
-std::string promEscapeLabelValue(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string formatDouble(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 }  // namespace internal
 
@@ -173,6 +138,36 @@ std::size_t MetricsRegistry::seriesCount() const {
 
 namespace {
 
+/// Prometheus text-exposition label-value escaping: exactly backslash,
+/// double-quote, and line feed (the spec's three), everything else —
+/// tabs and other control bytes included — passes through verbatim.
+std::string promEscapeLabelValue(const std::string& text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '\\':
+        out += "\\\\";
+        break;
+      case '"':
+        out += "\\\"";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+/// A metric value or bucket bound as text: integral values without a
+/// fraction, the rest %.9g.
+std::string formatMetric(double v) {
+  return util::formatNumber(v, util::NumberFormat::kMetric);
+}
+
 /// `{key="value",...}` or "" for the empty label set; `extra` appends
 /// one more pair (the histogram `le` bound).
 std::string labelBlock(const Labels& labels, const std::string& extra_key = "",
@@ -185,7 +180,7 @@ std::string labelBlock(const Labels& labels, const std::string& extra_key = "",
     first = false;
     out += k;
     out += "=\"";
-    out += internal::promEscapeLabelValue(v);
+    out += promEscapeLabelValue(v);
     out += "\"";
   };
   for (const auto& [k, v] : labels) append(k, v);
@@ -221,7 +216,7 @@ std::string MetricsRegistry::renderPrometheus() const {
           break;
         case Kind::kGauge:
           out += name + labelBlock(series->labels) + " " +
-                 internal::formatDouble(series->gauge->value()) + "\n";
+                 formatMetric(series->gauge->value()) + "\n";
           break;
         case Kind::kHistogram: {
           const Histogram& h = *series->histogram;
@@ -231,14 +226,14 @@ std::string MetricsRegistry::renderPrometheus() const {
             cumulative += counts[i];
             out += name + "_bucket" +
                    labelBlock(series->labels, "le",
-                              internal::formatDouble(h.bounds()[i])) +
+                              formatMetric(h.bounds()[i])) +
                    " " + std::to_string(cumulative) + "\n";
           }
           cumulative += counts.back();
           out += name + "_bucket" + labelBlock(series->labels, "le", "+Inf") +
                  " " + std::to_string(cumulative) + "\n";
           out += name + "_sum" + labelBlock(series->labels) + " " +
-                 internal::formatDouble(h.sum()) + "\n";
+                 formatMetric(h.sum()) + "\n";
           out += name + "_count" + labelBlock(series->labels) + " " +
                  std::to_string(h.count()) + "\n";
           break;
@@ -251,66 +246,51 @@ std::string MetricsRegistry::renderPrometheus() const {
 
 std::string MetricsRegistry::renderJson() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\"metrics\":[";
-  bool first_family = true;
+  util::JsonWriter w;
+  w.beginObject();
+  w.beginArray("metrics");
   for (const auto& [name, family] : families_) {
-    if (!first_family) out += ",";
-    first_family = false;
-    out += "{\"name\":\"" + util::escapeJson(name) + "\",\"type\":\"" +
-           kindName(static_cast<int>(family.kind)) + "\",\"series\":[";
-    bool first_series = true;
+    w.beginObject();
+    w.field("name", name);
+    w.field("type", kindName(static_cast<int>(family.kind)));
+    w.beginArray("series");
     for (const auto& series : family.series) {
-      if (!first_series) out += ",";
-      first_series = false;
-      out += "{\"labels\":{";
-      bool first_label = true;
-      for (const auto& [k, v] : series->labels) {
-        if (!first_label) out += ",";
-        first_label = false;
-        // Built with += only: GCC 12 misfires -Wrestrict on the
-        // `const char* + std::string&&` concatenation chain here.
-        out += "\"";
-        out += util::escapeJson(k);
-        out += "\":\"";
-        out += util::escapeJson(v);
-        out += "\"";
-      }
-      out += "}";
+      w.beginObject();
+      w.beginObject("labels");
+      for (const auto& [k, v] : series->labels) w.field(k, v);
+      w.endObject();
       switch (family.kind) {
         case Kind::kCounter:
-          out += ",\"value\":" + std::to_string(series->counter->value());
+          w.field("value", series->counter->value());
           break;
         case Kind::kGauge:
-          out += ",\"value\":" +
-                 internal::formatDouble(series->gauge->value());
+          w.field("value", series->gauge->value(), util::NumberFormat::kMetric);
           break;
         case Kind::kHistogram: {
           const Histogram& h = *series->histogram;
           const auto counts = h.bucketCounts();
-          out += ",\"count\":" + std::to_string(h.count()) +
-                 ",\"sum\":" + internal::formatDouble(h.sum()) +
-                 ",\"buckets\":[";
+          w.field("count", h.count());
+          w.field("sum", h.sum(), util::NumberFormat::kMetric);
+          w.beginArray("buckets");
           for (std::size_t i = 0; i < counts.size(); ++i) {
-            if (i > 0) out += ",";
-            std::string le = "\"+Inf\"";
-            if (i < h.bounds().size()) {
-              le = "\"";
-              le += internal::formatDouble(h.bounds()[i]);
-              le += "\"";
-            }
-            out += "{\"le\":" + le + ",\"count\":" + std::to_string(counts[i]) +
-                   "}";
+            w.beginObject();
+            w.field("le", i < h.bounds().size() ? formatMetric(h.bounds()[i])
+                                                : std::string("+Inf"));
+            w.field("count", counts[i]);
+            w.endObject();
           }
-          out += "]";
+          w.endArray();
           break;
         }
       }
-      out += "}";
+      w.endObject();
     }
-    out += "]}";
+    w.endArray();
+    w.endObject();
   }
-  out += "]}";
-  return out;
+  w.endArray();
+  w.endObject();
+  return std::move(w).str();
 }
 
 }  // namespace rap::obs

@@ -5,7 +5,7 @@
 #include <memory>
 #include <string>
 
-#include "util/strings.h"
+#include "util/json_writer.h"
 
 namespace rap::obs {
 
@@ -17,33 +17,15 @@ std::string JsonLineLogSink::formatRecord(const util::LogRecord& record) {
   localtime_r(&now, &tm_buf);
   std::strftime(ts, sizeof(ts), "%Y-%m-%dT%H:%M:%S", &tm_buf);
 
-  std::string out = "{\"ts\":\"";
-  out += ts;
-  out += "\",\"level\":\"";
-  out += util::logLevelFullName(record.level);
-  out += "\",\"src\":\"";
-  out += util::escapeJson(record.file);
-  out += ":";
-  out += std::to_string(record.line);
-  out += "\",\"msg\":\"";
-  out += util::escapeJson(record.message);
-  out += "\"";
-  for (const auto& field : record.fields) {
-    out += ",\"";
-    out += util::escapeJson(field.key);
-    out += "\":";
-    if (field.quoted) {
-      // Built with += only: GCC 12 misfires -Wrestrict on the
-      // `const char* + std::string&&` concatenation chain here.
-      out += "\"";
-      out += util::escapeJson(field.value);
-      out += "\"";
-    } else {
-      out += field.value;
-    }
-  }
-  out += "}";
-  return out;
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("ts", ts);
+  w.field("level", util::logLevelFullName(record.level));
+  w.field("src", std::string(record.file) + ":" + std::to_string(record.line));
+  w.field("msg", record.message);
+  for (const auto& field : record.fields) w.field(field);
+  w.endObject();
+  return std::move(w).str();
 }
 
 void JsonLineLogSink::write(const util::LogRecord& record) {

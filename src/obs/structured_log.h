@@ -7,8 +7,9 @@
 //    "msg":"alarm raised","alarms":3,"state":"raised"}
 //
 // Field keys come straight from RAP_LOG_KV; numeric and boolean values
-// are emitted unquoted.  Each record is written with a single fwrite,
-// so lines from concurrent threads never interleave.
+// are emitted unquoted, non-finite numbers as null.  Each record is
+// written with a single fwrite, so lines from concurrent threads never
+// interleave.
 #pragma once
 
 #include <cstdio>

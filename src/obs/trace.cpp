@@ -1,9 +1,6 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
-#include "obs/obs_internal.h"
-#include "util/strings.h"
+#include "util/json_writer.h"
 
 namespace rap::obs {
 
@@ -14,9 +11,6 @@ std::atomic<bool> g_tracing_enabled{false};
 void setTracingEnabled(bool enabled) noexcept {
   internal::g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
-
-TraceArg::TraceArg(std::string k, double v)
-    : key(std::move(k)), value(internal::formatDouble(v)), quoted(false) {}
 
 struct TraceRecorder::ThreadBuffer {
   std::uint32_t tid = 0;
@@ -68,31 +62,34 @@ std::vector<TraceEvent> TraceRecorder::snapshotEvents() const {
 
 std::string TraceRecorder::renderChromeTrace() const {
   const auto events = snapshotEvents();
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.beginObject();
+  w.beginArray("traceEvents");
   for (const auto& event : events) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + util::escapeJson(event.name) +
-           "\",\"cat\":\"rap\",\"ph\":\"";
-    out += event.phase;
-    out += "\",\"ts\":" + std::to_string(event.ts_us);
+    w.beginObject();
+    w.field("name", event.name);
+    w.field("cat", "rap");
+    w.field("ph", std::string_view(&event.phase, 1));
+    w.field("ts", event.ts_us);
     if (event.phase == 'X') {
-      out += ",\"dur\":" + std::to_string(event.dur_us);
+      w.field("dur", event.dur_us);
     } else {
-      out += ",\"id\":" + std::to_string(event.flow_id);
+      w.field("id", event.flow_id);
       // Terminating flow points bind to the enclosing slice rather than
       // the next one, so the arrow lands inside the span it annotates.
-      if (event.phase == 'f') out += ",\"bp\":\"e\"";
+      if (event.phase == 'f') w.field("bp", "e");
     }
-    out += ",\"pid\":1,\"tid\":" + std::to_string(event.tid);
+    w.field("pid", 1);
+    w.field("tid", event.tid);
     if (!event.args_json.empty()) {
-      out += ",\"args\":" + event.args_json;
+      w.key("args");
+      w.embed(event.args_json);
     }
-    out += "}";
+    w.endObject();
   }
-  out += "]}";
-  return out;
+  w.endArray();
+  w.endObject();
+  return std::move(w).str();
 }
 
 void TraceRecorder::clear() {
@@ -120,34 +117,20 @@ TraceRecorder& defaultTraceRecorder() {
 
 namespace {
 
-std::string renderArgs(std::initializer_list<TraceArg> args) {
+/// The "args" object of a span or flow point; "" when there are none.
+std::string argsObject(std::initializer_list<util::LogField> args) {
   if (args.size() == 0) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& arg : args) {
-    if (!first) out += ",";
-    first = false;
-    // Built with += only: GCC 12 misfires -Wrestrict on the
-    // `const char* + std::string&&` concatenation chain here.
-    out += "\"";
-    out += util::escapeJson(arg.key);
-    out += "\":";
-    if (arg.quoted) {
-      out += "\"";
-      out += util::escapeJson(arg.value);
-      out += "\"";
-    } else {
-      out += arg.value;
-    }
-  }
-  out += "}";
-  return out;
+  util::JsonWriter w;
+  w.beginObject();
+  for (const auto& arg : args) w.field(arg);
+  w.endObject();
+  return std::move(w).str();
 }
 
 }  // namespace
 
 void traceFlow(char phase, const char* name, std::uint64_t flow_id,
-               std::initializer_list<TraceArg> args) {
+               std::initializer_list<util::LogField> args) {
   if (!tracingEnabled()) return;
   TraceRecorder& recorder = defaultTraceRecorder();
   TraceEvent event;
@@ -155,14 +138,15 @@ void traceFlow(char phase, const char* name, std::uint64_t flow_id,
   event.phase = phase;
   event.flow_id = flow_id;
   event.ts_us = recorder.nowMicros();
-  event.args_json = renderArgs(args);
+  event.args_json = argsObject(args);
   recorder.record(std::move(event));
 }
 
-TraceSpan::TraceSpan(const char* name, std::initializer_list<TraceArg> args)
+TraceSpan::TraceSpan(const char* name,
+                     std::initializer_list<util::LogField> args)
     : name_(name), active_(tracingEnabled()) {
   if (!active_) return;
-  args_json_ = renderArgs(args);
+  args_json_ = argsObject(args);
   start_us_ = defaultTraceRecorder().nowMicros();
 }
 

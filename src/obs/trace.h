@@ -23,31 +23,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace rap::obs {
-
-/// One key/value annotation on a span, rendered into the Chrome trace
-/// "args" object.  Numeric values stay unquoted in the JSON.
-struct TraceArg {
-  template <typename T,
-            std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                             int> = 0>
-  TraceArg(std::string k, T v)
-      : key(std::move(k)), value(std::to_string(v)), quoted(false) {}
-  TraceArg(std::string k, bool v)
-      : key(std::move(k)), value(v ? "true" : "false"), quoted(false) {}
-  TraceArg(std::string k, double v);
-  TraceArg(std::string k, const char* v)
-      : key(std::move(k)), value(v), quoted(true) {}
-  TraceArg(std::string k, std::string v)
-      : key(std::move(k)), value(std::move(v)), quoted(true) {}
-
-  std::string key;
-  std::string value;
-  bool quoted = true;
-};
 
 /// One finished span or flow point.  `name` points at a string literal
 /// (the emitting macros/functions only ever pass literals), timestamps
@@ -121,7 +101,7 @@ void setTracingEnabled(bool enabled) noexcept;
 /// `phase` is 's' (start), 't' (step), or 'f' (end).  No-op (one
 /// relaxed load + branch) while tracing is disabled.
 void traceFlow(char phase, const char* name, std::uint64_t flow_id,
-               std::initializer_list<TraceArg> args = {});
+               std::initializer_list<util::LogField> args = {});
 
 /// RAII span; use via RAP_TRACE_SPAN.  A default-constructed span is
 /// inert (that is the disabled-tracing arm of the macro).
@@ -129,8 +109,8 @@ class TraceSpan {
  public:
   TraceSpan() noexcept = default;
   explicit TraceSpan(const char* name)
-      : TraceSpan(name, std::initializer_list<TraceArg>{}) {}
-  TraceSpan(const char* name, std::initializer_list<TraceArg> args);
+      : TraceSpan(name, std::initializer_list<util::LogField>{}) {}
+  TraceSpan(const char* name, std::initializer_list<util::LogField> args);
   TraceSpan(TraceSpan&& other) noexcept;
   TraceSpan& operator=(TraceSpan&&) = delete;
   TraceSpan(const TraceSpan&) = delete;
@@ -150,8 +130,8 @@ class TraceSpan {
 #define RAP_OBS_CONCAT(a, b) RAP_OBS_CONCAT_INNER(a, b)
 
 /// Opens a span covering the rest of the enclosing scope.  Arguments
-/// after the name are TraceArg initializers: {{"layer", l}}.  Argument
-/// expressions are not evaluated when tracing is disabled.
+/// after the name are util::LogField initializers: {{"layer", l}}.
+/// Argument expressions are not evaluated when tracing is disabled.
 #define RAP_TRACE_SPAN(...)                                          \
   ::rap::obs::TraceSpan RAP_OBS_CONCAT(rap_trace_span_, __LINE__) =  \
       ::rap::obs::tracingEnabled() ? ::rap::obs::TraceSpan(__VA_ARGS__) \

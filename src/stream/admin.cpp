@@ -2,11 +2,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "obs/build_info.h"
 #include "stream/watermark.h"
-#include "util/strings.h"
+#include "util/json_writer.h"
 
 namespace rap::stream {
 
@@ -36,117 +35,90 @@ const char* triggerName(TriggerPolicy policy) {
   return "unknown";
 }
 
-void appendField(std::string& out, const char* key, std::uint64_t value) {
-  out += util::strFormat("\"%s\":%llu", key,
-                         static_cast<unsigned long long>(value));
-}
-
-/// Event-time fields use the kNone sentinel; render it as JSON null so
-/// a dashboard never mistakes INT64_MIN for a timestamp.
-void appendMaybe(std::string& out, const char* key, std::int64_t value) {
-  if (value == WatermarkTracker::kNone) {
-    out += util::strFormat("\"%s\":null", key);
-  } else {
-    out += util::strFormat("\"%s\":%lld", key,
-                           static_cast<long long>(value));
-  }
-}
-
 }  // namespace
 
 std::string renderStatusz(const StreamEngine& engine,
                           const obs::AdminServer* server) {
   const StreamStats stats = engine.stats();
   const StreamConfig& config = engine.config();
+  util::JsonWriter w;
+  // Event-time fields use the kNone sentinel; render it as JSON null so
+  // a dashboard never mistakes INT64_MIN for a timestamp.
+  const auto timestamp = [&w](const char* key, std::int64_t value) {
+    w.key(key);
+    if (value == WatermarkTracker::kNone) {
+      w.nullValue();
+    } else {
+      w.value(value);
+    }
+  };
 
-  std::string out = "{";
-  out += util::strFormat("\"running\":%s,",
-                         engine.running() ? "true" : "false");
+  w.beginObject();
+  w.field("running", engine.running());
   double uptime = 0.0;
   if (engine.startTime() != std::chrono::steady_clock::time_point{}) {
     const std::chrono::duration<double> up =
         std::chrono::steady_clock::now() - engine.startTime();
     uptime = up.count();
   }
-  out += util::strFormat("\"uptime_seconds\":%.3f,", uptime);
-  out += "\"build\":" + obs::buildInfoJson() + ",";
+  w.field("uptime_seconds", uptime, util::NumberFormat::kFixed3);
+  w.key("build");
+  w.embed(obs::buildInfoJson());
 
-  out += "\"stats\":{";
-  appendField(out, "ingested", stats.ingested);
-  out += ",";
-  appendField(out, "rejected", stats.rejected);
-  out += ",";
-  appendField(out, "rejected_quarantined", stats.rejected_quarantined);
-  out += ",";
-  appendField(out, "quarantine_overflowed", stats.quarantine_overflowed);
-  out += ",";
-  appendField(out, "dropped_oldest", stats.dropped_oldest);
-  out += ",";
-  appendField(out, "dropped_newest", stats.dropped_newest);
-  out += ",";
-  appendField(out, "late_admitted", stats.late_admitted);
-  out += ",";
-  appendField(out, "late_dropped", stats.late_dropped);
-  out += ",";
-  appendField(out, "windows_sealed", stats.windows_sealed);
-  out += ",";
-  appendField(out, "windows_dropped", stats.windows_dropped);
-  out += ",";
-  appendField(out, "alarms", stats.alarms);
-  out += ",";
-  appendField(out, "localizations", stats.localizations);
-  out += ",";
-  appendField(out, "localizations_degraded", stats.localizations_degraded);
-  out += ",";
-  appendField(out, "localize_failures", stats.localize_failures);
-  out += util::strFormat(",\"queue_depth\":%lld,",
-                         static_cast<long long>(stats.queue_depth));
-  appendMaybe(out, "watermark", stats.watermark);
-  out += "},";
+  w.beginObject("stats");
+  w.field("ingested", stats.ingested);
+  w.field("rejected", stats.rejected);
+  w.field("rejected_quarantined", stats.rejected_quarantined);
+  w.field("quarantine_overflowed", stats.quarantine_overflowed);
+  w.field("dropped_oldest", stats.dropped_oldest);
+  w.field("dropped_newest", stats.dropped_newest);
+  w.field("late_admitted", stats.late_admitted);
+  w.field("late_dropped", stats.late_dropped);
+  w.field("windows_sealed", stats.windows_sealed);
+  w.field("windows_dropped", stats.windows_dropped);
+  w.field("alarms", stats.alarms);
+  w.field("localizations", stats.localizations);
+  w.field("localizations_degraded", stats.localizations_degraded);
+  w.field("localize_failures", stats.localize_failures);
+  w.field("queue_depth", stats.queue_depth);
+  timestamp("watermark", stats.watermark);
+  w.endObject();
 
-  out += "\"pipeline\":{";
-  appendMaybe(out, "max_event_ts", engine.maxEventTimestamp());
-  out += ",";
-  appendMaybe(out, "sealed_frontier_epoch", engine.sealedFrontierEpoch());
-  out += ",\"shard_queue_depths\":[";
-  const std::vector<std::size_t> depths = engine.shardQueueDepths();
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    if (i > 0) out += ",";
-    out += util::strFormat("%llu",
-                           static_cast<unsigned long long>(depths[i]));
-  }
-  out += util::strFormat(
-      "],\"localize_in_flight\":%llu,\"localize_threads\":%llu},",
-      static_cast<unsigned long long>(engine.localizeInFlight()),
-      static_cast<unsigned long long>(engine.localizeThreads()));
+  w.beginObject("pipeline");
+  timestamp("max_event_ts", engine.maxEventTimestamp());
+  timestamp("sealed_frontier_epoch", engine.sealedFrontierEpoch());
+  w.beginArray("shard_queue_depths");
+  for (const std::size_t depth : engine.shardQueueDepths()) w.value(depth);
+  w.endArray();
+  w.field("localize_in_flight", engine.localizeInFlight());
+  w.field("localize_threads", engine.localizeThreads());
+  w.endObject();
 
-  out += util::strFormat(
-      "\"config\":{\"shards\":%d,\"queue_capacity\":%llu,"
-      "\"backpressure\":\"%s\",\"window_width\":%lld,"
-      "\"allowed_lateness\":%lld,\"trigger\":\"%s\","
-      "\"detect_threshold\":%.9g,\"detect_two_sided\":%s,"
-      "\"top_k\":%d,\"localize_threads\":%llu,"
-      "\"localize_deadline_seconds\":%.9g,\"quarantine_capacity\":%llu,"
-      "\"lag_sample_interval_seconds\":%.9g}",
-      config.shards,
-      static_cast<unsigned long long>(config.queue_capacity),
-      backpressureName(config.backpressure),
-      static_cast<long long>(config.window_width),
-      static_cast<long long>(config.allowed_lateness),
-      triggerName(config.trigger), config.detect_threshold,
-      config.detect_two_sided ? "true" : "false", config.top_k,
-      static_cast<unsigned long long>(config.localize_threads),
-      config.localize_deadline_seconds,
-      static_cast<unsigned long long>(config.quarantine_capacity),
-      config.lag_sample_interval_seconds);
+  constexpr auto kG9 = util::NumberFormat::kG9;
+  w.beginObject("config");
+  w.field("shards", config.shards);
+  w.field("queue_capacity", config.queue_capacity);
+  w.field("backpressure", backpressureName(config.backpressure));
+  w.field("window_width", config.window_width);
+  w.field("allowed_lateness", config.allowed_lateness);
+  w.field("trigger", triggerName(config.trigger));
+  w.field("detect_threshold", config.detect_threshold, kG9);
+  w.field("detect_two_sided", config.detect_two_sided);
+  w.field("top_k", config.top_k);
+  w.field("localize_threads", config.localize_threads);
+  w.field("localize_deadline_seconds", config.localize_deadline_seconds, kG9);
+  w.field("quarantine_capacity", config.quarantine_capacity);
+  w.field("lag_sample_interval_seconds", config.lag_sample_interval_seconds,
+          kG9);
+  w.endObject();
 
   if (server != nullptr) {
-    out += util::strFormat(
-        ",\"admin\":{\"requests_served\":%llu}",
-        static_cast<unsigned long long>(server->requestsServed()));
+    w.beginObject("admin");
+    w.field("requests_served", server->requestsServed());
+    w.endObject();
   }
-  out += "}";
-  return out;
+  w.endObject();
+  return std::move(w).str();
 }
 
 void installEngineAdminEndpoints(obs::AdminServer& server,

@@ -1,6 +1,6 @@
 // Minimal JSON document parser for the localization service's request
-// bodies (src/io/json.h is writer-only by design; the service is the
-// first consumer that must *read* JSON).
+// bodies (util::JsonWriter writes every JSON document; the service is
+// the one consumer that must *read* JSON).
 //
 // Scope is deliberately small: a recursive-descent parser over the full
 // RFC 8259 grammar with two hostile-input guards —

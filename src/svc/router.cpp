@@ -10,6 +10,7 @@
 #include "stream/event.h"
 #include "stream/queue.h"
 #include "svc/tenant_config.h"
+#include "util/json_writer.h"
 #include "util/strings.h"
 
 namespace rap::svc {
@@ -18,81 +19,81 @@ namespace {
 
 constexpr char kTenantsPrefix[] = "/api/v1/tenants/";
 
-obs::HttpResponse jsonResponse(int status, std::string body) {
-  obs::HttpResponse response;
-  response.status = status;
-  response.content_type = "application/json; charset=utf-8";
-  response.body = std::move(body);
-  return response;
-}
-
 /// One tenant's JSON section (shared by GET detail, the list, and
-/// /statusz).  Tenant names are [A-Za-z0-9_-], so they embed verbatim.
-std::string tenantJson(const DatasetCatalog::Tenant& tenant) {
-  std::string out = "{";
-  out += "\"name\":\"" + tenant.spec.name + "\",";
+/// /statusz).
+void writeTenant(util::JsonWriter& w, const DatasetCatalog::Tenant& tenant) {
+  w.beginObject();
+  w.field("name", tenant.spec.name);
 
   const dataset::Schema& schema = tenant.spec.schema;
-  out += "\"schema\":{\"attributes\":[";
+  w.beginObject("schema");
+  w.beginArray("attributes");
   for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
-    if (a > 0) out += ",";
-    out += util::strFormat("{\"name\":\"%s\",\"cardinality\":%d}",
-                           schema.attribute(a).name().c_str(),
-                           schema.cardinality(a));
+    w.beginObject();
+    w.field("name", schema.attribute(a).name());
+    w.field("cardinality", schema.cardinality(a));
+    w.endObject();
   }
-  out += util::strFormat("],\"leaves\":%llu},",
-                         static_cast<unsigned long long>(schema.leafCount()));
+  w.endArray();
+  w.field("leaves", schema.leafCount());
+  w.endObject();
 
+  constexpr auto kG9 = util::NumberFormat::kG9;
   const LocalizeService::Options& options = tenant.service->options();
-  out += util::strFormat(
-      "\"config\":{\"k\":%d,\"t_cp\":%.9g,\"t_conf\":%.9g,"
-      "\"detect_threshold\":%.9g,\"sync_row_limit\":%llu},",
-      options.default_k, tenant.spec.miner.cp.t_cp,
-      tenant.spec.miner.search.t_conf, options.default_detect_threshold,
-      static_cast<unsigned long long>(options.sync_row_limit));
+  w.beginObject("config");
+  w.field("k", options.default_k);
+  w.field("t_cp", tenant.spec.miner.cp.t_cp, kG9);
+  w.field("t_conf", tenant.spec.miner.search.t_conf, kG9);
+  w.field("detect_threshold", options.default_detect_threshold, kG9);
+  w.field("sync_row_limit", options.sync_row_limit);
+  w.endObject();
 
-  out += util::strFormat(
-      "\"jobs\":{\"queue_depth\":%llu,\"queue_capacity\":%llu,"
-      "\"max_active\":%llu},",
-      static_cast<unsigned long long>(tenant.service->jobs().queueDepth()),
-      static_cast<unsigned long long>(options.jobs.queue_capacity),
-      static_cast<unsigned long long>(options.jobs.max_active));
+  w.beginObject("jobs");
+  w.field("queue_depth", tenant.service->jobs().queueDepth());
+  w.field("queue_capacity", options.jobs.queue_capacity);
+  w.field("max_active", options.jobs.max_active);
+  w.endObject();
 
   const ResultCache::CacheStats cache = tenant.service->cache().stats();
-  out += util::strFormat(
-      "\"cache\":{\"size\":%llu,\"hits\":%llu,\"misses\":%llu},",
-      static_cast<unsigned long long>(tenant.service->cache().size()),
-      static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses));
+  w.beginObject("cache");
+  w.field("size", tenant.service->cache().size());
+  w.field("hits", cache.hits);
+  w.field("misses", cache.misses);
+  w.endObject();
 
   const CircuitBreaker& breaker = tenant.service->breaker();
-  out += util::strFormat(
-      "\"breaker\":{\"enabled\":%s,\"state\":\"%s\","
-      "\"consecutive_failures\":%llu},",
-      breaker.enabled() ? "true" : "false",
-      breakerStateName(breaker.state()),
-      static_cast<unsigned long long>(breaker.consecutiveFailures()));
-  out += util::strFormat("\"quarantined\":%s,",
-                         tenant.quarantined() ? "true" : "false");
+  w.beginObject("breaker");
+  w.field("enabled", breaker.enabled());
+  w.field("state", breakerStateName(breaker.state()));
+  w.field("consecutive_failures", breaker.consecutiveFailures());
+  w.endObject();
+  w.field("quarantined", tenant.quarantined());
 
   const auto engine = tenant.engine();
-  out += util::strFormat("\"streaming\":%s",
-                         engine != nullptr ? "true" : "false");
+  w.field("streaming", engine != nullptr);
   if (engine != nullptr) {
     const stream::StreamStats stats = engine->stats();
-    out += util::strFormat(
-        ",\"stream\":{\"running\":%s,\"ingested\":%llu,\"rejected\":%llu,"
-        "\"windows_sealed\":%llu,\"localizations\":%llu,"
-        "\"queue_depth\":%lld}",
-        engine->running() ? "true" : "false",
-        static_cast<unsigned long long>(stats.ingested),
-        static_cast<unsigned long long>(stats.rejected),
-        static_cast<unsigned long long>(stats.windows_sealed),
-        static_cast<unsigned long long>(stats.localizations),
-        static_cast<long long>(stats.queue_depth));
+    w.beginObject("stream");
+    w.field("running", engine->running());
+    w.field("ingested", stats.ingested);
+    w.field("rejected", stats.rejected);
+    w.field("windows_sealed", stats.windows_sealed);
+    w.field("localizations", stats.localizations);
+    w.field("queue_depth", stats.queue_depth);
+    w.endObject();
   }
-  out += "}";
-  return out;
+  w.endObject();
+}
+
+/// The reply to a PUT or DELETE: {"tenant":<name>,"status":<what>}.
+obs::HttpResponse tenantStatusReply(int status, const std::string& name,
+                                    const char* what) {
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("tenant", name);
+  w.field("status", what);
+  w.endObject();
+  return obs::jsonResponse(status, std::move(w).str() + "\n");
 }
 
 /// Parses one ingest CSV row: ts,elem1,...,elemN,real,predict, each
@@ -277,24 +278,26 @@ obs::HttpResponse TenantRouter::route(const obs::HttpRequest& request) {
 obs::HttpResponse TenantRouter::handleTenantsList(
     const obs::HttpRequest& request) {
   (void)request;
-  std::string body = "{\"tenants\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.beginObject();
+  w.beginArray("tenants");
   for (const auto& tenant : catalog_.list()) {
-    if (!first) body += ",";
-    first = false;
-    body += util::strFormat(
-        "{\"name\":\"%s\",\"streaming\":%s,\"queue_depth\":%llu}",
-        tenant->spec.name.c_str(),
-        tenant->engine() != nullptr ? "true" : "false",
-        static_cast<unsigned long long>(tenant->service->jobs().queueDepth()));
+    w.beginObject();
+    w.field("name", tenant->spec.name);
+    w.field("streaming", tenant->engine() != nullptr);
+    w.field("queue_depth", tenant->service->jobs().queueDepth());
+    w.endObject();
   }
-  body += "]}\n";
-  return jsonResponse(200, std::move(body));
+  w.endArray();
+  w.endObject();
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 obs::HttpResponse TenantRouter::handleTenantGet(
     const DatasetCatalog::Tenant& tenant) {
-  return jsonResponse(200, tenantJson(tenant) + "\n");
+  util::JsonWriter w;
+  writeTenant(w, tenant);
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 obs::HttpResponse TenantRouter::handleTenantPut(
@@ -314,8 +317,7 @@ obs::HttpResponse TenantRouter::handleTenantPut(
     }
     return obs::errorResponse(400, "bad_parameter", put.message());
   }
-  return jsonResponse(
-      201, "{\"tenant\":\"" + name + "\",\"status\":\"created\"}\n");
+  return tenantStatusReply(201, name, "created");
 }
 
 obs::HttpResponse TenantRouter::handleTenantDelete(const std::string& name) {
@@ -334,8 +336,7 @@ obs::HttpResponse TenantRouter::handleTenantDelete(const std::string& name) {
   // in-flight jobs.  A 200 means the tenant is GONE, not going.
   if (auto engine = removed.value()->engine()) engine->stop();
   removed.value().reset();
-  return jsonResponse(
-      200, "{\"tenant\":\"" + name + "\",\"status\":\"deleted\"}\n");
+  return tenantStatusReply(200, name, "deleted");
 }
 
 obs::HttpResponse TenantRouter::handleIngest(DatasetCatalog::Tenant& tenant,
@@ -384,35 +385,31 @@ obs::HttpResponse TenantRouter::handleIngest(DatasetCatalog::Tenant& tenant,
   }
 
   const stream::PushResult result = engine->ingestBatch(std::move(events));
-  std::string body = util::strFormat(
-      "{\"accepted\":%llu,\"dropped_oldest\":%llu,\"dropped_newest\":%llu",
-      static_cast<unsigned long long>(result.accepted),
-      static_cast<unsigned long long>(result.dropped_oldest),
-      static_cast<unsigned long long>(result.dropped_newest));
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("accepted", result.accepted);
+  w.field("dropped_oldest", result.dropped_oldest);
+  w.field("dropped_newest", result.dropped_newest);
   if (result.max_accepted_ts != stream::PushResult::kNoTimestamp) {
-    body += util::strFormat(",\"max_accepted_ts\":%lld",
-                            static_cast<long long>(result.max_accepted_ts));
+    w.field("max_accepted_ts", result.max_accepted_ts);
   }
-  body += "}\n";
-  return jsonResponse(200, std::move(body));
+  w.endObject();
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 obs::HttpResponse TenantRouter::handleStatusz(
     const obs::HttpRequest& request) {
   (void)request;
-  std::string out = "{";
-  out += "\"build\":" + obs::buildInfoJson() + ",";
-  out += util::strFormat("\"tenant_count\":%llu,",
-                         static_cast<unsigned long long>(catalog_.size()));
-  out += "\"tenants\":[";
-  bool first = true;
-  for (const auto& tenant : catalog_.list()) {
-    if (!first) out += ",";
-    first = false;
-    out += tenantJson(*tenant);
-  }
-  out += "]}\n";
-  return jsonResponse(200, std::move(out));
+  util::JsonWriter w;
+  w.beginObject();
+  w.key("build");
+  w.embed(obs::buildInfoJson());
+  w.field("tenant_count", catalog_.size());
+  w.beginArray("tenants");
+  for (const auto& tenant : catalog_.list()) writeTenant(w, *tenant);
+  w.endArray();
+  w.endObject();
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 }  // namespace rap::svc

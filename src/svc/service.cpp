@@ -7,27 +7,16 @@
 #include <limits>
 #include <vector>
 
-#include "io/json.h"
 #include "obs/metrics.h"
 #include "svc/params.h"
 #include "svc/snapshot.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
-#include "util/strings.h"
 #include "util/timer.h"
 
 namespace rap::svc {
 
 namespace {
-
-constexpr const char* kJsonType = "application/json; charset=utf-8";
-
-obs::HttpResponse jsonResponse(int status, std::string body) {
-  obs::HttpResponse response;
-  response.status = status;
-  response.content_type = kJsonType;
-  response.body = std::move(body);
-  return response;
-}
 
 /// The parameter table for POST .../localize — the single source of
 /// truth the shared parser enforces (unknown key / bad number /
@@ -45,26 +34,16 @@ const std::vector<ParamSpec>& localizeParamSpecs() {
   return kSpecs;
 }
 
-std::string formatSeconds(double seconds) {
-  return util::strFormat("%.6f", seconds);
-}
-
 /// The job fields shared by the list and detail documents (no result).
-void appendJobFields(std::string& out, const JobStatus& job) {
-  out += "\"job_id\":";
-  out += std::to_string(job.id);
-  out += ",\"state\":\"";
-  out += jobStateName(job.state);
-  out += "\",\"priority\":";
-  out += std::to_string(job.priority);
-  out += ",\"cache_hit\":";
-  out += job.cache_hit ? "true" : "false";
-  out += ",\"deadline_seconds\":";
-  out += formatSeconds(job.deadline_seconds);
-  out += ",\"queued_seconds\":";
-  out += formatSeconds(job.queued_seconds);
-  out += ",\"run_seconds\":";
-  out += formatSeconds(job.run_seconds);
+void writeJobFields(util::JsonWriter& w, const JobStatus& job) {
+  constexpr auto kFixed6 = util::NumberFormat::kFixed6;
+  w.field("job_id", job.id);
+  w.field("state", jobStateName(job.state));
+  w.field("priority", job.priority);
+  w.field("cache_hit", job.cache_hit);
+  w.field("deadline_seconds", job.deadline_seconds, kFixed6);
+  w.field("queued_seconds", job.queued_seconds, kFixed6);
+  w.field("run_seconds", job.run_seconds, kFixed6);
 }
 
 }  // namespace
@@ -119,21 +98,6 @@ LocalizeService::LocalizeService(dataset::Schema schema,
     stage_hash_ = stage("hash");
     stage_parse_ = stage("parse");
   }
-}
-
-void LocalizeService::installEndpoints(obs::AdminServer& server) {
-  server.handlePost("/api/v1/localize", [this](const obs::HttpRequest& req) {
-    return handleLocalize(req);
-  });
-  std::string jobs_path = options_.jobs_path_prefix;
-  if (!jobs_path.empty() && jobs_path.back() == '/') jobs_path.pop_back();
-  server.handle(jobs_path, [this](const obs::HttpRequest& req) {
-    return handleJobsList(req);
-  });
-  server.handlePrefix(options_.jobs_path_prefix,
-                      [this](const obs::HttpRequest& req) {
-                        return handleJobGet(req);
-                      });
 }
 
 util::Result<LocalizeService::RequestKnobs> LocalizeService::resolveKnobs(
@@ -191,21 +155,21 @@ std::uint64_t LocalizeService::requestKey(const std::string& body,
   return h == 0 ? 1 : h;
 }
 
-std::string LocalizeService::retryAfterJittered() {
+double LocalizeService::retryAfterJittered() {
   const double base = std::max(1.0, options_.jobs.retry_after_seconds);
   std::uint64_t s = jitter_state_.fetch_add(1, std::memory_order_relaxed);
   const double u =
       static_cast<double>(util::splitmix64(s) >> 11) * 0x1.0p-53;  // [0,1)
-  return util::strFormat("%.0f", base * (1.0 + u));
+  return base * (1.0 + u);
 }
 
 obs::HttpResponse LocalizeService::retryableError(int status, const char* code,
                                                   const std::string& message) {
-  const std::string retry = retryAfterJittered();
-  obs::HttpResponse response = jsonResponse(
-      status, obs::errorEnvelope(status, code, message,
-                                 "\"retry_after_seconds\":" + retry));
-  response.headers.emplace_back("Retry-After", retry);
+  const double retry = retryAfterJittered();
+  obs::HttpResponse response = obs::jsonResponse(
+      status, obs::errorEnvelope(status, code, message, retry));
+  response.headers.emplace_back(
+      "Retry-After", util::formatNumber(retry, util::NumberFormat::kFixed0));
   return response;
 }
 
@@ -230,7 +194,7 @@ obs::HttpResponse LocalizeService::handleLocalize(
   if (breaker_->enabled() && !breaker_->allow()) {
     if (auto stale = cache_->peekStale(key)) {
       if (degraded_served_ != nullptr) degraded_served_->increment();
-      obs::HttpResponse response = jsonResponse(200, std::move(*stale));
+      obs::HttpResponse response = obs::jsonResponse(200, std::move(*stale));
       response.headers.emplace_back("X-Rap-Cache", "hit");
       response.headers.emplace_back("X-Rap-Degraded", "stale");
       return response;
@@ -245,7 +209,7 @@ obs::HttpResponse LocalizeService::handleLocalize(
   if (knobs->mode != "async") {
     if (auto hit = cache_->get(key)) {
       if (cache_hits_ != nullptr) cache_hits_->increment();
-      obs::HttpResponse response = jsonResponse(200, std::move(*hit));
+      obs::HttpResponse response = obs::jsonResponse(200, std::move(*hit));
       response.headers.emplace_back("X-Rap-Cache", "hit");
       return response;
     }
@@ -281,7 +245,7 @@ obs::HttpResponse LocalizeService::handleLocalize(
     if (!result.isOk()) {
       return obs::errorResponse(500, "internal", result.status().message());
     }
-    obs::HttpResponse response = jsonResponse(200, std::move(*result));
+    obs::HttpResponse response = obs::jsonResponse(200, std::move(*result));
     response.headers.emplace_back("X-Rap-Cache", "miss");
     return response;
   }
@@ -322,11 +286,12 @@ obs::HttpResponse LocalizeService::handleLocalize(
         return obs::errorResponse(500, "internal", id.status().message());
     }
   }
-  return jsonResponse(
-      202, util::strFormat("{\"job_id\":%llu,\"status_url\":\"%s%llu\"}\n",
-                           static_cast<unsigned long long>(*id),
-                           options_.jobs_path_prefix.c_str(),
-                           static_cast<unsigned long long>(*id)));
+  util::JsonWriter w;
+  w.beginObject();
+  w.field("job_id", *id);
+  w.field("status_url", options_.jobs_path_prefix + std::to_string(*id));
+  w.endObject();
+  return obs::jsonResponse(202, std::move(w).str() + "\n");
 }
 
 util::Result<std::uint64_t> LocalizeService::replayJob(
@@ -378,18 +343,17 @@ obs::HttpResponse LocalizeService::handleJobGet(
     return obs::errorResponse(404, "not_found", "no such job");
   }
 
-  std::string out = "{";
-  appendJobFields(out, *status);
+  util::JsonWriter w;
+  w.beginObject();
+  writeJobFields(w, *status);
   if (status->state == JobState::kDone) {
-    out += ",\"result\":";
-    out += status->result_json;
+    w.key("result");
+    w.embed(status->result_json);
   } else if (status->state == JobState::kFailed) {
-    out += ",\"error\":\"";
-    out += util::escapeJson(status->error);
-    out += "\"";
+    w.field("error", status->error);
   }
-  out += "}\n";
-  return jsonResponse(200, std::move(out));
+  w.endObject();
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 obs::HttpResponse LocalizeService::handleJobsList(
@@ -404,23 +368,21 @@ obs::HttpResponse LocalizeService::handleJobsList(
   }
   const auto limit = static_cast<std::size_t>(
       params->intOr("limit", std::numeric_limits<std::int64_t>::max()));
-  std::string out = "{\"jobs\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.beginObject();
+  w.beginArray("jobs");
   std::size_t emitted = 0;
   for (const JobStatus& job : jobs_->list()) {
     if (emitted++ == limit) break;
-    if (!first) out += ",";
-    first = false;
-    out += "{";
-    appendJobFields(out, job);
-    out += "}";
+    w.beginObject();
+    writeJobFields(w, job);
+    w.endObject();
   }
-  out += "],\"queue_depth\":";
-  out += std::to_string(jobs_->queueDepth());
-  out += ",\"paused\":";
-  out += jobs_->paused() ? "true" : "false";
-  out += "}\n";
-  return jsonResponse(200, std::move(out));
+  w.endArray();
+  w.field("queue_depth", jobs_->queueDepth());
+  w.field("paused", jobs_->paused());
+  w.endObject();
+  return obs::jsonResponse(200, std::move(w).str() + "\n");
 }
 
 }  // namespace rap::svc

@@ -83,12 +83,6 @@ class LocalizeService {
   LocalizeService(const LocalizeService&) = delete;
   LocalizeService& operator=(const LocalizeService&) = delete;
 
-  /// Registers /api/v1/localize and <jobs_path_prefix>* on `server`.
-  /// Call before server.start(); the service must outlive the server.
-  /// (The multi-tenant catalog routes through handleLocalize/handleJob*
-  /// directly instead — see svc::TenantRouter.)
-  void installEndpoints(obs::AdminServer& server);
-
   // Direct handler access (tests drive these without sockets).
   obs::HttpResponse handleLocalize(const obs::HttpRequest& request);
   obs::HttpResponse handleJobGet(const obs::HttpRequest& request);
@@ -124,11 +118,11 @@ class LocalizeService {
   std::uint64_t requestKey(const std::string& body,
                            const RequestKnobs& knobs) const;
 
-  /// Integral Retry-After value, jittered uniformly over
-  /// [base, 2*base) so a synchronized client fleet desynchronizes
-  /// instead of retrying in lockstep (base = jobs.retry_after_seconds,
-  /// floored at 1s).
-  std::string retryAfterJittered();
+  /// Retry-After hint in seconds (sent rounded to whole seconds),
+  /// jittered uniformly over [base, 2*base) so a synchronized client
+  /// fleet desynchronizes instead of retrying in lockstep
+  /// (base = jobs.retry_after_seconds, floored at 1s).
+  double retryAfterJittered();
   /// 429/503 envelope with the jittered Retry-After header +
   /// retry_after_seconds field.
   obs::HttpResponse retryableError(int status, const char* code,

@@ -6,6 +6,8 @@
 #include <ctime>
 #include <mutex>
 
+#include "util/json_writer.h"
+
 namespace rap::util {
 namespace {
 
@@ -74,12 +76,6 @@ std::FILE* logStream() noexcept {
   return stream != nullptr ? stream : stderr;
 }
 
-LogField::LogField(std::string k, double v) : key(std::move(k)), quoted(false) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  value = buf;
-}
-
 namespace internal {
 
 namespace {
@@ -141,7 +137,20 @@ LogMessage::~LogMessage() {
     line += " ";
     line += field.key;
     line += "=";
-    line += field.value;
+    std::visit(
+        [&line](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>) {
+            line += v;
+          } else if constexpr (std::is_same_v<T, double>) {
+            line += formatNumber(v, NumberFormat::kG9);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            line += v ? "true" : "false";
+          } else {
+            line += std::to_string(v);
+          }
+        },
+        field.value);
   }
   line += "\n";
 

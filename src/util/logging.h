@@ -14,10 +14,12 @@
 // the stream into structured JSON lines; tests install capture sinks.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 namespace rap::util {
@@ -32,25 +34,28 @@ const char* logLevelName(LogLevel level) noexcept;
 /// Full lowercase name ("debug", "info", ...) for structured sinks.
 const char* logLevelFullName(LogLevel level) noexcept;
 
-/// One key/value annotation on a log statement.  Numeric values keep a
-/// numeric rendering so structured sinks can emit them unquoted.
+/// One key/value annotation on a log statement or trace span.  The
+/// value keeps its type, so structured outputs emit numbers and booleans
+/// unquoted and render doubles in one place (util::JsonWriter).
 struct LogField {
-  template <typename T,
-            std::enable_if_t<std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                             int> = 0>
-  LogField(std::string k, T v)
-      : key(std::move(k)), value(std::to_string(v)), quoted(false) {}
-  LogField(std::string k, bool v)
-      : key(std::move(k)), value(v ? "true" : "false"), quoted(false) {}
-  LogField(std::string k, double v);
+  template <typename T>
+    requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
+  LogField(std::string k, T v) : key(std::move(k)) {
+    if constexpr (std::is_signed_v<T>) {
+      value = static_cast<std::int64_t>(v);
+    } else {
+      value = static_cast<std::uint64_t>(v);
+    }
+  }
+  LogField(std::string k, bool v) : key(std::move(k)), value(v) {}
+  LogField(std::string k, double v) : key(std::move(k)), value(v) {}
   LogField(std::string k, const char* v)
-      : key(std::move(k)), value(v), quoted(true) {}
+      : key(std::move(k)), value(std::string(v)) {}
   LogField(std::string k, std::string v)
-      : key(std::move(k)), value(std::move(v)), quoted(true) {}
+      : key(std::move(k)), value(std::move(v)) {}
 
   std::string key;
-  std::string value;
-  bool quoted = true;
+  std::variant<std::string, std::int64_t, std::uint64_t, double, bool> value;
 };
 
 /// Everything one log statement carries, handed to the active sink.

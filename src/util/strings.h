@@ -41,9 +41,4 @@ std::string strFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Lower-case an ASCII string.
 std::string toLower(std::string_view text);
 
-/// JSON string escaping per RFC 8259: quotes, backslash, the short forms
-/// \n \r \t \b \f, and \u00XX for every other control byte.  The
-/// one escaper of every JSON document the library writes.
-std::string escapeJson(std::string_view text);
-
 }  // namespace rap::util

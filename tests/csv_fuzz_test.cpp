@@ -28,6 +28,7 @@
 #include "io/csv.h"
 #include "io/dataset_io.h"
 #include "svc/snapshot.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/strings.h"
 

@@ -16,6 +16,7 @@
 #include "io/dataset_io.h"
 #include "io/json.h"
 #include "svc/snapshot.h"
+#include "util/json_writer.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -739,7 +740,7 @@ TEST(Checkpoint, MissingFileIsNotFound) {
 // ------------------------------------------------------------------ JSON
 
 TEST(Json, WriterBuildsNestedDocument) {
-  JsonWriter w;
+  util::JsonWriter w;
   w.beginObject();
   w.key("n");
   w.value(std::int64_t{3});
@@ -763,7 +764,7 @@ TEST(Json, WriterBuildsNestedDocument) {
 }
 
 TEST(Json, NonFiniteNumbersBecomeNull) {
-  JsonWriter w;
+  util::JsonWriter w;
   w.beginArray();
   w.value(std::nan(""));
   w.value(1.0 / 0.0);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,10 +10,32 @@
 #include "core/rapminer.h"
 #include "dataset/cuboid.h"
 #include "obs/obs.h"
+#include "svc/json_value.h"
 #include "util/logging.h"
 
 namespace rap::obs {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Parses `text` as one JSON document, failing the test when it is not.
+svc::JsonValue parseJson(const std::string& text) {
+  auto doc = svc::JsonValue::parse(text);
+  EXPECT_TRUE(doc.isOk()) << doc.status().toString() << " in " << text;
+  return doc.isOk() ? std::move(doc.value()) : svc::JsonValue{};
+}
+
+/// Asserts that members `keys` of `object` are all JSON null.
+void expectNullMembers(const svc::JsonValue* object,
+                       std::initializer_list<const char*> keys) {
+  ASSERT_NE(object, nullptr);
+  for (const char* key : keys) {
+    const svc::JsonValue* member = object->find(key);
+    ASSERT_NE(member, nullptr) << key;
+    EXPECT_TRUE(member->isNull()) << key;
+  }
+}
 
 // ---------------------------------------------------------------- Counter
 
@@ -236,6 +260,25 @@ TEST(MetricsRegistry, JsonExposition) {
   EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
+TEST(MetricsRegistry, NonFiniteGaugeAndSumAreJsonNull) {
+  MetricsRegistry registry;
+  registry.gauge("nan_gauge").set(kNaN);
+  registry.gauge("inf_gauge").set(-kInf);
+  registry.histogram("inf_seconds", {1.0}).observe(kInf);
+
+  const svc::JsonValue doc = parseJson(registry.renderJson());
+  const svc::JsonValue* metrics = doc.find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_EQ(metrics->array_value.size(), 3u);
+  for (const svc::JsonValue& family : metrics->array_value) {
+    const svc::JsonValue* series = family.find("series");
+    ASSERT_NE(series, nullptr);
+    ASSERT_EQ(series->array_value.size(), 1u);
+    const bool histogram = family.find("type")->string_value == "histogram";
+    expectNullMembers(&series->array_value[0], {histogram ? "sum" : "value"});
+  }
+}
+
 TEST(MetricsRegistry, GlobalGateDefaultsOff) {
   // The process-wide gate must start disabled so uninstrumented binaries
   // pay nothing; tests that enable it restore the default.
@@ -339,6 +382,30 @@ TEST(Trace, ChromeTraceJsonShape) {
   recorder.clear();
 }
 
+TEST(Trace, NonFiniteArgsAreJsonNull) {
+  TraceRecorder& recorder = defaultTraceRecorder();
+  recorder.clear();
+  setTracingEnabled(true);
+  {
+    RAP_TRACE_SPAN("odd", {{"nan", kNaN}, {"inf", kInf}, {"ninf", -kInf}});
+  }
+  setTracingEnabled(false);
+
+  const svc::JsonValue chrome = parseJson(recorder.renderChromeTrace());
+  const svc::JsonValue* events = chrome.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->array_value.size(), 1u);
+  expectNullMembers(events->array_value[0].find("args"),
+                    {"nan", "inf", "ninf"});
+
+  const svc::JsonValue tracez = parseJson(renderTracez(recorder, 8));
+  ASSERT_NE(tracez.find("events"), nullptr);
+  ASSERT_EQ(tracez.find("events")->array_value.size(), 1u);
+  expectNullMembers(tracez.find("events")->array_value[0].find("args"),
+                    {"nan", "inf", "ninf"});
+  recorder.clear();
+}
+
 TEST(Trace, FlowEventsRenderWithSharedIdAndEndBinding) {
   TraceRecorder& recorder = defaultTraceRecorder();
   recorder.clear();
@@ -423,11 +490,9 @@ TEST(StructuredLog, SinkReceivesMessageAndFields) {
   EXPECT_EQ(record.message, "layer done");
   ASSERT_EQ(record.fields.size(), 2u);
   EXPECT_EQ(record.fields[0].key, "layer");
-  EXPECT_EQ(record.fields[0].value, "3");
-  EXPECT_FALSE(record.fields[0].quoted);
+  EXPECT_EQ(std::get<std::int64_t>(record.fields[0].value), 3);
   EXPECT_EQ(record.fields[1].key, "method");
-  EXPECT_EQ(record.fields[1].value, "rapminer");
-  EXPECT_TRUE(record.fields[1].quoted);
+  EXPECT_EQ(std::get<std::string>(record.fields[1].value), "rapminer");
   EXPECT_STREQ(record.file, "obs_test.cpp");
 }
 
@@ -450,6 +515,20 @@ TEST(StructuredLog, JsonLineFormat) {
   EXPECT_NE(line.find("\"alarms\":3"), std::string::npos);
   EXPECT_NE(line.find("\"state\":\"raised\""), std::string::npos);
   EXPECT_NE(line.find("\"drop\":0.25"), std::string::npos);
+}
+
+TEST(StructuredLog, NonFiniteFieldsAreJsonNull) {
+  util::LogRecord record;
+  record.file = "monitor.cpp";
+  record.fields.emplace_back("nan", kNaN);
+  record.fields.emplace_back("inf", kInf);
+  record.fields.emplace_back("ninf", -kInf);
+  record.fields.emplace_back("drop", 0.25);
+
+  const svc::JsonValue doc = parseJson(JsonLineLogSink::formatRecord(record));
+  expectNullMembers(&doc, {"nan", "inf", "ninf"});
+  ASSERT_NE(doc.find("drop"), nullptr);
+  EXPECT_EQ(doc.find("drop")->number_value, 0.25);
 }
 
 TEST(StructuredLog, BelowLevelStatementsNeverReachSink) {

@@ -989,6 +989,59 @@ TEST(TenantCatalog, RouterContractAndErrorEnvelopes) {
   EXPECT_NE(statusz.body.find("\"name\":\"edge-eu\""), std::string::npos);
 }
 
+TEST(TenantCatalog, HostileAttributeNamesStayValidJson) {
+  svc::DatasetCatalog catalog({.pool_threads = 2});
+  svc::TenantRouter router(catalog);
+  ASSERT_TRUE(catalog.put(specOf("default", dataset::Schema::tiny())).isOk());
+
+  // A quote, a backslash, a control byte and a NUL in one attribute name.
+  const std::string name = std::string("q\"b\\s\x01") + '\0' + "z";
+  const std::string spec_json =
+      "{\"schema\":{\"attributes\":[{\"name\":\"q\\\"b\\\\s\\u0001\\u0000z\","
+      "\"elements\":[\"x\",\"y\"]}]}}";
+  ASSERT_EQ(
+      router.route(routerRequest("PUT", "/api/v1/tenants/odd", spec_json))
+          .status,
+      201);
+
+  const auto attributeName = [](const svc::JsonValue& tenant) {
+    const svc::JsonValue* schema = tenant.find("schema");
+    EXPECT_NE(schema, nullptr);
+    if (schema == nullptr) return std::string();
+    const svc::JsonValue* attributes = schema->find("attributes");
+    EXPECT_TRUE(attributes != nullptr && attributes->array_value.size() == 1);
+    if (attributes == nullptr || attributes->array_value.empty()) {
+      return std::string();
+    }
+    const svc::JsonValue* attr_name = attributes->array_value[0].find("name");
+    return attr_name == nullptr ? std::string() : attr_name->string_value;
+  };
+
+  const auto detail = svc::JsonValue::parse(
+      router.route(routerRequest("GET", "/api/v1/tenants/odd")).body);
+  ASSERT_TRUE(detail.isOk()) << detail.status().toString();
+  EXPECT_EQ(attributeName(*detail), name);
+
+  const auto listing = svc::JsonValue::parse(
+      router.handleTenantsList(routerRequest("GET", "/api/v1/tenants")).body);
+  ASSERT_TRUE(listing.isOk()) << listing.status().toString();
+  ASSERT_NE(listing->find("tenants"), nullptr);
+  EXPECT_EQ(listing->find("tenants")->array_value.size(), 2u);
+
+  const auto statusz = svc::JsonValue::parse(
+      router.handleStatusz(routerRequest("GET", "/statusz")).body);
+  ASSERT_TRUE(statusz.isOk()) << statusz.status().toString();
+  const svc::JsonValue* tenants = statusz->find("tenants");
+  ASSERT_NE(tenants, nullptr);
+  bool found = false;
+  for (const svc::JsonValue& tenant : tenants->array_value) {
+    if (tenant.find("name")->string_value != "odd") continue;
+    found = true;
+    EXPECT_EQ(attributeName(tenant), name);
+  }
+  EXPECT_TRUE(found);
+}
+
 /// One HTTP/1.1 exchange with a local server; the status code, or -1.
 int httpStatus(std::uint16_t port, const std::string& method,
                const std::string& target, const std::string& body = "") {

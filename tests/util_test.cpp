@@ -7,6 +7,7 @@
 
 #include "util/alloc_probe.h"
 #include "util/flags.h"
+#include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -148,6 +149,40 @@ TEST(Strings, EscapeJson) {
   // Short forms for backspace and form feed, \u00XX for the rest.
   EXPECT_EQ(escapeJson("a\bb\fc"), "a\\bb\\fc");
   EXPECT_EQ(escapeJson(std::string(1, '\x1f')), "\\u001f");
+}
+
+TEST(JsonWriter, NumberFormatsFieldsAndEmbed) {
+  EXPECT_EQ(formatNumber(1.5, NumberFormat::kFixed6), "1.500000");
+  EXPECT_EQ(formatNumber(0.0, NumberFormat::kFixed3), "0.000");
+  EXPECT_EQ(formatNumber(2.5, NumberFormat::kFixed0), "2");
+  EXPECT_EQ(formatNumber(1.0 / 3.0, NumberFormat::kG9), "0.333333333");
+  EXPECT_EQ(formatNumber(1.0 / 3.0, NumberFormat::kG12), "0.333333333333");
+  EXPECT_EQ(formatNumber(1234567890.0, NumberFormat::kMetric), "1234567890");
+  EXPECT_EQ(formatNumber(1e15, NumberFormat::kMetric), "1e+15");
+  EXPECT_EQ(formatNumber(1e300, NumberFormat::kFixed3).size(), 305u);
+  EXPECT_EQ(formatNumber(-1.0 / 0.0, NumberFormat::kMetric), "-inf");
+
+  JsonWriter w;
+  w.beginObject();
+  w.field("n", 3);
+  w.field("u", std::uint64_t{18446744073709551615ull});
+  w.field("x", 0.25, NumberFormat::kFixed3);
+  w.field("nan", std::nan(""), NumberFormat::kFixed6);
+  w.beginArray("fields");
+  w.beginObject();
+  w.field(LogField("i", -2));
+  w.field(LogField("d", 1234567890.0));
+  w.field(LogField("b", true));
+  w.field(LogField("s", "q\""));
+  w.endObject();
+  w.endArray();
+  w.key("doc");
+  w.embed("{\"a\":[1]}");
+  w.endObject();
+  EXPECT_EQ(std::move(w).str(),
+            "{\"n\":3,\"u\":18446744073709551615,\"x\":0.250,\"nan\":null,"
+            "\"fields\":[{\"i\":-2,\"d\":1.23456789e+09,\"b\":true,"
+            "\"s\":\"q\\\"\"}],\"doc\":{\"a\":[1]}}");
 }
 
 // ------------------------------------------------------------------- rng
