@@ -35,6 +35,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alarm/monitor.h"
@@ -388,6 +389,42 @@ void BM_DecodeCsvSnapshotLabeled8(benchmark::State& state) {
   decodeBenchmark(state, deepCase(), deepSnapshotBody());
 }
 BENCHMARK(BM_DecodeCsvSnapshotLabeled8);
+
+/// The KPI fields (`real`, `predict`) of the svc_incident snapshot body,
+/// as views into it: what the decoder hands util::parseDouble.
+const std::vector<std::string_view>& snapshotKpiFields() {
+  static const std::vector<std::string_view> kFields = [] {
+    std::vector<std::string_view> fields;
+    const std::string_view body = snapshotBody();
+    std::size_t line = body.find('\n') + 1;  // past the header
+    while (line < body.size()) {
+      std::size_t end = body.find('\n', line);
+      if (end == std::string_view::npos) end = body.size();
+      const std::string_view row = body.substr(line, end - line);
+      const std::size_t predict = row.rfind(',');
+      const std::size_t real = row.rfind(',', predict - 1);
+      fields.push_back(row.substr(real + 1, predict - real - 1));
+      fields.push_back(row.substr(predict + 1));
+      line = end + 1;
+    }
+    return fields;
+  }();
+  return kFields;
+}
+
+void BM_ParseKpiText(benchmark::State& state) {
+  const auto& fields = snapshotKpiFields();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (const std::string_view field : fields) {
+      sum += util::parseDouble(field).value();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fields.size()));
+}
+BENCHMARK(BM_ParseKpiText);
 
 /// The decode half of --assert-zero-alloc: a warm single-pass decode
 /// may make a fixed number of allocations (the table's reserved

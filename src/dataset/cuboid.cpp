@@ -73,17 +73,17 @@ std::uint64_t combinationKey(const Schema& schema,
   return key;
 }
 
-void decodeKey(const Schema& schema, CuboidMask mask, std::uint64_t key,
-               std::span<ElemId> slots) {
-  RAP_CHECK(slots.size() == static_cast<std::size_t>(schema.attributeCount()));
+void decodeKey(std::span<const std::int32_t> cardinalities, CuboidMask mask,
+               std::uint64_t key, std::span<ElemId> slots) {
+  RAP_CHECK(slots.size() == cardinalities.size());
   // The last member attribute is the least significant digit.
-  for (AttrId a = schema.attributeCount(); a-- > 0;) {
-    ElemId& slot = slots[static_cast<std::size_t>(a)];
+  for (std::size_t a = slots.size(); a-- > 0;) {
+    ElemId& slot = slots[a];
     if ((mask & (1u << a)) == 0) {
       slot = kWildcard;
       continue;
     }
-    const auto card = static_cast<std::uint64_t>(schema.cardinality(a));
+    const auto card = static_cast<std::uint64_t>(cardinalities[a]);
     slot = static_cast<ElemId>(key % card);
     key /= card;
   }
@@ -92,7 +92,7 @@ void decodeKey(const Schema& schema, CuboidMask mask, std::uint64_t key,
 AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
                                         std::uint64_t key) {
   std::vector<ElemId> slots(static_cast<std::size_t>(schema.attributeCount()));
-  decodeKey(schema, mask, key, slots);
+  decodeKey(schema.cardinalities(), mask, key, slots);
   return AttributeCombination(std::move(slots));
 }
 

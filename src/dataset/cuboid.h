@@ -49,9 +49,11 @@ std::uint64_t combinationKey(const Schema& schema,
 
 /// Inverse of combinationKey, without allocating: writes the slots of
 /// the combination of cuboid `mask` whose key is `key` into `slots`
-/// (one per schema attribute; kWildcard outside the mask).
-void decodeKey(const Schema& schema, CuboidMask mask, std::uint64_t key,
-               std::span<ElemId> slots);
+/// (one per schema attribute; kWildcard outside the mask).  Takes the
+/// schema's cardinalities(), so a caller decoding many keys reads them
+/// once.
+void decodeKey(std::span<const std::int32_t> cardinalities, CuboidMask mask,
+               std::uint64_t key, std::span<ElemId> slots);
 
 /// decodeKey into a new AttributeCombination.
 AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,

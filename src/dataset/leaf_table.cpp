@@ -23,14 +23,18 @@ void LeafTable::addRow(std::span<const ElemId> slots, double v, double f,
   RAP_CHECK_MSG(slots.size() == columns_.size(),
                 "row arity " << slots.size() << " vs schema "
                              << schema_.attributeCount());
-  for (AttrId a = 0; a < schema_.attributeCount(); ++a) {
-    const ElemId elem = slots[static_cast<std::size_t>(a)];
+  // The limits come from the schema's cached cardinalities; one
+  // unsigned compare rejects a negative id and one past the dictionary.
+  const std::span<const std::int32_t> limits = schema_.cardinalities();
+  for (std::size_t a = 0; a < slots.size(); ++a) {
+    const ElemId elem = slots[a];
     RAP_CHECK_MSG(elem != kWildcard,
                   "row must be a most fine-grained combination");
-    RAP_CHECK_MSG(elem >= 0 && elem < schema_.cardinality(a),
+    RAP_CHECK_MSG(static_cast<std::uint32_t>(elem) <
+                      static_cast<std::uint32_t>(limits[a]),
                   "element id out of range in slot " << a);
   }
-  for (std::size_t a = 0; a < columns_.size(); ++a) {
+  for (std::size_t a = 0; a < slots.size(); ++a) {
     columns_[a].push_back(slots[a]);
   }
   v_.push_back(v);

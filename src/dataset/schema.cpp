@@ -103,6 +103,7 @@ Schema::Schema(std::vector<Attribute> attributes) {
     const bool inserted =
         dict->index.emplace(attrs[i].name(), static_cast<AttrId>(i)).second;
     RAP_CHECK_MSG(inserted, "duplicate attribute '" << attrs[i].name() << "'");
+    dict->cardinalities.push_back(attrs[i].cardinality());
     const bool wraps = __builtin_mul_overflow(
         leaves, static_cast<std::uint64_t>(attrs[i].cardinality()), &leaves);
     RAP_CHECK_MSG(!wraps, "leaf space of 2^64 or more leaves");

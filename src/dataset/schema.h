@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -82,6 +83,13 @@ class Schema {
 
   std::int32_t cardinality(AttrId id) const { return attribute(id).cardinality(); }
 
+  /// Every attribute's cardinality, indexed by AttrId, stored once with
+  /// the dictionary: what per-row loops (LeafTable::addRow, decodeKey)
+  /// read their limits from.
+  std::span<const std::int32_t> cardinalities() const noexcept {
+    return dict_->cardinalities;
+  }
+
   /// Product of all cardinalities = number of most fine-grained
   /// attribute combinations ("leaves"), paper §III-C.
   std::uint64_t leafCount() const noexcept;
@@ -104,6 +112,7 @@ class Schema {
  private:
   struct Dictionary {
     std::vector<Attribute> attributes;
+    std::vector<std::int32_t> cardinalities;  ///< [attr] cached
     std::unordered_map<std::string, AttrId> index;
   };
   std::shared_ptr<const Dictionary> dict_;

@@ -593,7 +593,8 @@ void AdminServer::serveConnection(int fd) {
 
 std::string renderTracez(const TraceRecorder& recorder, std::size_t limit) {
   auto events = recorder.snapshotEvents();
-  std::sort(events.begin(), events.end(),
+  // Stable: events stamped in the same microsecond keep recording order.
+  std::stable_sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.ts_us < b.ts_us;
             });

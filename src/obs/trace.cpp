@@ -18,7 +18,14 @@ struct TraceRecorder::ThreadBuffer {
   std::vector<TraceEvent> events;
 };
 
-TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
+namespace {
+/// Source of TraceRecorder::id_; 0 is never handed out.
+std::atomic<std::uint64_t> g_next_recorder_id{1};
+}  // namespace
+
+TraceRecorder::TraceRecorder()
+    : id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+      epoch_(std::chrono::steady_clock::now()) {}
 TraceRecorder::~TraceRecorder() = default;
 
 std::uint64_t TraceRecorder::nowMicros() const noexcept {
@@ -30,15 +37,17 @@ std::uint64_t TraceRecorder::nowMicros() const noexcept {
 
 TraceRecorder::ThreadBuffer& TraceRecorder::localBuffer() {
   // Keyed on the recorder so tests with their own recorders do not mix
-  // events into the default one.
-  thread_local TraceRecorder* cached_owner = nullptr;
+  // events into the default one.  The key is the recorder's id, never
+  // reused, not its address: a recorder built where a destroyed one
+  // lived must not find the freed buffer.
+  thread_local std::uint64_t cached_owner = 0;
   thread_local ThreadBuffer* cached_buffer = nullptr;
-  if (cached_owner == this && cached_buffer != nullptr) return *cached_buffer;
+  if (cached_owner == id_ && cached_buffer != nullptr) return *cached_buffer;
 
   std::lock_guard<std::mutex> lock(mutex_);
   buffers_.push_back(std::make_unique<ThreadBuffer>());
   buffers_.back()->tid = static_cast<std::uint32_t>(buffers_.size());
-  cached_owner = this;
+  cached_owner = id_;
   cached_buffer = buffers_.back().get();
   return *cached_buffer;
 }

@@ -76,6 +76,7 @@ class TraceRecorder {
   struct ThreadBuffer;
   ThreadBuffer& localBuffer();
 
+  const std::uint64_t id_;  ///< unique per recorder; keys the thread cache
   mutable std::mutex mutex_;  // guards buffers_ (the list, not entries)
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
   std::chrono::steady_clock::time_point epoch_;

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 #include "obs/build_info.h"
 #include "stream/watermark.h"
@@ -42,11 +43,14 @@ std::string renderStatusz(const StreamEngine& engine,
   const StreamStats stats = engine.stats();
   const StreamConfig& config = engine.config();
   util::JsonWriter w;
-  // Event-time fields use the kNone sentinel; render it as JSON null so
-  // a dashboard never mistakes INT64_MIN for a timestamp.
+  // Event-time fields carry two sentinels, both rendered as JSON null so
+  // a dashboard never mistakes one for a timestamp: kNone (INT64_MIN)
+  // before anything was seen or sealed, and INT64_MAX for the sealed
+  // frontier once a drain or shutdown has flushed every window.
   const auto timestamp = [&w](const char* key, std::int64_t value) {
     w.key(key);
-    if (value == WatermarkTracker::kNone) {
+    if (value == WatermarkTracker::kNone ||
+        value == std::numeric_limits<std::int64_t>::max()) {
       w.nullValue();
     } else {
       w.value(value);

@@ -140,11 +140,12 @@ const char* StreamEngine::invalidReason(std::span<const dataset::ElemId> slots,
   if (slots.size() != static_cast<std::size_t>(schema_.attributeCount())) {
     return "attribute arity does not match schema";
   }
-  for (dataset::AttrId a = 0; a < schema_.attributeCount(); ++a) {
-    const dataset::ElemId elem = slots[static_cast<std::size_t>(a)];
+  const std::span<const std::int32_t> limits = schema_.cardinalities();
+  for (std::size_t a = 0; a < slots.size(); ++a) {
+    const dataset::ElemId elem = slots[a];
     // Rejects wildcards (kWildcard == -1) and out-of-range ids alike.
     if (elem < 0) return "wildcard or negative element id";
-    if (elem >= schema_.cardinality(a)) return "element id out of range";
+    if (elem >= limits[a]) return "element id out of range";
   }
   if (!std::isfinite(v)) return "non-finite actual value";
   if (!std::isfinite(f)) return "non-finite forecast value";

@@ -92,13 +92,13 @@ bool WindowAssembler::hasReady() const {
 dataset::LeafTable sealedTable(const dataset::Schema& schema,
                                std::span<const LeafEvent> rows) {
   const dataset::CuboidMask leaves = dataset::allAttributesMask(schema);
+  const std::span<const std::int32_t> cardinalities = schema.cardinalities();
   std::array<dataset::ElemId, 32> buffer;  // a schema has <= 32 attributes
-  const std::span<dataset::ElemId> slots(
-      buffer.data(), static_cast<std::size_t>(schema.attributeCount()));
+  const std::span<dataset::ElemId> slots(buffer.data(), cardinalities.size());
   dataset::LeafTable table(schema);
   table.reserve(rows.size());
   for (const LeafEvent& row : rows) {
-    dataset::decodeKey(schema, leaves, row.leaf, slots);
+    dataset::decodeKey(cardinalities, leaves, row.leaf, slots);
     table.addRow(slots, row.v, row.f, /*anomalous=*/false);
   }
   return table;

@@ -302,6 +302,8 @@ util::Result<TenantSpec> parseTenantSpec(const JsonValue& doc,
       const auto v = numberField(field, key);
       RAP_RETURN_IF_ERROR(v.status());
       if (v.value() < 0.0) return badField(key, "must be >= 0");
+      // A day: the hint goes out as whole Retry-After seconds.
+      if (v.value() > 86400.0) return badField(key, "must be <= 86400");
       spec.service.jobs.retry_after_seconds = v.value();
     } else if (key == "max_finished_jobs") {
       const auto v = intField(field, key, 1, 1 << 24);

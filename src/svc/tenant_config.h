@@ -13,7 +13,7 @@
 //     "sync_row_limit": 4096,                  // service routing
 //     "max_deadline_seconds": 0,               // per-request deadline cap
 //     "queue_capacity": 64, "workers": 2,      // job manager
-//     "max_active": 0, "retry_after_seconds": 1.0,
+//     "max_active": 0, "retry_after_seconds": 1.0,  // <= 86400
 //     "cache_capacity": 128, "cache_ttl_seconds": 300,
 //     "overload": {                            // CoDel-style shedding
 //       "target_delay_seconds": 0, "interval_seconds": 1.0

@@ -29,10 +29,13 @@ Result<double> parseDouble(std::string_view text);
 Result<std::int64_t> parseInt(std::string_view text);
 
 /// parseDouble's fast path alone: true, with `*out` set to the value
-/// parseDouble returns, when `text` (trimmed) is a number std::from_chars
-/// reads whole and strtod reads bit for bit the same; false means "ask
-/// parseDouble", which settles the rest and owns the error messages.
-/// Builds no Result, Status or string.
+/// parseDouble returns, when `text` is a short decimal (`-?` and at most
+/// eight bytes of digits with at most one '.', read eight digits at a
+/// time and divided once by an exact power of ten) or, trimmed, a number
+/// std::from_chars reads whole and strtod reads bit for bit the same;
+/// false means "ask parseDouble", which settles the rest and owns the
+/// error messages.  Reads no byte outside `text`.  Builds no Result,
+/// Status or string.
 bool parseDoubleFast(std::string_view text, double* out) noexcept;
 
 /// printf-style formatting into a std::string.

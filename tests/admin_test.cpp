@@ -218,6 +218,33 @@ TEST(RenderTracez, KeepsNewestEventsInTimestampOrder) {
   EXPECT_LT(odd, even);
 }
 
+TEST(RenderTracez, EqualTimestampsKeepRecordingOrder) {
+  // 300 events in three runs of 100 equal stamps, each tagged with its
+  // recording position as flow id: the document must list 1..300 in
+  // order on every render.
+  obs::TraceRecorder recorder;
+  constexpr std::uint64_t kEvents = 300;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    obs::TraceEvent event;
+    event.name = "same_us";
+    event.ts_us = 100 + i / 100;
+    event.flow_id = i + 1;
+    recorder.record(event);
+  }
+  for (int render = 0; render < 5; ++render) {
+    const std::string doc = obs::renderTracez(recorder, kEvents);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t at = doc.find("\"id\":"); at != std::string::npos;
+         at = doc.find("\"id\":", at + 1)) {
+      ids.push_back(std::stoull(doc.substr(at + 5)));
+    }
+    ASSERT_EQ(ids.size(), kEvents) << "render " << render;
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      ASSERT_EQ(ids[i], i + 1) << "render " << render << " position " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // POST routes and hostile-client hardening.
 

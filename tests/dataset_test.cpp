@@ -298,6 +298,35 @@ TEST(LeafTable, DuplicateLeavesAccumulate) {
   EXPECT_DOUBLE_EQ(agg.f_sum, 6.0);
 }
 
+TEST(LeafTableDeathTest, AddRowRejectsWildcardAndOutOfRangeIds) {
+  const Schema schema = Schema::tiny();  // A(3), B(2), C(2), D(2)
+  LeafTable table(schema);
+  const auto addSlots = [&table](std::vector<ElemId> slots) {
+    table.addRow(std::span<const ElemId>(slots), 1.0, 1.0, false);
+  };
+  addSlots({2, 1, 1, 1});  // the largest id of every slot is accepted
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_DEATH(addSlots({0, kWildcard, 0, 0}),
+               "row must be a most fine-grained combination");
+  EXPECT_DEATH(addSlots({0, -2, 0, 0}), "element id out of range in slot 1");
+  EXPECT_DEATH(addSlots({0, 0, 0, 2}), "element id out of range in slot 3");
+  EXPECT_DEATH(addSlots({3, 0, 0, 0}), "element id out of range in slot 0");
+  EXPECT_DEATH(addSlots({0, 0, 0}), "row arity 3 vs schema 4");
+  EXPECT_DEATH(addSlots({0, 0, 0, 0, 0}), "row arity 5 vs schema 4");
+}
+
+TEST(Schema, CardinalitiesMatchAttributes) {
+  const Schema schema = Schema::cdn();
+  const auto cardinalities = schema.cardinalities();
+  ASSERT_EQ(cardinalities.size(), 4u);
+  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
+    EXPECT_EQ(cardinalities[static_cast<std::size_t>(a)],
+              schema.attribute(a).cardinality());
+  }
+  const Schema copy = schema;  // copies share the one cached array
+  EXPECT_EQ(copy.cardinalities().data(), cardinalities.data());
+}
+
 TEST(LeafTable, RowsReturnWhatAddRowReceived) {
   const Schema schema = Schema::tiny();
   const std::vector<LeafRow> added = {

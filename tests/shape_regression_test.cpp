@@ -5,6 +5,10 @@
 // ordering claims, not exact numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "eval/metrics.h"
 #include "eval/runner.h"
 #include "gen/rapmd.h"
@@ -128,15 +132,24 @@ TEST(ShapeTable6, DeletionTradesRecallForTime) {
   core::RapMinerConfig with;
   core::RapMinerConfig without;
   without.cp.enable_attribute_deletion = false;
-  const auto runs_with =
-      eval::runLocalizer(eval::rapminerLocalizer(with), cases, {.k = 3});
-  const auto runs_without =
-      eval::runLocalizer(eval::rapminerLocalizer(without), cases, {.k = 3});
+  // Wall time on a shared machine: the fastest of three interleaved
+  // passes of each, so one pass slowed by other processes cannot flip
+  // the comparison.  The predictions are the same in every pass.
+  std::vector<eval::CaseRun> runs_with;
+  std::vector<eval::CaseRun> runs_without;
+  double t_with = std::numeric_limits<double>::infinity();
+  double t_without = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 3; ++pass) {
+    runs_with =
+        eval::runLocalizer(eval::rapminerLocalizer(with), cases, {.k = 3});
+    runs_without =
+        eval::runLocalizer(eval::rapminerLocalizer(without), cases, {.k = 3});
+    t_with = std::min(t_with, eval::aggregateTiming(runs_with).mean());
+    t_without = std::min(t_without, eval::aggregateTiming(runs_without).mean());
+  }
 
   const double rc_with = eval::aggregateRecallAtK(runs_with, cases, 3);
   const double rc_without = eval::aggregateRecallAtK(runs_without, cases, 3);
-  const double t_with = eval::aggregateTiming(runs_with).mean();
-  const double t_without = eval::aggregateTiming(runs_without).mean();
 
   EXPECT_LE(rc_with, rc_without + 1e-9);  // deletion never helps recall
   EXPECT_LT(t_with, t_without);           // but it buys time

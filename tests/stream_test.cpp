@@ -20,6 +20,7 @@
 #include "detect/detector.h"
 #include "gen/rapmd.h"
 #include "obs/metrics.h"
+#include "stream/admin.h"
 #include "stream/engine.h"
 #include "stream/event.h"
 #include "stream/lag_collector.h"
@@ -27,6 +28,7 @@
 #include "stream/source.h"
 #include "stream/watermark.h"
 #include "stream/window.h"
+#include "svc/json_value.h"
 #include "util/rng.h"
 
 namespace rap::stream {
@@ -381,6 +383,39 @@ TEST(StreamEngine, InOrderStreamMatchesBatchGrouping) {
   EXPECT_EQ(stats.queue_depth, 0);
   EXPECT_EQ(stats.late_dropped, 0u);
   engine.stop();
+}
+
+TEST(StreamEngine, StatuszRendersEverySentinelAsNull) {
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamEngine engine(schema, testConfig());
+  // The field of /statusz's "pipeline" object; a string if it is missing
+  // or the document does not parse.
+  const auto pipelineField = [&engine](std::string_view key) {
+    const auto doc = svc::JsonValue::parse(renderStatusz(engine, nullptr));
+    const svc::JsonValue* pipeline =
+        doc.isOk() ? doc->find("pipeline") : nullptr;
+    const svc::JsonValue* field =
+        pipeline != nullptr ? pipeline->find(key) : nullptr;
+    svc::JsonValue missing;
+    missing.kind = svc::JsonValue::Kind::kString;
+    return field != nullptr ? *field : missing;
+  };
+  engine.start();
+  // Before any event: kNone.
+  EXPECT_TRUE(pipelineField("sealed_frontier_epoch").isNull());
+  EXPECT_TRUE(pipelineField("max_event_ts").isNull());
+
+  const auto events = healthyGrid(testConfig().window_width, 3);
+  engine.ingestBatch(events);
+  // After a drain every window is flushed: the INT64_MAX frontier.
+  engine.drain();
+  ASSERT_EQ(engine.sealedFrontierEpoch(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_TRUE(pipelineField("sealed_frontier_epoch").isNull());
+  EXPECT_EQ(pipelineField("max_event_ts").number_value,
+            static_cast<double>(events.back().ts));
+  engine.stop();
+  EXPECT_TRUE(pipelineField("sealed_frontier_epoch").isNull());
 }
 
 TEST(StreamEngine, OutOfOrderAcrossProducersMatchesBatchGrouping) {

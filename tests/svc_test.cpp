@@ -1089,6 +1089,27 @@ std::string attributesSpec(int count, int cardinality) {
   return out + "]}}";
 }
 
+TEST(TenantCatalog, RetryAfterSecondsIsBoundedByADay) {
+  svc::DatasetCatalog catalog({.pool_threads = 1});
+  svc::TenantRouter router(catalog);
+  const auto put = [&router](const std::string& name, const char* seconds) {
+    return router.route(routerRequest(
+        "PUT", "/api/v1/tenants/" + name,
+        std::string("{\"schema\":{\"builtin\":\"tiny\"},"
+                    "\"retry_after_seconds\":") +
+            seconds + "}"));
+  };
+  EXPECT_EQ(put("day", "86400").status, 201);
+  for (const char* seconds : {"86401", "86400.5", "1e25"}) {
+    const auto rejected = put("too-long", seconds);
+    EXPECT_EQ(rejected.status, 400) << seconds;
+    EXPECT_NE(rejected.body.find("retry_after_seconds"), std::string::npos)
+        << rejected.body;
+  }
+  EXPECT_NE(catalog.find("day"), nullptr);
+  EXPECT_EQ(catalog.find("too-long"), nullptr);
+}
+
 TEST(TenantCatalog, BadTenantSchemasAre400AndTheServerKeepsServing) {
   svc::DatasetCatalog catalog({.pool_threads = 1});
   svc::TenantRouter router(catalog);

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "util/alloc_probe.h"
@@ -119,6 +125,159 @@ TEST(Strings, ParseDoubleStrict) {
   EXPECT_FALSE(parseDouble("abc").isOk());
   EXPECT_FALSE(parseDouble("1.5x").isOk());
   EXPECT_FALSE(parseDouble("").isOk());
+}
+
+/// parseDouble's contract spelled out with strtod alone: the trimmed
+/// field, whole, no ERANGE.
+Result<double> strtodReference(std::string_view text) {
+  const std::string buf{trim(text)};
+  if (buf.empty()) return Status::invalidArgument("empty number");
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(buf.c_str(), &end);
+  if (errno == ERANGE) {
+    return Status::outOfRange("number out of range: '" + buf + "'");
+  }
+  if (end != buf.c_str() + buf.size()) {
+    return Status::invalidArgument("not a number: '" + buf + "'");
+  }
+  return value;
+}
+
+/// Empty when parseDoubleFast and parseDouble both agree with strtod on
+/// `spelling` bit for bit (or parseDouble rejects it as strtod does,
+/// with the same code and message); else what differed.  The parsers
+/// see the spelling in a heap block of exactly its size, so a read past
+/// the view is a sanitizer error.
+std::string strtodMismatch(const std::string& spelling) {
+  const std::size_t n = spelling.size();
+  const auto exact = std::make_unique<char[]>(n == 0 ? 1 : n);
+  std::copy(spelling.begin(), spelling.end(), exact.get());
+  const std::string_view view(exact.get(), n);
+  const auto want = strtodReference(spelling);
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  double fast = 0.0;
+  if (parseDoubleFast(view, &fast) &&
+      (!want.isOk() || bits(fast) != bits(want.value()))) {
+    return "parseDoubleFast accepted '" + spelling + "'";
+  }
+  const auto got = parseDouble(view);
+  if (got.isOk() != want.isOk()) {
+    return "accept set differs on '" + spelling + "'";
+  }
+  if (want.isOk() ? bits(got.value()) != bits(want.value())
+                  : got.status().code() != want.status().code() ||
+                        got.status().message() != want.status().message()) {
+    return "result differs on '" + spelling + "'";
+  }
+  return {};
+}
+
+/// Counts mismatches over `spellings`, reporting the first few.
+template <typename Spellings>
+int countStrtodMismatches(const Spellings& spellings) {
+  int mismatches = 0;
+  for (const std::string& spelling : spellings) {
+    const std::string why = strtodMismatch(spelling);
+    if (why.empty()) continue;
+    if (++mismatches <= 5) ADD_FAILURE() << why;
+  }
+  return mismatches;
+}
+
+TEST(Strings, ParseDoubleFastAgreesWithStrtodOnNamedEdges) {
+  const std::vector<std::string> edges = {
+      ".5", "5.", ".", "-", "-0", "0", "-0.", "-.0", "-.", "..5", "1..2",
+      "00000000", "-00000000", "99999999", "-99999999", "1234567.",
+      ".1234567", "-.1234567", "0.000001", "28.6771", "-28.6771", "1e5",
+      "+1", " 1", "1 ", "-+1", "1-", "--1", "",
+      // Nine bytes: one past the short-decimal shape.
+      "123456789", "1234567.8", ".12345678", "12345678.", "-123456789",
+      "000000000", "0.0000000"};
+  EXPECT_EQ(countStrtodMismatches(edges), 0);
+  // A '-' in front of a zero keeps its sign bit, on either path.
+  for (const char* zero : {"-0", "-0.0", "-.0", "-00000000", "-0."}) {
+    const auto parsed = parseDouble(zero);
+    ASSERT_TRUE(parsed.isOk()) << zero;
+    EXPECT_EQ(parsed.value(), 0.0) << zero;
+    EXPECT_TRUE(std::signbit(parsed.value())) << zero;
+    double value = 1.0;
+    if (parseDoubleFast(zero, &value)) {
+      EXPECT_TRUE(std::signbit(value)) << zero;
+    }
+  }
+  double value = 0.0;
+  ASSERT_TRUE(parseDoubleFast("28.6771", &value));
+  EXPECT_EQ(value, 28.6771);
+}
+
+TEST(Strings, ParseDoubleFastAgreesWithStrtodOnEveryShortSpelling) {
+  // Every spelling of at most five characters over the number alphabet.
+  constexpr std::string_view kAlphabet = "0123456789.-+e";
+  std::vector<std::string> spellings = {""};
+  for (std::size_t from = 0, length = 1; length <= 5; ++length) {
+    const std::size_t to = spellings.size();
+    for (std::size_t i = from; i < to; ++i) {
+      for (const char c : kAlphabet) spellings.push_back(spellings[i] + c);
+    }
+    from = to;
+  }
+  ASSERT_EQ(spellings.size(), 579195u);  // sum of 14^k, k = 0..5
+  EXPECT_EQ(countStrtodMismatches(spellings), 0);
+}
+
+TEST(Strings, ParseDoubleFastAgreesWithStrtodOnRandomSpellings) {
+  // Up to ten bytes, mostly digits, '.' and '-' (the short-decimal
+  // shape and its near misses), sometimes anything else a field holds.
+  constexpr char kRare[] = {'+', 'e', 'E', ' ', 'x', 'n', '\0', 'i', ','};
+  std::uint64_t rng = 20220627;
+  std::vector<std::string> spellings;
+  spellings.reserve(4096);
+  int mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::string spelling;
+    const std::uint64_t length = splitmix64(rng) % 11;
+    for (std::uint64_t c = 0; c < length; ++c) {
+      const std::uint64_t draw = splitmix64(rng);
+      const std::uint64_t pick = draw % 100;
+      if (pick < 80) {
+        spelling += static_cast<char>('0' + (draw >> 8) % 10);
+      } else if (pick < 90) {
+        spelling += '.';
+      } else if (pick < 96) {
+        spelling += '-';
+      } else {
+        spelling += kRare[(draw >> 8) % sizeof(kRare)];
+      }
+    }
+    spellings.push_back(std::move(spelling));
+    if (spellings.size() == 4096) {
+      mismatches += countStrtodMismatches(spellings);
+      spellings.clear();
+    }
+  }
+  mismatches += countStrtodMismatches(spellings);
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Strings, ParseDoubleFastAgreesWithStrtodOnRenderedDoubles) {
+  // %.1g .. %.17g of random doubles: every bit pattern, and KPI-sized
+  // values (what snapshots print at %.6g).
+  std::uint64_t rng = 918273;
+  std::vector<std::string> spellings;
+  char buf[64];
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t draw = splitmix64(rng);
+    double value = std::bit_cast<double>(draw);
+    if (i % 2 == 1) {
+      value = static_cast<double>(draw >> 11) * 0x1p-53 * 2000.0 - 1000.0;
+    }
+    for (int precision = 1; precision <= 17; ++precision) {
+      std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
+      spellings.emplace_back(buf);
+    }
+  }
+  EXPECT_EQ(countStrtodMismatches(spellings), 0);
 }
 
 TEST(Strings, ParseIntStrict) {
