@@ -22,8 +22,8 @@
 // columns are reserved up front, and nothing is allocated per row or
 // per field (docs/service.md, "Snapshot decoding").  Last, it drives a
 // warm window through the stream sealer's data path (4 sorted shard
-// fragments merged by the WindowAssembler, popped, decoded into a
-// table) at 1k and at 9k rows and fails unless both make the same
+// fragments merged by the WindowAssembler, popped, its packed leaf
+// keys appended to a table) at 1k and at 9k rows and fails unless both make the same
 // number of heap allocations: nothing per row (docs/streaming.md).
 // The probe's replacement operator new/delete are compiled into this
 // binary only (see src/util/alloc_probe.h).
@@ -426,6 +426,23 @@ void BM_ParseKpiText(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseKpiText);
 
+void BM_SealedTable(benchmark::State& state) {
+  // The sealer's table build on a ~9k-event cdn window: the rapmd case's
+  // rows as packed leaf keys in canonical order, appended key by key.
+  const auto& table = rapmdCase().table;
+  std::vector<stream::LeafEvent> events;
+  for (dataset::RowId r = 0; r < table.size(); ++r) {
+    events.push_back({table.key(r), 0, table.v(r), table.f(r)});
+  }
+  std::sort(events.begin(), events.end(), stream::canonicalLess);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream::sealedTable(table.schema(), events));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_SealedTable);
+
 /// The decode half of --assert-zero-alloc: a warm single-pass decode
 /// may make a fixed number of allocations (the table's reserved
 /// columns, the schema and error plumbing), never per row, per field or
@@ -642,7 +659,9 @@ std::uint64_t windowAssemblyAllocs(std::size_t rows) {
   constexpr std::int32_t kShards = 4;
   std::vector<std::vector<stream::LeafEvent>> fragments(kShards);
   for (std::size_t i = 0; i < rows; ++i) {
-    const std::uint64_t leaf = (i * 7919) % schema.leafCount();
+    const std::uint64_t leaf = schema.pack(
+        dataset::leafFromIndex(schema, (i * 7919) % schema.leafCount())
+            .slots());
     fragments[i % kShards].push_back(
         {leaf, 0, static_cast<double>(i % 13), static_cast<double>(i % 7)});
   }

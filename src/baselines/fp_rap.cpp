@@ -73,7 +73,7 @@ std::vector<core::ScoredPattern> fpGrowthLocalize(
           : mining::mineFrequentItemsets(transactions, options);
 
   // Rule confidence over the full table: one keyed group-by per cuboid
-  // the itemsets touch, each itemset's key binary-searched in its
+  // the itemsets touch, each itemset's projection binary-searched in its
   // cuboid's groups.  An itemset no leaf supports keeps total == 0.
   struct Probe {
     AttributeCombination ac;
@@ -82,15 +82,18 @@ std::vector<core::ScoredPattern> fpGrowthLocalize(
     dataset::KeyedGroup counts;
   };
   std::vector<Probe> probes(itemsets.size());
+  std::vector<ElemId> slots(static_cast<std::size_t>(schema.attributeCount()));
   for (std::size_t i = 0; i < itemsets.size(); ++i) {
     Probe& probe = probes[i];
     probe.ac = AttributeCombination(schema.attributeCount());
+    std::fill(slots.begin(), slots.end(), 0);
     for (const auto item : itemsets[i].items) {
       const auto [attr, elem] = codec.decode(item);
       probe.ac.setSlot(attr, elem);
+      slots[static_cast<std::size_t>(attr)] = elem;
     }
     probe.mask = probe.ac.cuboidMask();
-    probe.key = dataset::combinationKey(schema, probe.ac);
+    probe.key = dataset::KeyProjection(schema, probe.mask)(schema.pack(slots));
   }
   std::vector<std::size_t> by_mask(probes.size());
   std::iota(by_mask.begin(), by_mask.end(), std::size_t{0});

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "dataset/cuboid.h"
 #include "stats/histogram.h"
@@ -83,17 +82,12 @@ std::vector<core::ScoredPattern> squeezeLocalize(
   const CuboidMask all_mask = dataset::allAttributesMask(table.schema());
 
   // Table-wide groups per cuboid, computed once and shared by every
-  // cluster (descent-score denominators and covered-row lookups).
+  // cluster (descent-score denominators and covered-row lookups), in
+  // ascending combination order like every group-by.
   const auto cuboids = dataset::allCuboidsByLayer(all_mask);
-  std::unordered_map<CuboidMask,
-                     std::unordered_map<AttributeCombination,
-                                        std::vector<RowId>, dataset::AcHash>>
-      full_groups;
+  std::vector<std::vector<dataset::GroupWithRows>> full_groups;
   for (const CuboidMask mask : cuboids) {
-    auto& per_ac = full_groups[mask];
-    for (auto& g : table.groupByWithRows(mask)) {
-      per_ac.emplace(g.agg.ac, std::move(g.rows));
-    }
+    full_groups.push_back(table.groupByWithRows(mask));
   }
 
   std::vector<core::ScoredPattern> out;
@@ -110,9 +104,9 @@ std::vector<core::ScoredPattern> squeezeLocalize(
 
     // 3. Search every cuboid for the best selection.
     Selection best;
-    for (const CuboidMask mask : cuboids) {
+    for (std::size_t c = 0; c < cuboids.size(); ++c) {
+      const CuboidMask mask = cuboids[c];
       auto groups = table.groupByWithRows(mask, cluster_rows);
-      const auto& per_ac = full_groups.at(mask);
 
       // Descent score: fraction of the group's table-wide leaves inside
       // the cluster.  Groups fully engulfed by the cluster come first.
@@ -124,7 +118,15 @@ std::vector<core::ScoredPattern> squeezeLocalize(
       std::vector<Ranked> ranked;
       ranked.reserve(groups.size());
       for (const auto& g : groups) {
-        const auto& table_wide = per_ac.at(g.agg.ac);
+        // A cluster's groups are a subset of the table-wide ones.
+        const auto& table_wide =
+            std::lower_bound(full_groups[c].begin(), full_groups[c].end(),
+                             g.agg.ac,
+                             [](const dataset::GroupWithRows& wide,
+                                const AttributeCombination& ac) {
+                               return wide.agg.ac < ac;
+                             })
+                ->rows;
         const double descent =
             table_wide.empty()
                 ? 0.0

@@ -23,13 +23,25 @@ std::vector<double> classificationPowers(const LeafTable& table) {
     branches[static_cast<std::size_t>(a)].resize(
         static_cast<std::size_t>(schema.cardinality(a)));
   }
+  // Each attribute's counters and field of the packed leaf key, looked
+  // up once rather than per row.
+  struct Field {
+    stats::BranchCounts* counts;
+    std::uint64_t mask;
+    std::int32_t shift;
+  };
+  std::vector<Field> fields;
+  for (AttrId a = 0; a < n_attrs; ++a) {
+    fields.push_back({branches[static_cast<std::size_t>(a)].data(),
+                      schema.fieldMask(a), schema.fieldShift(a)});
+  }
   std::uint64_t positives = 0;
   for (dataset::RowId id = 0; id < table.size(); ++id) {
     const std::uint64_t positive = table.isAnomalous(id) ? 1 : 0;
+    const std::uint64_t key = table.key(id);
     positives += positive;
-    for (AttrId a = 0; a < n_attrs; ++a) {
-      auto& b = branches[static_cast<std::size_t>(a)]
-                        [static_cast<std::size_t>(table.elem(id, a))];
+    for (const Field& field : fields) {
+      auto& b = field.counts[(key & field.mask) >> field.shift];
       b.total += 1;
       b.positives += positive;
     }

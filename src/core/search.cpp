@@ -313,7 +313,8 @@ std::vector<ScoredPattern> acGuidedSearch(
     out.reserve(ws.candidates.size());
     for (const auto& c : ws.candidates) {
       ScoredPattern& pattern = out.emplace_back();
-      pattern.ac = dataset::combinationFromKey(table.schema(), c.mask, c.key);
+      // Every member row projects onto the candidate: decode the first.
+      pattern.ac = table.combination(ws.candidate_rows[c.rows_begin], c.mask);
       pattern.confidence = c.confidence;
       pattern.layer = c.layer;
     }
@@ -404,7 +405,7 @@ std::vector<ScoredPattern> acGuidedSearch(
         ws.pending_rows.insert(ws.pending_rows.end(),
                                outcome.rows.begin() + a.rows_begin,
                                outcome.rows.begin() + a.rows_begin + a.total);
-        ws.pending.push_back({mask, layer, a.key, a.confidence, rows_begin,
+        ws.pending.push_back({mask, layer, a.confidence, rows_begin,
                               ws.pending_rows.size()});
         layer_stats.candidates_found += 1;
 

@@ -11,8 +11,9 @@
 // soon as the candidates cover every anomalous leaf.
 //
 // Support counts come from LeafTable::forEachGroup, which emits each
-// group as a mixed-radix key with its counts and first row; a group is
-// decoded into an AttributeCombination only once it is accepted.
+// group as the projection of its packed leaf keys onto the cuboid, with
+// its counts and first row; only an accepted group is decoded into an
+// AttributeCombination, from its first row.
 // Criteria 3 is a per-row test: every row of a group in cuboid M has the
 // same projection onto M, so the group has an accepted proper ancestor
 // exactly when its first row belongs to an accepted candidate whose
@@ -107,7 +108,7 @@ struct SearchWorkspace {
   /// member rows, each group's ascending.
   struct Outcome {
     struct Accepted {
-      std::uint64_t key = 0;            ///< combinationKey of the group
+      std::uint64_t key = 0;            ///< the group's projection
       double confidence = 0.0;
       std::uint32_t index = 0;          ///< position among the groups
       std::uint32_t pruned_before = 0;  ///< Criteria-3 skips before it
@@ -124,13 +125,12 @@ struct SearchWorkspace {
     std::vector<dataset::RowId> rows;
   };
 
-  /// An accepted candidate: its cuboid, key and member rows
+  /// An accepted candidate: its cuboid and member rows
   /// (candidate_rows[rows_begin, rows_end), or pending_rows while its
-  /// layer is being walked).
+  /// layer is being walked), the first of which decodes it.
   struct Candidate {
     dataset::CuboidMask mask = 0;
     std::int32_t layer = 0;
-    std::uint64_t key = 0;
     double confidence = 0.0;
     std::size_t rows_begin = 0;
     std::size_t rows_end = 0;

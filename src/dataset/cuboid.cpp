@@ -61,44 +61,65 @@ CuboidMask allAttributesMask(const Schema& schema) noexcept {
              : ((1u << schema.attributeCount()) - 1);
 }
 
-std::uint64_t combinationKey(const Schema& schema,
-                             const AttributeCombination& ac) {
-  RAP_CHECK(ac.attributeCount() == schema.attributeCount());
-  std::uint64_t key = 0;
-  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
-    if (ac.isWildcard(a)) continue;
-    key = key * static_cast<std::uint64_t>(schema.cardinality(a)) +
-          static_cast<std::uint64_t>(ac.slot(a));
+KeyProjection::KeyProjection(const Schema& schema, CuboidMask mask) {
+  std::uint64_t members = 0;
+  for (AttrId a = 0; a < 32; ++a) {
+    if ((mask & (1u << a)) == 0) continue;
+    RAP_CHECK(a < schema.attributeCount());
+    members |= schema.fieldMask(a);
   }
-  return key;
+  // Each maximal run of member bits, lowest first (adding its lowest
+  // bit carries through it), moves down onto the bits the lower runs
+  // took.
+  for (std::int32_t taken = 0; members != 0;) {
+    const std::uint64_t run = members & ~(members + (members & -members));
+    RAP_CHECK(run_count_ < runs_.size());
+    runs_[run_count_++] = Run{run, std::countr_zero(run) - taken};
+    taken += std::popcount(run);
+    members &= ~run;
+  }
+  // A schema's leaf space is below 2^64, so the last leaf's projection
+  // is never all ones: no overflow.
+  cells_ = (*this)(schema.lastLeafKey()) + 1;
 }
 
-void decodeKey(std::span<const std::int32_t> cardinalities, CuboidMask mask,
-               std::uint64_t key, std::span<ElemId> slots) {
-  RAP_CHECK(slots.size() == cardinalities.size());
-  // The last member attribute is the least significant digit.
-  for (std::size_t a = slots.size(); a-- > 0;) {
-    ElemId& slot = slots[a];
-    if ((mask & (1u << a)) == 0) {
-      slot = kWildcard;
-      continue;
+void KeyProjection::project(std::span<const std::uint64_t> keys,
+                            std::uint64_t* out) const {
+  const std::size_t n = keys.size();
+  const std::uint64_t* in = keys.data();
+  if (run_count_ == 0) std::fill(out, out + n, 0);
+  // The first pass assigns, so `out` needs no zero-fill.
+  for (std::size_t i = 0; i < run_count_; ++i) {
+    const std::uint64_t mask = runs_[i].mask;
+    const std::int32_t shift = runs_[i].shift;
+    if (i == 0) {
+      for (std::size_t r = 0; r < n; ++r) out[r] = (in[r] & mask) >> shift;
+    } else {
+      for (std::size_t r = 0; r < n; ++r) out[r] |= (in[r] & mask) >> shift;
     }
-    const auto card = static_cast<std::uint64_t>(cardinalities[a]);
-    slot = static_cast<ElemId>(key % card);
-    key /= card;
   }
 }
 
-AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
-                                        std::uint64_t key) {
-  std::vector<ElemId> slots(static_cast<std::size_t>(schema.attributeCount()));
-  decodeKey(schema.cardinalities(), mask, key, slots);
-  return AttributeCombination(std::move(slots));
+AttributeCombination combinationOfLeaf(const Schema& schema,
+                                       std::uint64_t key, CuboidMask mask) {
+  AttributeCombination ac(schema.attributeCount());
+  for (AttrId a = 0; a < schema.attributeCount(); ++a) {
+    if ((mask & (1u << a)) != 0) ac.setSlot(a, schema.field(key, a));
+  }
+  return ac;
 }
 
 AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index) {
   RAP_CHECK(index < schema.leafCount());
-  return combinationFromKey(schema, allAttributesMask(schema), index);
+  // Mixed radix, the last attribute the least significant digit.
+  std::vector<ElemId> slots(static_cast<std::size_t>(schema.attributeCount()));
+  for (std::size_t a = slots.size(); a-- > 0;) {
+    const auto card = static_cast<std::uint64_t>(
+        schema.cardinality(static_cast<AttrId>(a)));
+    slots[a] = static_cast<ElemId>(index % card);
+    index /= card;
+  }
+  return AttributeCombination(std::move(slots));
 }
 
 }  // namespace rap::dataset

@@ -6,6 +6,7 @@
 // there are 2^n - 1 non-empty cuboids for n attributes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,28 +40,52 @@ std::vector<CuboidMask> allCuboidsByLayer(CuboidMask allowed);
 /// Mask with one bit per schema attribute.
 CuboidMask allAttributesMask(const Schema& schema) noexcept;
 
-/// The combination codec.  A combination's key within its own cuboid is
-/// the mixed-radix number whose digits are its concrete slots, the first
-/// member attribute most significant, so ascending keys are ascending
-/// (lexicographic) combinations.  LeafTable::groupByInto's column sweep
-/// computes the same keys for every row at once.
-std::uint64_t combinationKey(const Schema& schema,
-                             const AttributeCombination& ac);
+/// Projection of packed leaf keys (Schema::pack) onto a cuboid: the
+/// member attributes' fields moved next to each other, in attribute
+/// order, into the low bits.  Attribute 0 stays most significant, so
+/// ascending projections are ascending lexicographic member slots, and
+/// two leaves project equally exactly when they agree on every member
+/// attribute.  The fields move as runs of adjacent member fields, one
+/// AND and one shift per run.
+class KeyProjection {
+ public:
+  KeyProjection(const Schema& schema, CuboidMask mask);
 
-/// Inverse of combinationKey, without allocating: writes the slots of
-/// the combination of cuboid `mask` whose key is `key` into `slots`
-/// (one per schema attribute; kWildcard outside the mask).  Takes the
-/// schema's cardinalities(), so a caller decoding many keys reads them
-/// once.
-void decodeKey(std::span<const std::int32_t> cardinalities, CuboidMask mask,
-               std::uint64_t key, std::span<ElemId> slots);
+  /// One more than the largest projection of a leaf (that of
+  /// Schema::lastLeafKey()): how many cells a dense array indexed by
+  /// projection needs: fewer than 2^(member bits) when the first
+  /// member's cardinality is not a power of two (Location's 33 elements
+  /// take 6 bits, but its field never exceeds 32).
+  std::uint64_t cells() const noexcept { return cells_; }
 
-/// decodeKey into a new AttributeCombination.
-AttributeCombination combinationFromKey(const Schema& schema, CuboidMask mask,
-                                        std::uint64_t key);
+  /// out[r] = the projection of keys[r] for every r, one pass per run.
+  void project(std::span<const std::uint64_t> keys, std::uint64_t* out) const;
 
-/// The leaf whose key over all attributes is `index`, in
-/// [0, schema.leafCount()).
+  std::uint64_t operator()(std::uint64_t key) const noexcept {
+    std::uint64_t out = 0;
+    project({&key, 1}, &out);
+    return out;
+  }
+
+ private:
+  struct Run {
+    std::uint64_t mask = 0;  ///< the run's bits in the packed key
+    std::int32_t shift = 0;  ///< how far right they move
+  };
+  /// Runs are separated by non-member bits, so 32 attributes make at
+  /// most 16 of them.
+  std::array<Run, 16> runs_{};
+  std::size_t run_count_ = 0;
+  std::uint64_t cells_ = 0;
+};
+
+/// The combination of cuboid `mask` that covers the leaf whose packed
+/// key is `key`: its fields on the member attributes, kWildcard elsewhere.
+AttributeCombination combinationOfLeaf(const Schema& schema,
+                                       std::uint64_t key, CuboidMask mask);
+
+/// The leaf of rank `index` in [0, schema.leafCount()), ranked in
+/// lexicographic slot order: how generators enumerate every leaf.
 AttributeCombination leafFromIndex(const Schema& schema, std::uint64_t index);
 
 /// Iterate the cuboid without materializing it: calls fn(ac) for each

@@ -5,9 +5,7 @@
 
 namespace rap::dataset {
 
-LeafTable::LeafTable(Schema schema)
-    : schema_(std::move(schema)),
-      columns_(static_cast<std::size_t>(schema_.attributeCount())) {}
+LeafTable::LeafTable(Schema schema) : schema_(std::move(schema)) {}
 
 void LeafTable::addRow(LeafRow row) {
   addRow(row.ac.slots(), row.v, row.f, row.anomalous);
@@ -20,11 +18,14 @@ void LeafTable::addRow(AttributeCombination ac, double v, double f,
 
 void LeafTable::addRow(std::span<const ElemId> slots, double v, double f,
                        bool anomalous) {
-  RAP_CHECK_MSG(slots.size() == columns_.size(),
+  RAP_CHECK_MSG(slots.size() ==
+                    static_cast<std::size_t>(schema_.attributeCount()),
                 "row arity " << slots.size() << " vs schema "
                              << schema_.attributeCount());
   // The limits come from the schema's cached cardinalities; one
   // unsigned compare rejects a negative id and one past the dictionary.
+  // A slot must be checked before it is packed: an out-of-range id would
+  // spill into its neighbours' fields.
   const std::span<const std::int32_t> limits = schema_.cardinalities();
   for (std::size_t a = 0; a < slots.size(); ++a) {
     const ElemId elem = slots[a];
@@ -34,16 +35,21 @@ void LeafTable::addRow(std::span<const ElemId> slots, double v, double f,
                       static_cast<std::uint32_t>(limits[a]),
                   "element id out of range in slot " << a);
   }
-  for (std::size_t a = 0; a < slots.size(); ++a) {
-    columns_[a].push_back(slots[a]);
-  }
+  addKey(schema_.pack(slots), v, f, anomalous);
+}
+
+void LeafTable::addKey(std::uint64_t key, double v, double f,
+                       bool anomalous) {
+  RAP_CHECK_MSG(schema_.isLeafKey(key),
+                "packed key " << key << " is not a leaf of the schema");
+  keys_.push_back(key);
   v_.push_back(v);
   f_.push_back(f);
   anomalous_.push_back(anomalous ? 1 : 0);
 }
 
 void LeafTable::reserve(std::size_t n) {
-  for (auto& column : columns_) column.reserve(n);
+  keys_.reserve(n);
   v_.reserve(n);
   f_.reserve(n);
   anomalous_.reserve(n);
@@ -51,18 +57,20 @@ void LeafTable::reserve(std::size_t n) {
 
 bool LeafTable::rowMatches(RowId id, const AttributeCombination& ac) const {
   if (ac.attributeCount() != schema_.attributeCount()) return false;
-  for (std::size_t a = 0; a < columns_.size(); ++a) {
-    const ElemId want = ac.slots()[a];
-    if (want != kWildcard && want != columns_[a][id]) return false;
+  for (AttrId a = 0; a < schema_.attributeCount(); ++a) {
+    const ElemId want = ac.slots()[static_cast<std::size_t>(a)];
+    if (want != kWildcard && want != elem(id, a)) return false;
   }
   return true;
 }
 
 AttributeCombination LeafTable::leaf(RowId id) const {
+  return combination(id, allAttributesMask(schema_));
+}
+
+AttributeCombination LeafTable::combination(RowId id, CuboidMask mask) const {
   RAP_CHECK(id < size());
-  std::vector<ElemId> slots(columns_.size());
-  for (std::size_t a = 0; a < columns_.size(); ++a) slots[a] = columns_[a][id];
-  return AttributeCombination(std::move(slots));
+  return combinationOfLeaf(schema_, keys_[id], mask);
 }
 
 LeafRow LeafTable::row(RowId id) const {
@@ -89,43 +97,13 @@ double LeafTable::totalF() const noexcept {
 
 LeafTable::Emit LeafTable::aggregate(CuboidMask mask, GroupByScratch& scratch,
                                      std::uint64_t& cells) const {
-  // Member attributes + mixed-radix strides, into reused buffers; the
-  // first member varies slowest, so ascending keys are lexicographic
-  // element order.
-  cells = cuboidSize(schema_, mask);
-  scratch.attrs.clear();
-  for (AttrId a = 0; a < schema_.attributeCount(); ++a) {
-    if ((mask & (1u << a)) != 0) scratch.attrs.push_back(a);
-  }
-  const std::size_t m = scratch.attrs.size();
-  scratch.strides.resize(m);
-  std::uint64_t stride = 1;
-  for (std::size_t i = m; i-- > 0;) {
-    scratch.strides[i] = stride;
-    stride *= static_cast<std::uint64_t>(schema_.cardinality(scratch.attrs[i]));
-  }
-
-  // Key sweep, one pass per member column; the first pass assigns
-  // instead of accumulating, so the keys buffer needs no zero-fill.
+  const KeyProjection projection(schema_, mask);
   const std::size_t n = size();
   scratch.keys.resize(n);
   std::uint64_t* keys = scratch.keys.data();
-  if (m == 0) std::fill(keys, keys + n, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    const ElemId* column =
-        columns_[static_cast<std::size_t>(scratch.attrs[i])].data();
-    const std::uint64_t s = scratch.strides[i];
-    if (i == 0) {
-      for (std::size_t r = 0; r < n; ++r) {
-        keys[r] = s * static_cast<std::uint64_t>(column[r]);
-      }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        keys[r] += s * static_cast<std::uint64_t>(column[r]);
-      }
-    }
-  }
+  projection.project(keys_, keys);
 
+  cells = projection.cells();
   if (cells > kDenseLimit) {
     // Too many cells for a dense array: sort the rows by (key, row).
     scratch.order.resize(n);
@@ -182,7 +160,7 @@ std::vector<GroupAggregate> LeafTable::decodedGroups(
   groups.resize(groupByInto(mask, scratch, groups));
   std::vector<GroupAggregate> out(groups.size());
   for (std::size_t j = 0; j < groups.size(); ++j) {
-    out[j].ac = combinationFromKey(schema_, mask, groups[j].key);
+    out[j].ac = combination(groups[j].first_row, mask);
     out[j].total = groups[j].total;
     out[j].anomalous = groups[j].anomalous;
   }
@@ -196,7 +174,7 @@ std::vector<GroupAggregate> LeafTable::decodedGroups(
   // in a key-indexed array when the cuboid is small enough for the dense
   // path, by binary search otherwise.  Visiting the rows in order sums
   // each group's KPIs in row order.
-  const std::uint64_t cells = cuboidSize(schema_, mask);
+  const std::uint64_t cells = KeyProjection(schema_, mask).cells();
   std::vector<std::uint32_t> index(cells <= kDenseLimit ? cells : 0);
   for (std::size_t j = 0; j < groups.size() && !index.empty(); ++j) {
     index[groups[j].key] = static_cast<std::uint32_t>(j);
@@ -239,11 +217,9 @@ std::vector<GroupWithRows> LeafTable::groupByWithRows(
   // The subset as a table of its own, row i holding subset[i].
   LeafTable part(schema_);
   part.reserve(subset.size());
-  std::vector<ElemId> slots(columns_.size());
   for (const RowId id : subset) {
     RAP_CHECK(id < size());
-    for (std::size_t a = 0; a < slots.size(); ++a) slots[a] = columns_[a][id];
-    part.addRow(slots, v_[id], f_[id], anomalous_[id] != 0);
+    part.addKey(keys_[id], v_[id], f_[id], anomalous_[id] != 0);
   }
   auto groups = part.groupByWithRows(mask);
   for (auto& g : groups) {

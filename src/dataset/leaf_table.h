@@ -3,12 +3,14 @@
 // and the per-leaf anomaly-detection verdict.  This is the only input the
 // RAPMiner algorithm consumes (paper §IV-B).
 //
-// The table is stored column by column: one element-code column per
-// attribute, a v column, an f column and a 0/1 verdict column.  That is
-// the layout the counting wants — every quantity of Algorithms 1-2 is a
-// sweep over a few of these columns — so the table is also the one
-// aggregation plane: forEachGroup projects every leaf onto a cuboid and
-// accumulates counts per projected combination (groupBy adds KPI sums).
+// The table is stored column by column: one column of packed leaf keys
+// (Schema::pack: every attribute's element id in its bit field), a v
+// column, an f column and a 0/1 verdict column.  That is the layout the
+// counting wants — every quantity of Algorithms 1-2 is a sweep over a
+// few of these columns — so the table is also the one aggregation
+// plane: forEachGroup projects every key onto a cuboid (KeyProjection)
+// and accumulates counts per projection (groupBy adds KPI sums).  A
+// group is decoded into a combination from its first row.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +43,11 @@ inline double groupConfidence(std::uint32_t anomalous,
                           static_cast<double>(total);
 }
 
-/// One group of LeafTable::forEachGroup: the leaves whose projection onto
-/// the cuboid has mixed-radix key `key` (combinationKey; decoded by
-/// combinationFromKey).  `total`/`anomalous` are the paper's
-/// support_count(ac) and support_count(ac, Anomaly); `first_row` is the
-/// group's lowest row id.
+/// One group of LeafTable::forEachGroup: the leaves whose packed keys
+/// project onto the cuboid as `key` (KeyProjection).  `total`/`anomalous`
+/// are the paper's support_count(ac) and support_count(ac, Anomaly);
+/// `first_row` is the group's lowest row id, and
+/// LeafTable::combination(first_row, mask) is the group's combination.
 struct KeyedGroup {
   std::uint64_t key = 0;
   RowId first_row = 0;
@@ -91,15 +93,13 @@ struct GroupCell {
 /// cuboids aggregated through them and are then reused without
 /// reallocation.  Invariant between calls: every cell of `dense` is zero
 /// (forEachGroup restores it as it emits the groups).  After a call,
-/// `keys` holds every row's projection key onto the cuboid.  A scratch
+/// `keys` holds every row's projection onto the cuboid.  A scratch
 /// serves one thread at a time; give each worker its own.
 struct GroupByScratch {
-  std::vector<std::uint64_t> keys;        ///< [row] projection keys
+  std::vector<std::uint64_t> keys;        ///< [row] projections
   std::vector<std::uint64_t> group_keys;  ///< [group] keys, first touch
-  std::vector<GroupCell> dense;           ///< accumulation cells
+  std::vector<GroupCell> dense;           ///< [projection] cells
   std::vector<RowId> order;               ///< sort fallback: rows by key
-  std::vector<AttrId> attrs;              ///< member attributes of the mask
-  std::vector<std::uint64_t> strides;     ///< mixed-radix strides of attrs
 };
 
 class LeafTable {
@@ -110,7 +110,8 @@ class LeafTable {
 
   /// Appends a leaf row.  The combination must be a leaf over this schema
   /// with in-range element ids; duplicate leaves are allowed (a sparse
-  /// table may legitimately carry repeated measurements).
+  /// table may legitimately carry repeated measurements).  Every addRow
+  /// checks the slots, packs them and appends through addKey.
   void addRow(LeafRow row);
 
   /// Convenience used heavily by tests and generators.
@@ -121,14 +122,20 @@ class LeafTable {
   void addRow(std::span<const ElemId> slots, double v, double f,
               bool anomalous);
 
+  /// Appends a leaf by its packed key (Schema::pack) — what sealed
+  /// stream windows hold.  The one append path: aborts unless
+  /// Schema::isLeafKey(key).
+  void addKey(std::uint64_t key, double v, double f, bool anomalous);
+
   void reserve(std::size_t n);
 
   std::size_t size() const noexcept { return v_.size(); }
   bool empty() const noexcept { return v_.empty(); }
 
   /// Column accessors — what every hot path reads.
+  std::uint64_t key(RowId id) const { return keys_[id]; }
   ElemId elem(RowId id, AttrId attr) const {
-    return columns_[static_cast<std::size_t>(attr)][id];
+    return schema_.field(keys_[id], attr);
   }
   double v(RowId id) const { return v_[id]; }
   double f(RowId id) const { return f_[id]; }
@@ -138,11 +145,13 @@ class LeafTable {
   /// concrete slot).
   bool rowMatches(RowId id, const AttributeCombination& ac) const;
 
-  /// Row `id` as a LeafRow, or just its leaf combination.  Both allocate
-  /// an AttributeCombination: for tests, generators and reports, not for
-  /// hot paths.
+  /// Row `id` as a LeafRow, its leaf combination, or the combination of
+  /// cuboid `mask` that covers it (how groups are decoded).  All three
+  /// allocate an AttributeCombination: for accepted groups, tests,
+  /// generators and reports, not for per-row hot paths.
   LeafRow row(RowId id) const;
   AttributeCombination leaf(RowId id) const;
+  AttributeCombination combination(RowId id, CuboidMask mask) const;
 
   /// Every row in order, as LeafRows by value (one allocation per row):
   /// `for (const auto& row : table.rows())`.  The view reads the table,
@@ -164,19 +173,21 @@ class LeafTable {
 
   /// Aggregation of all leaves by their projection onto `mask`: calls
   /// fn(const KeyedGroup&) once per combination with at least one
-  /// supporting leaf (the table may be sparse), in ascending mixed-radix
-  /// key order (attribute order, element id: the lexicographic order of
-  /// the decoded combinations).  Nothing is decoded and no KPI is
-  /// summed: a group is its key, first row and support counts, and
-  /// combinationFromKey(schema(), mask, key) turns it into an
-  /// AttributeCombination.  The groups are handed over as they are
-  /// emitted, so no array of them is built; when fn runs, scratch.keys
-  /// already holds every row's projection key.  In steady state (row
-  /// count and cuboid sizes no larger than already seen through
-  /// `scratch`) the call performs no heap allocation.  Cuboids with more
-  /// than kDenseLimit cells are aggregated by sorting the rows by key
-  /// instead of through the dense cell array.  Safe to call from several
-  /// threads at once, each with its own scratch; fn must not throw.
+  /// supporting leaf (the table may be sparse), in ascending projection
+  /// order (attribute order, element id: the lexicographic order of the
+  /// combinations).  Nothing is decoded and no KPI is summed: a group is
+  /// its projection, first row and support counts, and
+  /// combination(first_row, mask) turns it into an AttributeCombination.
+  /// The groups are handed over as they are emitted, so no array of them
+  /// is built; when fn runs, scratch.keys already holds every row's
+  /// projection.  Cells are indexed by projection (KeyProjection::cells()
+  /// of them).
+  /// In steady state (row count and projection widths no larger than
+  /// already seen through `scratch`) the call performs no heap
+  /// allocation.  Cuboids with more than kDenseLimit cells are
+  /// aggregated by sorting the rows by projection instead of through the
+  /// dense cell array.  Safe to call from several threads at once, each
+  /// with its own scratch; fn must not throw.
   template <typename Fn>
   void forEachGroup(CuboidMask mask, GroupByScratch& scratch, Fn&& fn) const;
 
@@ -209,7 +220,8 @@ class LeafTable {
   /// Row ids of anomalous leaves.
   std::vector<RowId> anomalousRows() const;
 
-  /// Largest cuboid (in cells) aggregated through the dense array.
+  /// Largest cuboid (in cells, KeyProjection::cells()) aggregated through
+  /// the dense array.
   static constexpr std::uint64_t kDenseLimit = std::uint64_t{1} << 22;
 
  private:
@@ -220,11 +232,11 @@ class LeafTable {
     kSortedRows,   ///< runs of equal keys in scratch.order
   };
 
-  /// forEachGroup's first half: sweeps every row's key onto `mask` into
+  /// forEachGroup's first half: projects every row's key onto `mask` into
   /// scratch.keys and aggregates them — into scratch.dense (touched keys
   /// in scratch.group_keys, sorted unless the cell walk is cheaper) or,
   /// above kDenseLimit cells, by sorting scratch.order by (key, row).
-  /// `cells` receives the cuboid size.
+  /// `cells` receives the number of dense cells.
   Emit aggregate(CuboidMask mask, GroupByScratch& scratch,
                  std::uint64_t& cells) const;
 
@@ -233,10 +245,10 @@ class LeafTable {
       CuboidMask mask, std::vector<std::vector<RowId>>* rows) const;
 
   Schema schema_;
-  std::vector<std::vector<ElemId>> columns_;  ///< [attr][row] element ids
-  std::vector<double> v_;                     ///< [row] actual values
-  std::vector<double> f_;                     ///< [row] forecast values
-  std::vector<std::uint8_t> anomalous_;       ///< [row] 0/1 verdicts
+  std::vector<std::uint64_t> keys_;      ///< [row] packed leaf keys
+  std::vector<double> v_;                ///< [row] actual values
+  std::vector<double> f_;                ///< [row] forecast values
+  std::vector<std::uint8_t> anomalous_;  ///< [row] 0/1 verdicts
 };
 
 template <typename Fn>

@@ -47,6 +47,12 @@ std::uint64_t elementHash(std::string_view text) noexcept {
   return h;
 }
 
+/// Bits of an attribute's field in a packed leaf key.
+std::int32_t fieldWidth(std::int32_t cardinality) noexcept {
+  return static_cast<std::int32_t>(
+      std::bit_width(static_cast<std::uint32_t>(cardinality - 1)));
+}
+
 }  // namespace
 
 Attribute::Attribute(std::string name, std::vector<std::string> elements)
@@ -91,27 +97,7 @@ util::Result<ElemId> Attribute::elementId(std::string_view element_name) const {
   return id;
 }
 
-Schema::Schema(std::vector<Attribute> attributes) {
-  auto dict = std::make_shared<Dictionary>();
-  dict->attributes = std::move(attributes);
-  const auto& attrs = dict->attributes;
-  RAP_CHECK_MSG(!attrs.empty(), "schema needs at least one attribute");
-  RAP_CHECK_MSG(attrs.size() <= 32, "cuboid masks are 32-bit; got "
-                                        << attrs.size() << " attributes");
-  std::uint64_t leaves = 1;
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const bool inserted =
-        dict->index.emplace(attrs[i].name(), static_cast<AttrId>(i)).second;
-    RAP_CHECK_MSG(inserted, "duplicate attribute '" << attrs[i].name() << "'");
-    dict->cardinalities.push_back(attrs[i].cardinality());
-    const bool wraps = __builtin_mul_overflow(
-        leaves, static_cast<std::uint64_t>(attrs[i].cardinality()), &leaves);
-    RAP_CHECK_MSG(!wraps, "leaf space of 2^64 or more leaves");
-  }
-  dict_ = std::move(dict);
-}
-
-util::Result<Schema> Schema::fromSpec(std::vector<AttributeSpec> attributes) {
+util::Status Schema::checkLimits(const std::vector<Attribute>& attributes) {
   const auto invalid = [](const std::string& why) {
     return util::Status::invalidArgument("schema: " + why);
   };
@@ -122,30 +108,79 @@ util::Result<Schema> Schema::fromSpec(std::vector<AttributeSpec> attributes) {
   }
   std::unordered_set<std::string_view> names;
   std::uint64_t leaves = 1;
-  for (const AttributeSpec& attr : attributes) {
-    if (!names.insert(attr.name).second) {
-      return invalid("duplicate attribute '" + attr.name + "'");
+  std::int32_t width = 0;
+  for (const Attribute& attr : attributes) {
+    if (!names.insert(attr.name()).second) {
+      return invalid("duplicate attribute '" + attr.name() + "'");
     }
+    const auto cardinality = static_cast<std::uint64_t>(attr.cardinality());
+    if (__builtin_mul_overflow(leaves, cardinality, &leaves)) {
+      return invalid("the leaf space (product of cardinalities) reaches 2^64");
+    }
+    width += fieldWidth(attr.cardinality());
+  }
+  if (width > 64) {
+    return invalid(util::strFormat(
+        "the packed leaf key needs %d bits, more than 64", width));
+  }
+  return util::Status::ok();
+}
+
+Schema::Schema(std::vector<Attribute> attributes) {
+  const util::Status valid = checkLimits(attributes);
+  RAP_CHECK_MSG(valid.isOk(), valid.message());
+  auto dict = std::make_shared<Dictionary>();
+  dict->attributes = std::move(attributes);
+  const auto& attrs = dict->attributes;
+  dict->leaf_count = 1;
+  for (std::size_t i = 0; i < attrs.size(); ++i) {
+    dict->index.emplace(attrs[i].name(), static_cast<AttrId>(i));
+    dict->cardinalities.push_back(attrs[i].cardinality());
+    dict->leaf_count *= static_cast<std::uint64_t>(attrs[i].cardinality());
+  }
+
+  // Fields from the last attribute (least significant) up.  A
+  // single-element attribute has an empty field at bit 0, so no shift
+  // reaches 64.
+  dict->shifts.assign(attrs.size(), 0);
+  dict->field_masks.assign(attrs.size(), 0);
+  std::int32_t width = 0;
+  for (std::size_t a = attrs.size(); a-- > 0;) {
+    const std::int32_t bits = fieldWidth(dict->cardinalities[a]);
+    if (bits == 0) continue;
+    const auto limit = static_cast<std::uint64_t>(dict->cardinalities[a] - 1);
+    dict->shifts[a] = width;
+    dict->field_masks[a] = ((std::uint64_t{1} << bits) - 1) << width;
+    dict->top_bits |= std::uint64_t{1} << (width + bits - 1);
+    dict->limits |= limit << width;
+    width += bits;
+  }
+  dict->key_bits = width == 64 ? ~std::uint64_t{0}
+                               : (std::uint64_t{1} << width) - 1;
+  dict_ = std::move(dict);
+}
+
+util::Result<Schema> Schema::fromSpec(std::vector<AttributeSpec> attributes) {
+  // What the Attribute constructor would abort on, then the schema's
+  // own limits.
+  std::vector<Attribute> built;
+  built.reserve(attributes.size());
+  for (AttributeSpec& attr : attributes) {
     if (attr.elements.empty()) {
-      return invalid("attribute '" + attr.name + "' has no elements");
+      return util::Status::invalidArgument("schema: attribute '" + attr.name +
+                                           "' has no elements");
     }
     std::unordered_set<std::string_view> elements;
     for (const std::string& element : attr.elements) {
       if (!elements.insert(element).second) {
-        return invalid("duplicate element '" + element + "' in attribute '" +
-                       attr.name + "'");
+        return util::Status::invalidArgument(
+            "schema: duplicate element '" + element + "' in attribute '" +
+            attr.name + "'");
       }
     }
-    const auto cardinality = static_cast<std::uint64_t>(attr.elements.size());
-    if (__builtin_mul_overflow(leaves, cardinality, &leaves)) {
-      return invalid("the leaf space (product of cardinalities) reaches 2^64");
-    }
-  }
-  std::vector<Attribute> built;
-  built.reserve(attributes.size());
-  for (AttributeSpec& attr : attributes) {
     built.emplace_back(std::move(attr.name), std::move(attr.elements));
   }
+  RAP_RETURN_IF_ERROR(checkLimits(built));
   return Schema(std::move(built));
 }
 
@@ -161,14 +196,6 @@ util::Result<AttrId> Schema::attributeId(const std::string& name) const {
     return util::Status::notFound("attribute '" + name + "' not in schema");
   }
   return it->second;
-}
-
-std::uint64_t Schema::leafCount() const noexcept {
-  std::uint64_t product = 1;
-  for (const auto& attr : dict_->attributes) {
-    product *= static_cast<std::uint64_t>(attr.cardinality());
-  }
-  return product;
 }
 
 std::uint64_t Schema::cuboidCount() const noexcept {

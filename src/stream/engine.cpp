@@ -183,11 +183,10 @@ PushResult StreamEngine::ingestBatch(std::vector<StreamEvent> events) {
         continue;
       }
       // Routing hashes the combination, as it always has; from here on
-      // the leaf travels as its index.
+      // the leaf travels as its packed key.
       const std::size_t shard = hasher(event.leaf) % shards_.size();
-      parts[shard].push_back(LeafEvent{
-          dataset::combinationKey(schema_, event.leaf), event.ts, event.v,
-          event.f});
+      parts[shard].push_back(LeafEvent{schema_.pack(event.leaf.slots()),
+                                       event.ts, event.v, event.f});
     }
     for (std::size_t i = 0; i < parts.size(); ++i) {
       if (!parts[i].empty()) total += shards_[i]->offer(std::move(parts[i]));
@@ -460,14 +459,15 @@ util::Result<io::StreamCheckpoint> StreamEngine::captureCheckpoint() {
   // restore never re-localizes a window this run already owned.
   pool_->wait();
 
-  // RAPCHKPT-1 stores rows as element ids: decode each leaf index.
-  const auto toRows = [this](const std::vector<LeafEvent>& events) {
+  // RAPCHKPT-1 stores rows as element ids: unpack each leaf key.
+  const dataset::CuboidMask leaves = dataset::allAttributesMask(schema_);
+  const auto toRows = [this, leaves](const std::vector<LeafEvent>& events) {
     std::vector<dataset::LeafRow> rows;
     rows.reserve(events.size());
     for (const LeafEvent& event : events) {
       rows.push_back(dataset::LeafRow{
-          dataset::leafFromIndex(schema_, event.leaf), event.v, event.f,
-          /*anomalous=*/false});
+          dataset::combinationOfLeaf(schema_, event.leaf, leaves), event.v,
+          event.f, /*anomalous=*/false});
     }
     return rows;
   };
@@ -537,8 +537,8 @@ util::Status StreamEngine::installCheckpoint(
       }
       // The checkpoint keeps no event times; bucketed rows never read
       // theirs again.
-      events.push_back(LeafEvent{dataset::combinationKey(schema_, row.ac),
-                                 /*ts=*/0, row.v, row.f});
+      events.push_back(
+          LeafEvent{schema_.pack(row.ac.slots()), /*ts=*/0, row.v, row.f});
     }
     if (fragment.shard < 0) {
       // Already past the shards when checkpointed: contribute straight

@@ -5,10 +5,12 @@
 // collection layer, so localization inputs arrive ready-made).
 //
 // LeafEvent — the same measurement once ingest has validated it: the
-// leaf packed into its mixed-radix index (dataset::combinationKey over
-// every attribute, attribute 0 most significant).  It is what queues,
-// shards, the window assembler and sealed windows carry, so nothing past
-// ingest allocates per event.
+// leaf as its packed key (dataset::Schema::pack: each element id in its
+// attribute's bit field, attribute 0 most significant).  It is what
+// queues, shards, the window assembler and sealed windows carry, and
+// what the sealed window's LeafTable stores, so nothing past ingest
+// allocates per event or decodes a leaf.  Checkpoint capture unpacks the
+// keys into element ids, and restore packs them again.
 //
 // Timestamps are abstract event-time units (the replay harnesses use
 // "seconds"); windows of width W cover [e*W, (e+1)*W) for epoch e.
@@ -29,7 +31,7 @@ struct StreamEvent {
 };
 
 struct LeafEvent {
-  std::uint64_t leaf = 0;  ///< mixed-radix leaf index, < leafCount()
+  std::uint64_t leaf = 0;  ///< packed leaf key (Schema::pack)
   std::int64_t ts = 0;     ///< event time
   double v = 0.0;          ///< actual KPI value
   double f = 0.0;          ///< forecast KPI value
@@ -37,8 +39,8 @@ struct LeafEvent {
 static_assert(sizeof(LeafEvent) == 32);
 static_assert(std::is_trivially_copyable_v<LeafEvent>);
 
-/// Canonical row order of a sealed window: leaf index, then v, then f.
-/// Leaf-index order is the lexicographic order of the leaves' element
+/// Canonical row order of a sealed window: leaf key, then v, then f.
+/// Packed-key order is the lexicographic order of the leaves' element
 /// ids, so the sealed table's content is a pure function of the admitted
 /// events, independent of producer interleaving and shard scheduling.
 constexpr bool canonicalLess(const LeafEvent& a, const LeafEvent& b) noexcept {

@@ -1,9 +1,7 @@
 #include "stream/window.h"
 
 #include <algorithm>
-#include <array>
 
-#include "dataset/cuboid.h"
 #include "stream/watermark.h"
 #include "util/status.h"
 
@@ -91,15 +89,10 @@ bool WindowAssembler::hasReady() const {
 
 dataset::LeafTable sealedTable(const dataset::Schema& schema,
                                std::span<const LeafEvent> rows) {
-  const dataset::CuboidMask leaves = dataset::allAttributesMask(schema);
-  const std::span<const std::int32_t> cardinalities = schema.cardinalities();
-  std::array<dataset::ElemId, 32> buffer;  // a schema has <= 32 attributes
-  const std::span<dataset::ElemId> slots(buffer.data(), cardinalities.size());
   dataset::LeafTable table(schema);
   table.reserve(rows.size());
   for (const LeafEvent& row : rows) {
-    dataset::decodeKey(cardinalities, leaves, row.leaf, slots);
-    table.addRow(slots, row.v, row.f, /*anomalous=*/false);
+    table.addKey(row.leaf, row.v, row.f, /*anomalous=*/false);
   }
   return table;
 }

@@ -108,9 +108,8 @@ class WindowAssembler {
   std::vector<std::int64_t> shard_sealed_;  ///< per shard, kNone initially
 };
 
-/// The leaf table of a sealed window's rows, in their order: each leaf
-/// index decoded straight into the table's columns, every verdict false
-/// until detection runs.
+/// The leaf table of a sealed window's rows, in their order: each packed
+/// leaf key appended as it is, every verdict false until detection runs.
 dataset::LeafTable sealedTable(const dataset::Schema& schema,
                                std::span<const LeafEvent> rows);
 

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <set>
@@ -451,6 +452,82 @@ TEST_F(TempDir, RestoreRejectsCheckpointRowsThatFailIngestRules) {
   engine.drain();
   engine.stop();
   EXPECT_EQ(engine.stats().windows_sealed, 1u);
+}
+
+TEST_F(TempDir, RestoredCheckpointCapturesToPinnedBytes) {
+  // A fixed cdn checkpoint: shard 1 still has epoch 0 open while shard 0
+  // has sealed it (so epoch 0 also waits in the assembler), plus open
+  // epochs 1 and 2.  Rows are out of canonical order everywhere.  With
+  // 120 units of allowed lateness the watermark (50) makes nothing
+  // sealable, so capture must write back exactly what restore installed:
+  // shard-open rows in their stored order, the assembler's rows sorted
+  // by leaf, then v, then f.  Every row goes element ids -> packed leaf
+  // key -> element ids on the way.
+  const std::string input =
+      "RAPCHKPT 1\n"
+      "shards 2\n"
+      "window_width 60\n"
+      "max_event_ts 170\n"
+      "sealed 0 -1\n"
+      "fragment -1 0 5\n"
+      "32 3 3 19 0x1.8p+1 0x1p+2 0\n"
+      "0 0 0 0 0x1p-1 0x1p-1 0\n"
+      "17 2 1 5 0x1.4p+3 0x1.2p+3 0\n"
+      "0 0 0 1 -0x1p+0 0x0p+0 0\n"
+      "17 2 1 5 0x1.4p+3 0x1p+3 0\n"
+      "fragment 1 2 2\n"
+      "31 0 3 0 0x1.91eb851eb851fp+1 0x1.9p+1 0\n"
+      "1 1 2 18 0x1.5p+4 0x1.5p+4 0\n"
+      "fragment 0 1 3\n"
+      "5 3 0 7 0x1p+0 0x1p+0 0\n"
+      "5 2 0 7 0x1p+1 0x1p+1 0\n"
+      "4 3 0 7 0x1.8p+0 0x1.8p+0 0\n"
+      "fragment 1 0 2\n"
+      "16 1 1 10 0x1p+4 0x1p+4 0\n"
+      "16 0 3 19 0x1p+3 0x1p+3 0\n"
+      "end\n";
+  const std::string pinned =
+      "RAPCHKPT 1\n"
+      "shards 2\n"
+      "window_width 60\n"
+      "max_event_ts 170\n"
+      "sealed 0 -1\n"
+      "fragment 0 1 3\n"
+      "5 3 0 7 0x1p+0 0x1p+0 0\n"
+      "5 2 0 7 0x1p+1 0x1p+1 0\n"
+      "4 3 0 7 0x1.8p+0 0x1.8p+0 0\n"
+      "fragment 1 0 2\n"
+      "16 1 1 10 0x1p+4 0x1p+4 0\n"
+      "16 0 3 19 0x1p+3 0x1p+3 0\n"
+      "fragment 1 2 2\n"
+      "31 0 3 0 0x1.91eb851eb851fp+1 0x1.9p+1 0\n"
+      "1 1 2 18 0x1.5p+4 0x1.5p+4 0\n"
+      "fragment -1 0 5\n"
+      "0 0 0 0 0x1p-1 0x1p-1 0\n"
+      "0 0 0 1 -0x1p+0 0x0p+0 0\n"
+      "17 2 1 5 0x1.4p+3 0x1p+3 0\n"
+      "17 2 1 5 0x1.4p+3 0x1.2p+3 0\n"
+      "32 3 3 19 0x1.8p+1 0x1p+2 0\n"
+      "end\n";
+  {
+    std::ofstream out(path("in"), std::ios::binary | std::ios::trunc);
+    out << input;
+  }
+  StreamConfig config;
+  config.shards = 2;
+  config.window_width = 60;
+  config.allowed_lateness = 120;
+  auto restored = StreamEngine::restore(Schema::cdn(), config, path("in"));
+  ASSERT_TRUE(restored.isOk()) << restored.status().message();
+  StreamEngine& engine = *restored.value();
+  engine.start();
+  ASSERT_TRUE(engine.checkpoint(path("out")).isOk());
+  engine.stop();
+
+  std::ifstream file(path("out"), std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, pinned);
 }
 
 TEST_F(TempDir, NonCanonicalPendingFragmentRestoresToSameLocalizations) {

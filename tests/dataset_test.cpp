@@ -327,6 +327,57 @@ TEST(Schema, CardinalitiesMatchAttributes) {
   EXPECT_EQ(copy.cardinalities().data(), cardinalities.data());
 }
 
+TEST(Schema, PackedLayoutOfTheCdnSchema) {
+  // Location(33) 6 bits, AccessType(4) 2, OS(4) 2, Website(20) 5; the
+  // first attribute is the most significant field.
+  const Schema schema = Schema::cdn();
+  EXPECT_EQ(schema.fieldMask(0), std::uint64_t{0x3F} << 9);
+  EXPECT_EQ(schema.fieldMask(1), std::uint64_t{0x3} << 7);
+  EXPECT_EQ(schema.fieldMask(2), std::uint64_t{0x3} << 5);
+  EXPECT_EQ(schema.fieldMask(3), std::uint64_t{0x1F});
+  EXPECT_EQ(schema.lastLeafKey(), (32u << 9) | (3u << 7) | (3u << 5) | 19u);
+  const std::vector<ElemId> slots = {32, 3, 1, 19};
+  const std::uint64_t key = schema.pack(slots);
+  EXPECT_EQ(key, (32u << 9) | (3u << 7) | (1u << 5) | 19u);
+  for (AttrId a = 0; a < 4; ++a) {
+    EXPECT_EQ(schema.field(key, a), slots[static_cast<std::size_t>(a)]);
+  }
+  EXPECT_TRUE(schema.isLeafKey(key));
+  EXPECT_FALSE(schema.isLeafKey(key + (1u << 9)));    // Location 33
+  EXPECT_FALSE(schema.isLeafKey((key & ~0x1Full) | 20u));  // Website 20
+  EXPECT_FALSE(schema.isLeafKey(key | (1u << 15)));   // past the key
+  // Dense cells span the projections up to the last leaf's: Location x
+  // AccessType x Website projects (32, 3, 19) to 32 << 7 | 3 << 5 | 19.
+  EXPECT_EQ(KeyProjection(schema, 0b1011).cells(), 4212u);
+  // Single-element attributes take no bits.
+  const Schema sparse = Schema::synthetic({1, 5, 1});
+  EXPECT_EQ(sparse.fieldMask(0), 0u);
+  EXPECT_EQ(sparse.fieldMask(1), 0x7u);
+  EXPECT_EQ(sparse.fieldMask(2), 0u);
+}
+
+TEST(LeafTable, AddKeyAppendsWhatAddRowPacks) {
+  const Schema schema = Schema::cdn();
+  LeafTable table(schema);
+  table.addRow(leafFromIndex(schema, 10559), 1.0, 2.0, true);
+  table.addKey(table.key(0), 3.0, 4.0, false);
+  EXPECT_EQ(table.leaf(1), table.leaf(0));
+  EXPECT_EQ(table.key(1), schema.pack(std::vector<ElemId>{32, 3, 3, 19}));
+  EXPECT_EQ(table.v(1), 3.0);
+  EXPECT_FALSE(table.isAnomalous(1));
+  EXPECT_EQ(table.combination(1, 0b1001).toString(schema),
+            "(L33, *, *, Site20)");
+}
+
+TEST(LeafTableDeathTest, AddKeyRejectsKeysThatAreNoLeaf) {
+  const Schema schema = Schema::cdn();
+  LeafTable table(schema);
+  EXPECT_DEATH(table.addKey(std::uint64_t{33} << 9, 1.0, 1.0, false),
+               "is not a leaf of the schema");
+  EXPECT_DEATH(table.addKey(std::uint64_t{1} << 15, 1.0, 1.0, false),
+               "is not a leaf of the schema");
+}
+
 TEST(LeafTable, RowsReturnWhatAddRowReceived) {
   const Schema schema = Schema::tiny();
   const std::vector<LeafRow> added = {
@@ -405,18 +456,19 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
   std::vector<KeyedGroup> out;
   for (int pass = 0; pass < 2; ++pass) {
     for (const auto mask : allCuboidsByLayer(full)) {
+      const KeyProjection projection(schema, mask);
       const std::size_t count = table.groupByInto(mask, scratch, out);
       std::uint64_t total = 0;
       for (std::size_t i = 0; i < count; ++i) {
-        const auto ac = combinationFromKey(schema, mask, out[i].key);
+        const auto ac = table.combination(out[i].first_row, mask);
         const auto expected = table.aggregateFor(ac);
         EXPECT_EQ(ac.cuboidMask(), mask);
         EXPECT_EQ(out[i].total, expected.total) << "mask=" << mask;
         EXPECT_EQ(out[i].anomalous, expected.anomalous);
-        EXPECT_TRUE(table.rowMatches(out[i].first_row, ac));
+        EXPECT_EQ(projection(table.key(out[i].first_row)), out[i].key);
         if (i > 0) {
           EXPECT_LT(out[i - 1].key, out[i].key);
-          EXPECT_LT(combinationFromKey(schema, mask, out[i - 1].key), ac);
+          EXPECT_LT(table.combination(out[i - 1].first_row, mask), ac);
         }
         total += out[i].total;
       }
@@ -426,7 +478,7 @@ TEST(LeafTable, SortFallbackAboveDenseLimitMatchesScan) {
       ASSERT_EQ(decoded.size(), count);
       for (std::size_t i = 0; i < count; ++i) {
         const auto expected = table.aggregateFor(decoded[i].ac);
-        EXPECT_EQ(decoded[i].ac, combinationFromKey(schema, mask, out[i].key));
+        EXPECT_EQ(decoded[i].ac, table.combination(out[i].first_row, mask));
         EXPECT_EQ(decoded[i].total, expected.total);
         EXPECT_EQ(decoded[i].v_sum, expected.v_sum);  // bit for bit
         EXPECT_EQ(decoded[i].f_sum, expected.f_sum);

@@ -546,6 +546,8 @@ TEST_F(TempDir, SchemaRejectsWhatTheConstructorAbortsOn) {
       {"2^64 leaves", schemaRows(8, 256)},
       {"2^64 leaves at the last attribute", schemaRows(32, 4)},
       {"beyond 2^64 leaves", schemaRows(9, 256)},
+      // 5^27 < 2^64 leaves, but 27 fields of 3 bits: an 81-bit key.
+      {"packed key over 64 bits", schemaRows(27, 5)},
   };
   for (const auto& [what, rows] : bad) {
     ASSERT_TRUE(writeCsvFile(path("s.csv"), rows).isOk());
@@ -555,7 +557,8 @@ TEST_F(TempDir, SchemaRejectsWhatTheConstructorAbortsOn) {
         << what;
   }
 
-  // The limits themselves still load: 32 attributes, 2^63 leaves.
+  // The limits themselves still load: 32 attributes (a 64-bit packed
+  // key), 2^63 leaves (a 63-bit one).
   std::vector<CsvRow> half = schemaRows(7, 256);
   half.push_back(schemaRows(8, 128).back());
   for (const auto& rows : {schemaRows(32, 3), half}) {

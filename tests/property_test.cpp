@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 
 #include "core/rapminer.h"
@@ -65,30 +66,35 @@ TEST_P(RandomTableProperty, GroupByPartitionsEveryCuboid) {
   }
 }
 
-TEST_P(RandomTableProperty, CombinationCodecAgreesWithGroupByKeys) {
-  // The one mixed-radix codec: in every cuboid, the k-th combination in
-  // lexicographic order has key k and decodes back from it (through
-  // combinationFromKey and the non-allocating decodeKey alike), and every
-  // key groupByInto's column sweep produces is the codec's key of the
-  // group's combination, whether that is decoded or projected from the
-  // group's first row.
+TEST_P(RandomTableProperty, PackedCodecAgreesWithGroupByKeys) {
+  // The one packed codec: in every cuboid, the combinations in
+  // lexicographic order project (packed with zeros in the wildcard
+  // fields) to strictly ascending values below cells() and unpack back
+  // from their key, and every key groupByInto's sweep produces is the
+  // projection of the group's first row, whose cuboid combination is
+  // the decoded group's.
   util::Rng rng(GetParam());
   const LeafTable table = randomTable(rng);
   const Schema& schema = table.schema();
   dataset::GroupByScratch scratch;
   std::vector<dataset::KeyedGroup> out;
-  std::vector<dataset::ElemId> slots(
-      static_cast<std::size_t>(schema.attributeCount()), 99);
   for (const auto mask :
        dataset::allCuboidsByLayer(dataset::allAttributesMask(schema))) {
+    const dataset::KeyProjection projection(schema, mask);
     std::uint64_t position = 0;
+    std::uint64_t previous = 0;
     dataset::forEachInCuboid(
         schema, mask, [&](const AttributeCombination& ac) {
-          EXPECT_EQ(dataset::combinationKey(schema, ac), position)
-              << "mask=" << mask;
-          EXPECT_EQ(dataset::combinationFromKey(schema, mask, position), ac);
-          dataset::decodeKey(schema.cardinalities(), mask, position, slots);
-          EXPECT_EQ(slots, ac.slots()) << "mask=" << mask;
+          std::vector<dataset::ElemId> slots = ac.slots();
+          for (auto& slot : slots) slot = std::max(slot, 0);
+          const std::uint64_t key = schema.pack(slots);
+          EXPECT_EQ(dataset::combinationOfLeaf(schema, key, mask), ac);
+          const std::uint64_t projected = projection(key);
+          EXPECT_LT(projected, projection.cells()) << "mask=" << mask;
+          if (position > 0) {
+            EXPECT_LT(previous, projected) << "mask=" << mask;
+          }
+          previous = projected;
           ++position;
         });
     EXPECT_EQ(position, dataset::cuboidSize(schema, mask));
@@ -97,12 +103,8 @@ TEST_P(RandomTableProperty, CombinationCodecAgreesWithGroupByKeys) {
     const auto decoded = table.groupBy(mask);
     ASSERT_EQ(decoded.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(dataset::combinationKey(schema, decoded[i].ac), out[i].key);
-      AttributeCombination projected(schema.attributeCount());
-      for (const auto a : dataset::cuboidAttributes(mask)) {
-        projected.setSlot(a, table.elem(out[i].first_row, a));
-      }
-      EXPECT_EQ(dataset::combinationKey(schema, projected), out[i].key)
+      EXPECT_EQ(table.combination(out[i].first_row, mask), decoded[i].ac);
+      EXPECT_EQ(projection(table.key(out[i].first_row)), out[i].key)
           << "mask=" << mask << " i=" << i;
     }
   }
@@ -129,22 +131,22 @@ TEST_P(RandomTableProperty, WorkspaceGroupByBitIdenticalUnderReuse) {
         const std::size_t count = table->groupByInto(mask, scratch, out);
         std::uint64_t total = 0;
         for (std::size_t i = 0; i < count; ++i) {
-          const auto ac =
-              dataset::combinationFromKey(table->schema(), mask, out[i].key);
+          const auto ac = table->combination(out[i].first_row, mask);
           const auto expected = table->aggregateFor(ac);
           EXPECT_EQ(ac.cuboidMask(), mask)
               << "pass=" << pass << " mask=" << mask << " i=" << i;
           EXPECT_EQ(expected.total, out[i].total);
           EXPECT_EQ(expected.anomalous, out[i].anomalous);
           // first_row is the group's lowest member row.
-          EXPECT_TRUE(table->rowMatches(out[i].first_row, ac));
+          EXPECT_EQ(dataset::KeyProjection(table->schema(), mask)(
+                        table->key(out[i].first_row)),
+                    out[i].key);
           for (dataset::RowId r = 0; r < out[i].first_row; ++r) {
             EXPECT_FALSE(table->rowMatches(r, ac));
           }
           if (i > 0) {
-            EXPECT_LT(dataset::combinationFromKey(table->schema(), mask,
-                                                  out[i - 1].key),
-                      ac);
+            EXPECT_LT(out[i - 1].key, out[i].key);
+            EXPECT_LT(table->combination(out[i - 1].first_row, mask), ac);
           }
           total += out[i].total;
         }
@@ -368,23 +370,23 @@ INSTANTIATE_TEST_SUITE_P(Widths, LatticeProperty,
                          ::testing::Values(2, 3, 4, 5, 6, 8, 10));
 
 // ---------------------------------------------------------------------------
-// Leaf-index order: sorting stream rows by (combinationKey, v, f) is the
+// Packed-key order: sorting stream rows by (packed leaf key, v, f) is the
 // lexicographic slot order the windows were once sorted in.
 
 /// The comparator sealed windows were sorted with before rows carried
-/// their leaf index.
+/// their leaf key.
 bool rowLess(const dataset::LeafRow& a, const dataset::LeafRow& b) {
   if (a.ac.slots() != b.ac.slots()) return a.ac.slots() < b.ac.slots();
   if (a.v != b.v) return a.v < b.v;
   return a.f < b.f;
 }
 
-/// A schema whose leaf space ends just below 2^64 — (2^16 - 1)^4 — which
-/// fromSpec accepts.
-Schema nearFullLeafSpace() {
+/// A schema whose packed key fills all 64 bits — 8 x 255 elements, a
+/// leaf space just below 2^64 — which fromSpec accepts.
+Schema fullPackedWidth() {
   std::vector<dataset::AttributeSpec> spec;
   for (int i = 0; i < 8; ++i) {
-    const int card = i % 2 == 0 ? 255 : 257;
+    const int card = 255;
     dataset::AttributeSpec attr{"A" + std::to_string(i), {}};
     for (int e = 0; e < card; ++e) {
       attr.elements.push_back("e" + std::to_string(e));
@@ -398,11 +400,10 @@ Schema nearFullLeafSpace() {
 
 class LeafOrderProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LeafOrderProperty, LeafIndexOrderEqualsSlotOrder) {
+TEST_P(LeafOrderProperty, PackedKeyOrderEqualsSlotOrder) {
   util::Rng rng(GetParam());
-  std::vector<Schema> schemas{Schema::cdn(), nearFullLeafSpace()};
-  EXPECT_GT(schemas.back().leafCount(),
-            ~std::uint64_t{0} - (std::uint64_t{1} << 51));
+  std::vector<Schema> schemas{Schema::cdn(), fullPackedWidth()};
+  EXPECT_EQ(schemas.back().fieldMask(0), std::uint64_t{0xFF} << 56);
   for (int i = 0; i < 3; ++i) schemas.push_back(randomTable(rng).schema());
   for (const Schema& schema : schemas) {
     // Random leaves, many repeated with a different v or f only, and
@@ -429,14 +430,15 @@ TEST_P(LeafOrderProperty, LeafIndexOrderEqualsSlotOrder) {
     }
     std::vector<stream::LeafEvent> events;
     for (const auto& row : rows) {
-      events.push_back(
-          {dataset::combinationKey(schema, row.ac), 0, row.v, row.f});
+      events.push_back({schema.pack(row.ac.slots()), 0, row.v, row.f});
     }
     std::sort(rows.begin(), rows.end(), rowLess);
     std::sort(events.begin(), events.end(), stream::canonicalLess);
     ASSERT_EQ(rows.size(), events.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(dataset::leafFromIndex(schema, events[i].leaf), rows[i].ac)
+      EXPECT_EQ(dataset::combinationOfLeaf(schema, events[i].leaf,
+                                           dataset::allAttributesMask(schema)),
+                rows[i].ac)
           << "row " << i;
       EXPECT_EQ(events[i].v, rows[i].v);
       EXPECT_EQ(events[i].f, rows[i].f);
@@ -446,6 +448,185 @@ TEST_P(LeafOrderProperty, LeafIndexOrderEqualsSlotOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LeafOrderProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ---------------------------------------------------------------------------
+// The packed codec over random schemas: cardinality 1 (empty fields),
+// powers of two (full fields), 2^k + 1 (one value past a full field)
+// and others, and on odd seeds field widths that sum to exactly 64.
+
+/// Random cardinalities whose packed key fits 64 bits; `full` makes the
+/// widths sum to exactly 64, with a leaf space still below 2^64.
+std::vector<std::int32_t> randomCardinalities(util::Rng& rng, bool full) {
+  std::vector<std::int32_t> widths(
+      static_cast<std::size_t>(rng.uniformInt(full ? 6 : 1, 32)), 0);
+  if (full) {
+    // 64 bits dealt round-robin (at most 11 per field), then shuffled.
+    for (int bit = 0; bit < 64; ++bit) widths[bit % widths.size()] += 1;
+    rng.shuffle(widths);
+  } else {
+    std::int32_t total = 0;
+    for (auto& w : widths) {
+      w = static_cast<std::int32_t>(rng.uniformInt(0, 12));
+      if (total + w > 64) w = 0;
+      total += w;
+    }
+  }
+  std::vector<std::int32_t> cards;
+  std::int32_t total = 0;
+  bool below_power = false;
+  for (const std::int32_t w : widths) {
+    total += w;
+    std::int32_t card = 1;
+    if (w > 0) {
+      const std::int32_t low = (1 << (w - 1)) + 1;  // 2^k + 1
+      const std::int32_t high = 1 << w;             // 2^(k+1)
+      const auto pick = rng.uniformInt(0, 2);
+      card = w == 1 ? 2
+             : pick == 0 ? low
+             : pick == 1 ? high
+                         : static_cast<std::int32_t>(rng.uniformInt(low, high));
+    }
+    below_power |= (card & (card - 1)) != 0;
+    cards.push_back(card);
+  }
+  // Widths summing to 64 with every field full would be 2^64 leaves.
+  if (total == 64 && !below_power) {
+    for (auto& card : cards) {
+      if (card > 2) {
+        card = card / 2 + 1;
+        break;
+      }
+    }
+  }
+  return cards;
+}
+
+/// A random leaf, favouring each field's extreme values.
+std::vector<dataset::ElemId> randomSlots(util::Rng& rng, const Schema& schema) {
+  std::vector<dataset::ElemId> slots;
+  for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+    const auto card = schema.cardinality(a);
+    const double pick = rng.uniform(0.0, 1.0);
+    slots.push_back(pick < 0.25   ? 0
+                    : pick < 0.5  ? card - 1
+                                  : static_cast<dataset::ElemId>(
+                                        rng.uniformInt(0, card - 1)));
+  }
+  return slots;
+}
+
+/// -1, 0 or 1 as `a` orders before, with or after `b`.
+template <typename T>
+int order(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+
+class PackedCodecProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PackedCodecProperty, RoundTripsAndOrdersLikeSlots) {
+  util::Rng rng(GetParam());
+  for (int round = 0; round < 8; ++round) {
+    const bool full = (GetParam() + static_cast<std::uint64_t>(round)) % 2 == 1;
+    const Schema schema = Schema::synthetic(randomCardinalities(rng, full));
+    const auto n = static_cast<std::size_t>(schema.attributeCount());
+    // The fields tile the low `width` bits, disjoint and in order.
+    std::int32_t width = 0;
+    std::uint64_t covered = 0;
+    for (dataset::AttrId a = schema.attributeCount(); a-- > 0;) {
+      const std::uint64_t mask = schema.fieldMask(a);
+      if (mask != 0) {
+        ASSERT_EQ(std::countr_zero(mask), width);
+        ASSERT_EQ(schema.fieldShift(a), width);
+      }
+      ASSERT_EQ(covered & mask, 0u);
+      covered |= mask;
+      width += std::popcount(mask);
+    }
+    if (full) {
+      ASSERT_EQ(width, 64);
+    }
+
+    // Pack / field / unpack round trip, and leaf-key validity.
+    std::vector<std::vector<dataset::ElemId>> leaves;
+    std::vector<std::uint64_t> keys;
+    for (int i = 0; i < 64; ++i) {
+      leaves.push_back(randomSlots(rng, schema));
+      keys.push_back(schema.pack(leaves.back()));
+      const std::uint64_t key = keys.back();
+      ASSERT_TRUE(schema.isLeafKey(key));
+      if (width < 64) {
+        EXPECT_EQ(key >> width, 0u);
+      }
+      for (std::size_t a = 0; a < n; ++a) {
+        EXPECT_EQ(schema.field(key, static_cast<dataset::AttrId>(a)),
+                  leaves.back()[a]);
+      }
+      EXPECT_EQ(dataset::combinationOfLeaf(schema, key,
+                                           dataset::allAttributesMask(schema))
+                    .slots(),
+                leaves.back());
+    }
+
+    // isLeafKey against its definition on arbitrary words.
+    for (int i = 0; i < 256; ++i) {
+      std::uint64_t word = rng.next();
+      if (i % 2 == 0 && width < 64) word &= (std::uint64_t{1} << width) - 1;
+      bool leaf = width == 64 || (word >> width) == 0;
+      for (dataset::AttrId a = 0; a < schema.attributeCount(); ++a) {
+        leaf = leaf && schema.field(word, a) < schema.cardinality(a);
+      }
+      EXPECT_EQ(schema.isLeafKey(word), leaf) << std::hex << word;
+    }
+
+    // Key order is lexicographic slot order, and on every cuboid (a
+    // sample of them above 10 attributes) projections order like the
+    // member slots.
+    std::vector<dataset::CuboidMask> masks;
+    const dataset::CuboidMask all = dataset::allAttributesMask(schema);
+    if (n <= 10) {
+      masks = dataset::allCuboidsByLayer(all);
+    } else {
+      for (int i = 0; i < 64; ++i) {
+        masks.push_back(static_cast<dataset::CuboidMask>(rng.next()) & all);
+      }
+      masks.push_back(all);
+    }
+    for (std::size_t i = 0; i + 1 < leaves.size(); ++i) {
+      EXPECT_EQ(order(keys[i], keys[i + 1]), order(leaves[i], leaves[i + 1]));
+    }
+    for (const dataset::CuboidMask mask : masks) {
+      const dataset::KeyProjection projection(schema, mask);
+      std::int32_t member_bits = 0;
+      for (const auto a : dataset::cuboidAttributes(mask)) {
+        member_bits += std::popcount(schema.fieldMask(a));
+      }
+      EXPECT_EQ(projection.cells(), projection(schema.lastLeafKey()) + 1);
+      const auto members = [&](std::size_t i) {
+        std::vector<dataset::ElemId> out;
+        for (const auto a : dataset::cuboidAttributes(mask)) {
+          out.push_back(leaves[i][static_cast<std::size_t>(a)]);
+        }
+        return out;
+      };
+      std::vector<std::uint64_t> projected(keys.size());
+      projection.project(keys, projected.data());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(projected[i], projection(keys[i]));
+        EXPECT_LT(projected[i], projection.cells());
+        if (member_bits < 64) {
+          EXPECT_EQ(projected[i] >> member_bits, 0u);
+        }
+        const std::size_t j = (i + 1) % keys.size();
+        EXPECT_EQ(order(projection(keys[i]), projection(keys[j])),
+                  order(members(i), members(j)))
+            << "mask=" << mask;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackedCodecProperty,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace rap

@@ -1125,6 +1125,7 @@ TEST(TenantCatalog, BadTenantSchemasAre400AndTheServerKeepsServing) {
       "{\"name\":\"a\",\"elements\":[\"y\"]}]}}",
       attributesSpec(33, 1),
       attributesSpec(8, 256),  // 2^64 leaves
+      attributesSpec(27, 5),   // < 2^64 leaves, but 81-bit packed keys
   };
   for (const std::string& spec : bad) {
     EXPECT_EQ(httpStatus(server.port(), "PUT", "/api/v1/tenants/bad", spec),
