@@ -390,6 +390,18 @@ void BM_DecodeCsvSnapshotLabeled8(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeCsvSnapshotLabeled8);
 
+/// The cache-hit fast path's one read of the body: svc::contentHash
+/// over the svc_incident snapshot.
+void BM_ContentHash(benchmark::State& state) {
+  const std::string& body = snapshotBody();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc::contentHash(body));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(body.size()));
+}
+BENCHMARK(BM_ContentHash);
+
 /// The KPI fields (`real`, `predict`) of the svc_incident snapshot body,
 /// as views into it: what the decoder hands util::parseDouble.
 const std::vector<std::string_view>& snapshotKpiFields() {

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
                   "per-connection socket read timeout in seconds");
   flags.addBool("trace", false, "record trace spans (serve via /tracez)");
   flags.addString("journal", "",
-                  "durable job journal file (RAPJRNL-1); accepted async "
+                  "durable job journal file (RAPJRNL 2); accepted async "
                   "jobs survive kill -9 and replay on startup.  Empty "
                   "disables journaling");
   flags.addDouble("max-deadline", 0.0,

@@ -71,6 +71,8 @@ class LeafRowDecoder {
                  bool csv_header);
 
   void reserve(std::size_t rows) { table_.reserve(rows); }
+  /// Data rows decoded so far.
+  std::size_t rows() const noexcept { return table_.size(); }
 
   /// Decodes the next data row and returns the decoder's status: OK, or
   /// the first error, after which every later row is ignored.  The

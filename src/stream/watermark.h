@@ -51,8 +51,6 @@ class WatermarkTracker {
     return mark == kNone ? kNone : epochOf(mark, width) - 1;
   }
 
-  std::int64_t allowedLateness() const noexcept { return lateness_; }
-
  private:
   std::atomic<std::int64_t> max_ts_{kNone};
   const std::int64_t lateness_;

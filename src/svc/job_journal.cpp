@@ -6,10 +6,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "fault/fault.h"
@@ -23,7 +24,90 @@ namespace rap::svc {
 
 namespace {
 
-constexpr char kHeader[] = "RAPJRNL 1\n";
+// Every file starts with one of these lines; new files are version 2.
+constexpr std::string_view kMagic = "RAPJRNL ";
+constexpr std::string_view kHeaderV1 = "RAPJRNL 1\n";
+constexpr std::string_view kHeader = "RAPJRNL 2\n";
+
+/// The version `text` declares: 1 or 2, or 0 for a file cut short inside
+/// its header line, which recovers as an empty journal.  A foreign file
+/// or another version is an error, so open() never overwrites it.
+util::Result<int> journalVersion(std::string_view text,
+                                 const std::string& path) {
+  const std::size_t nl = text.find('\n');
+  if (nl == std::string_view::npos &&
+      (kHeader.starts_with(text) || kHeaderV1.starts_with(text))) {
+    return 0;
+  }
+  const std::string_view header = text.substr(0, nl + 1);
+  if (header == kHeaderV1) return 1;
+  if (header == kHeader) return 2;
+  if (text.starts_with(kMagic)) {
+    return util::Status::invalidArgument(
+        "'" + path + "' is journal version '" +
+        std::string(util::trim(text.substr(kMagic.size(),
+                                           nl - kMagic.size()))) +
+        "'; this build reads RAPJRNL 1 and 2");
+  }
+  return util::Status::invalidArgument("'" + path +
+                                       "' is not a RAPJRNL journal");
+}
+
+/// RAPJRNL-1's body hash: one FNV-style multiply chain over 8-byte
+/// words, then the tail bytes and the length.  It verifies version 1
+/// files only; open() rewrites them as version 2.
+std::uint64_t legacyBodyHash(std::string_view bytes) noexcept {
+  constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+  constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+  std::uint64_t h = kFnvOffset;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + i, sizeof(word));
+    h = (h ^ word) * kFnvPrime;
+  }
+  for (; i < bytes.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(bytes[i])) * kFnvPrime;
+  }
+  return hashMix(h, static_cast<std::uint64_t>(bytes.size()));
+}
+
+/// A hash field exactly as written: 16 lower-case hex digits.
+std::optional<std::uint64_t> parseHash(std::string_view field) {
+  if (field.size() != 16) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : field) {
+    int digit;
+    if (c >= '0' && c <= '9') {
+      digit = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      digit = c - 'a' + 10;
+    } else {
+      return std::nullopt;
+    }
+    value = (value << 4) | static_cast<std::uint64_t>(digit);
+  }
+  return value;
+}
+
+/// A version 2 record line's check: contentHash over the line before
+/// its check field, a newline, and the bytes that follow the line (an
+/// A record's query; nothing for a C record).
+std::uint64_t lineCheck(std::string_view head, std::string_view tail) {
+  std::string bytes;
+  bytes.reserve(head.size() + 1 + tail.size());
+  bytes.append(head);
+  bytes += '\n';
+  bytes.append(tail);
+  return contentHash(bytes);
+}
+
+/// `head`, its check, and the line's newline.
+std::string withCheck(std::string head, std::string_view tail) {
+  const std::uint64_t check = lineCheck(head, tail);
+  head += util::strFormat(" %016llx\n", static_cast<unsigned long long>(check));
+  return head;
+}
 
 util::Status errnoStatus(const std::string& what, const std::string& path) {
   return util::Status::internal(what + " '" + path +
@@ -75,14 +159,14 @@ util::Result<std::unique_ptr<JobJournal>> JobJournal::open(Options options) {
       text = buffer.str();
     }
   }
-  if (!text.empty() &&
-      !util::startsWith(text, std::string_view(kHeader, sizeof(kHeader) - 2))) {
-    // Refuse to adopt (and later overwrite) a file that was never ours.
-    return util::Status::invalidArgument("'" + journal->options_.path +
-                                         "' is not a RAPJRNL journal");
-  }
   if (!text.empty()) {
-    const std::size_t damaged = journal->recoverLocked(text);
+    const auto version = journalVersion(text, journal->options_.path);
+    if (!version.isOk()) return version.status();
+    const std::size_t damaged = journal->recoverLocked(text, *version);
+    if (*version == 1) {
+      RAP_LOG_KV(Info, {"path", journal->options_.path})
+          << "journal is RAPJRNL 1; rewriting it as RAPJRNL 2";
+    }
     if (damaged > 0) {
       RAP_LOG_KV(Warn, {"path", journal->options_.path},
                  {"damaged_bytes", damaged})
@@ -98,12 +182,22 @@ util::Result<std::unique_ptr<JobJournal>> JobJournal::open(Options options) {
   return journal;
 }
 
-std::size_t JobJournal::recoverLocked(const std::string& text) {
-  std::size_t pos = sizeof(kHeader) - 1;  // past "RAPJRNL 1\n"
-  if (text.size() < pos || text.compare(0, pos, kHeader) != 0) {
+std::size_t JobJournal::recoverLocked(const std::string& text, int version) {
+  if (version == 0) {  // torn header: nothing after it survives
     recovery_dropped_ += 1;
     return text.size();
   }
+  // Version 2 lines end in a check field, which must match before any
+  // other field of the line is trusted.  Both headers are one length.
+  const std::size_t check_fields = version >= 2 ? 1 : 0;
+  const auto checked = [check_fields](std::string_view line,
+                                      std::string_view tail) {
+    const std::size_t space = line.rfind(' ');
+    return check_fields == 0 ||
+           parseHash(line.substr(space + 1)) ==
+               lineCheck(line.substr(0, space), tail);
+  };
+  std::size_t pos = kHeader.size();
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
     if (nl == std::string::npos) break;  // unterminated line: damaged tail
@@ -112,19 +206,16 @@ std::size_t JobJournal::recoverLocked(const std::string& text) {
 
     if (util::startsWith(line, "A ")) {
       const auto fields = util::split(line, ' ');
-      if (fields.size() != 8) break;
+      if (fields.size() != 8 + check_fields) break;
       const auto id = util::parseInt(fields[1]);
       const auto priority = util::parseInt(fields[3]);
       const auto qlen = util::parseInt(fields[6]);
       const auto blen = util::parseInt(fields[7]);
       // The body hash is a full 64-bit value (can exceed INT64_MAX), so
       // it travels as fixed-width hex rather than through parseInt.
-      char* hash_end = nullptr;
-      const std::uint64_t hash =
-          std::strtoull(fields[5].c_str(), &hash_end, 16);
+      const auto hash = parseHash(fields[5]);
       if (!id || !priority || !qlen || !blen || *id <= 0 || *qlen < 0 ||
-          *blen < 0 || fields[5].empty() || hash_end == nullptr ||
-          *hash_end != '\0' || (fields[4] != "csv" && fields[4] != "json")) {
+          *blen < 0 || !hash || (fields[4] != "csv" && fields[4] != "json")) {
         break;
       }
       // Both byte runs are length-prefixed and '\n'-framed; anything
@@ -136,6 +227,9 @@ std::size_t JobJournal::recoverLocked(const std::string& text) {
       }
       std::string query = text.substr(next, query_len);
       next += query_len + 1;
+      // A line that fails its check cannot be trusted to frame what
+      // follows (nor to name the right id, tenant or query): stop.
+      if (!checked(line, query)) break;
       if (next + body_len >= text.size() || text[next + body_len] != '\n') {
         break;
       }
@@ -144,7 +238,7 @@ std::size_t JobJournal::recoverLocked(const std::string& text) {
 
       const auto record_id = static_cast<std::uint64_t>(*id);
       next_id_ = std::max(next_id_, record_id + 1);
-      if (contentHash(body) != hash) {
+      if ((version == 1 ? legacyBodyHash(body) : contentHash(body)) != *hash) {
         // Torn or bit-rotted storage: never replay a body we cannot
         // prove is the one that was accepted.
         recovery_dropped_ += 1;
@@ -162,9 +256,10 @@ std::size_t JobJournal::recoverLocked(const std::string& text) {
       }
     } else if (util::startsWith(line, "C ")) {
       const auto fields = util::split(line, ' ');
-      if (fields.size() != 3) break;
+      if (fields.size() != 3 + check_fields) break;
       const auto id = util::parseInt(fields[1]);
       if (!id || *id <= 0) break;
+      if (!checked(line, {})) break;
       live_.erase(static_cast<std::uint64_t>(*id));
     } else if (!util::trim(line).empty()) {
       break;  // unknown record type: stop before misinterpreting bytes
@@ -179,12 +274,14 @@ std::size_t JobJournal::recoverLocked(const std::string& text) {
 }
 
 std::string JobJournal::renderLocked(const Record& record) const {
-  std::string out = util::strFormat(
-      "A %llu %s %d %s %016llx %zu %zu\n",
-      static_cast<unsigned long long>(record.id), record.tenant.c_str(),
-      record.priority, record.content_type.c_str(),
-      static_cast<unsigned long long>(contentHash(record.body)),
-      record.query.size(), record.body.size());
+  std::string out = withCheck(
+      util::strFormat(
+          "A %llu %s %d %s %016llx %zu %zu",
+          static_cast<unsigned long long>(record.id), record.tenant.c_str(),
+          record.priority, record.content_type.c_str(),
+          static_cast<unsigned long long>(contentHash(record.body)),
+          record.query.size(), record.body.size()),
+      record.query);
   out += record.query;
   out += '\n';
   out += record.body;
@@ -193,7 +290,7 @@ std::string JobJournal::renderLocked(const Record& record) const {
 }
 
 util::Status JobJournal::compactLocked() {
-  std::string content = kHeader;
+  std::string content(kHeader);
   for (const auto& [id, record] : live_) content += renderLocked(record);
 
   const std::string tmp = options_.path + ".tmp";
@@ -254,8 +351,10 @@ util::Result<std::uint64_t> JobJournal::append(Record record) {
 void JobJournal::complete(std::uint64_t record_id, const char* state) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (live_.erase(record_id) == 0) return;
-  const util::Status written = writeLocked(util::strFormat(
-      "C %llu %s\n", static_cast<unsigned long long>(record_id), state));
+  const util::Status written = writeLocked(withCheck(
+      util::strFormat("C %llu %s", static_cast<unsigned long long>(record_id),
+                      state),
+      {}));
   if (!written.isOk()) {
     // Losing a completion marker is safe (the record replays, the
     // cache serves the stored document); losing the job would not be.

@@ -19,21 +19,28 @@
 // the service answers 503 `journal_unavailable` instead of accepting
 // work it cannot promise to keep.
 //
-// ## Format (`RAPJRNL 1`, versioned line-based text + raw byte runs)
+// ## Format (`RAPJRNL 2`, versioned line-based text + raw byte runs)
 //
-//   RAPJRNL 1
-//   A <id> <tenant> <priority> <csv|json> <body_hash> <qlen> <blen>
+//   RAPJRNL 2
+//   A <id> <tenant> <priority> <csv|json> <body_hash> <qlen> <blen> <check>
 //   <qlen raw query bytes>\n
 //   <blen raw body bytes>\n
-//   C <id> <done|failed|shed|dropped>
+//   C <id> <done|failed|shed|dropped> <check>
 //
 // Bodies contain newlines, so both byte runs are length-prefixed by the
 // A line and terminated by one framing '\n'.  `body_hash` is
 // svc::contentHash over the body bytes; a mismatch on replay means
 // torn/corrupt storage and drops the record (counted, never served).
-// A truncated tail — the signature of a crash mid-append — is
-// tolerated: parsing stops at the damage and every record before it
-// survives.
+// `check` is svc::contentHash over the line before it, a '\n' and (A
+// only) the query bytes; a line that fails it stops recovery there, as
+// its lengths, id, tenant or query cannot be trusted.  A truncated
+// tail — the signature of a crash mid-append — is tolerated: parsing
+// stops at the damage and every record before it survives.
+//
+// Version 1 files (no check fields; body_hash the single-chain
+// word-FNV hash of earlier builds, kept in the reader only) are still
+// read, and open()'s rewrite upgrades them to version 2.  Any other
+// version is refused with invalidArgument and left untouched.
 //
 // open() always rewrites the file to live records only via the
 // tmp+rename idiom (same as io/checkpoint.cpp), which both compacts
@@ -119,13 +126,13 @@ class JobJournal {
  private:
   explicit JobJournal(Options options);
 
-  util::Status openFileLocked();
   util::Status writeLocked(const std::string& bytes);
   std::string renderLocked(const Record& record) const;
   util::Status compactLocked();
-  /// Parses `text` into live_/next_id_; returns bytes of damaged tail
-  /// dropped (0 = clean file).
-  std::size_t recoverLocked(const std::string& text);
+  /// Parses `text`, a journal of `version` (0 = torn header), into
+  /// live_/next_id_; returns bytes of damaged tail dropped (0 = clean
+  /// file).
+  std::size_t recoverLocked(const std::string& text, int version);
 
   Options options_;
   mutable std::mutex mutex_;

@@ -45,10 +45,16 @@ util::Result<dataset::LeafTable> parseJsonSnapshot(
 /// 64-bit FNV-1a over raw bytes (reference byte-at-a-time form).
 std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
-/// Content hash for large request bodies: FNV-style mixing over 8-byte
-/// words (tail bytes and the length folded in), ~8x the byte-wise rate.
-/// NOT FNV-1a-compatible — use only where both writer and reader call
-/// this function (the service's cache key does).
+/// Content hash for large request bodies, at close to memory speed:
+/// eight independent 64-bit lanes, each `(h ^ word) * prime` over its
+/// word of every 64-byte block; the lanes are folded in a fixed order,
+/// then the < 64-byte tail and the length, then a murmur3 finalizer.
+/// Every step is a bijection of the state, so bodies of equal length
+/// that differ in one bit never collide.  Words are read in host byte
+/// order.  NOT FNV-1a-compatible, and not the hash RAPJRNL-1 journals
+/// carry — use only where both writer and reader call this function
+/// (the service's cache key and RAPJRNL-2 journals do); tests pin its
+/// values, so changing it is a journal format change.
 std::uint64_t contentHash(std::string_view bytes) noexcept;
 
 /// Mixes one more 64-bit word into a running FNV-1a hash.

@@ -10,12 +10,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <regex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +45,7 @@
 #include "svc/supervisor.h"
 #include "svc/tenant_config.h"
 #include "stream/engine.h"
+#include "util/logging.h"
 #include "util/strings.h"
 
 namespace rap {
@@ -300,6 +303,68 @@ TEST(Snapshot, ContentHashSeparatesBodies) {
   EXPECT_NE(svc::contentHash(long_body + "a"), svc::contentHash(long_body));
   EXPECT_EQ(svc::fnv1a("abc"), svc::fnv1a("abc"));
   EXPECT_NE(svc::fnv1a("abc"), svc::fnv1a("abd"));
+}
+
+/// 4 KB of a fixed byte pattern: every lane, block and tail length of
+/// contentHash has distinct bytes to read.
+std::string hashPattern() {
+  std::string bytes(4096, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(Snapshot, ContentHashIsPinned) {
+  // RAPJRNL-2 journals carry these values, so they are a file format:
+  // empty, a partial word, one word, one byte short of a block, one
+  // block, a block and a byte, and 64 blocks.
+  const std::string bytes = hashPattern();
+  const std::pair<std::size_t, std::uint64_t> kVectors[] = {
+      {0, 0xbf7e47a00c59cadfull},    {1, 0x72e2474042c17d32ull},
+      {7, 0xdbea39bceca1ecf0ull},    {8, 0x62cfcfcbd1b79b06ull},
+      {63, 0x6bce7ddb32a27cbeull},   {64, 0x7bcff0f5bbee4a90ull},
+      {65, 0xc9f9462e3e972a85ull},   {4096, 0x244ffa3f5a940ee0ull},
+  };
+  for (const auto& [length, expected] : kVectors) {
+    EXPECT_EQ(svc::contentHash(std::string_view(bytes).substr(0, length)),
+              expected)
+        << "length " << length;
+  }
+}
+
+TEST(Snapshot, ContentHashSeesEveryBitWordAndLength) {
+  const std::string bytes = hashPattern();
+  const std::uint64_t base = svc::contentHash(bytes);
+  std::string flipped = bytes;
+  for (std::size_t bit = 0; bit < 8 * flipped.size(); ++bit) {
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_NE(svc::contentHash(flipped), base) << "bit " << bit;
+    flipped[bit / 8] = bytes[bit / 8];
+  }
+
+  // Trailing zeros are not padding: every length of a zero buffer is a
+  // different body.
+  const std::string zeros(1024, '\0');
+  std::set<std::uint64_t> seen;
+  for (std::size_t length = 0; length <= zeros.size(); ++length) {
+    seen.insert(svc::contentHash(std::string_view(zeros).substr(0, length)));
+  }
+  EXPECT_EQ(seen.size(), zeros.size() + 1);
+
+  // Word order counts, whether the two words share a lane (8 words
+  // apart), sit in different lanes of one block, or one is in the tail.
+  const std::pair<std::size_t, std::size_t> kSwaps[] = {
+      {0, 8}, {0, 1}, {3, 7}, {5, 100}, {3, 506}, {509, 510}};
+  const std::string body = bytes.substr(0, 4092);  // a 60-byte tail
+  for (const auto& [a, b] : kSwaps) {
+    std::string swapped = body;
+    ASSERT_NE(swapped.compare(8 * a, 8, swapped, 8 * b, 8), 0);
+    std::swap_ranges(swapped.begin() + 8 * a, swapped.begin() + 8 * a + 8,
+                     swapped.begin() + 8 * b);
+    EXPECT_NE(svc::contentHash(swapped), svc::contentHash(body))
+        << "words " << a << " and " << b;
+  }
 }
 
 TEST(Snapshot, HashIsPinnedForAFixedTable) {
@@ -1427,6 +1492,203 @@ TEST_F(JournalDir, AppendCompleteRecoverAndCompact) {
   const std::string foreign = path("not_a_journal");
   { std::ofstream(foreign) << "something else entirely\n"; }
   EXPECT_FALSE(svc::JobJournal::open({.path = foreign}).isOk());
+}
+
+std::string readBytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void writeBytes(const std::string& file, std::string_view bytes) {
+  std::ofstream(file, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expectSameRecord(const svc::JobJournal::Record& got,
+                      const svc::JobJournal::Record& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.tenant, want.tenant);
+  EXPECT_EQ(got.priority, want.priority);
+  EXPECT_EQ(got.content_type, want.content_type);
+  EXPECT_EQ(got.query, want.query);
+  EXPECT_EQ(got.body, want.body);
+}
+
+std::vector<std::uint64_t> idsOf(
+    const std::vector<svc::JobJournal::Record>& records) {
+  std::vector<std::uint64_t> ids;
+  for (const auto& record : records) ids.push_back(record.id);
+  return ids;
+}
+
+/// A journal as a live service leaves it: three A records, then a C
+/// record for the second.  `ends[i]` is where the header (i = 0), the
+/// i-th A record (1-3) and the C record (4) end.
+struct WrittenJournal {
+  std::vector<svc::JobJournal::Record> appended;
+  std::vector<std::size_t> ends;
+  std::string bytes;
+};
+
+WrittenJournal writeThreeAndComplete(const std::string& file) {
+  WrittenJournal out;
+  auto journal = svc::JobJournal::open(
+      {.path = file, .compact_bytes = 0, .fsync = false});
+  EXPECT_TRUE(journal.isOk()) << journal.status().toString();
+  out.ends.push_back(std::filesystem::file_size(file));
+  for (int i = 0; i < 3; ++i) {
+    svc::JobJournal::Record record;
+    record.tenant = i == 2 ? "edge" : "default";
+    record.priority = i;
+    record.content_type = i == 2 ? "json" : "csv";
+    record.query = "mode=async&k=" + std::to_string(i + 1);
+    record.body = i == 2 ? "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",1,2]]}"
+                         : "A,B,real,predict\na" + std::to_string(i) +
+                               ",b1,1,2\na3,b2,3.5,4\n";
+    const auto id = (*journal)->append(record);
+    EXPECT_TRUE(id.isOk());
+    record.id = *id;
+    out.appended.push_back(record);
+    out.ends.push_back(std::filesystem::file_size(file));
+  }
+  (*journal)->complete(out.appended[1].id, "done");
+  out.ends.push_back(std::filesystem::file_size(file));
+  out.bytes = readBytes(file);
+  return out;
+}
+
+/// Mutes the damaged-journal warnings of the exhaustive damage loops.
+struct QuietWarnings {
+  QuietWarnings() { util::setLogLevel(util::LogLevel::kError); }
+  ~QuietWarnings() { util::setLogLevel(before); }
+  const util::LogLevel before = util::logLevel();
+};
+
+TEST_F(JournalDir, EveryTruncationRecoversTheRecordsBeforeTheCut) {
+  const QuietWarnings quiet;
+  const WrittenJournal written = writeThreeAndComplete(path("full.rapjrnl"));
+  ASSERT_TRUE(written.bytes.starts_with("RAPJRNL 2\n"));
+  const std::string file = path("cut.rapjrnl");
+  for (std::size_t cut = 0; cut <= written.bytes.size(); ++cut) {
+    writeBytes(file, std::string_view(written.bytes).substr(0, cut));
+    auto journal = svc::JobJournal::open({.path = file, .fsync = false});
+    ASSERT_TRUE(journal.isOk()) << "cut " << cut << ": "
+                                << journal.status().toString();
+    // Live in the cut file: A records wholly before the cut, less the
+    // second once its C record is too.
+    std::vector<std::uint64_t> expected;
+    for (std::size_t i = 0; i < written.appended.size(); ++i) {
+      if (written.ends[i + 1] > cut) continue;
+      if (i == 1 && written.ends[4] <= cut) continue;
+      expected.push_back(written.appended[i].id);
+    }
+    const auto pending = (*journal)->pending();
+    ASSERT_EQ(idsOf(pending), expected) << "cut " << cut;
+    for (const auto& record : pending) {
+      expectSameRecord(record, written.appended[record.id - 1]);
+    }
+    const bool at_boundary =
+        cut == 0 || std::find(written.ends.begin(), written.ends.end(), cut) !=
+                        written.ends.end();
+    EXPECT_EQ((*journal)->recoveryDropped(), at_boundary ? 0u : 1u)
+        << "cut " << cut;
+  }
+}
+
+TEST_F(JournalDir, EveryBitFlipIsRefusedOrDroppedNeverReplayed) {
+  const QuietWarnings quiet;
+  const WrittenJournal written = writeThreeAndComplete(path("full.rapjrnl"));
+  const std::vector<std::uint64_t> live = {written.appended[0].id,
+                                           written.appended[2].id};
+  const std::string file = path("flipped.rapjrnl");
+  std::size_t refused = 0;
+  std::size_t damaged = 0;
+  for (std::size_t bit = 0; bit < 8 * written.bytes.size(); ++bit) {
+    const std::size_t at = bit / 8;
+    std::string bytes = written.bytes;
+    bytes[at] = static_cast<char>(bytes[at] ^ (1 << (bit % 8)));
+    writeBytes(file, bytes);
+    auto journal = svc::JobJournal::open({.path = file, .fsync = false});
+    if (!journal.isOk()) {
+      // Only a damaged header may refuse the file.
+      EXPECT_LT(at, written.ends[0]) << "bit " << bit;
+      EXPECT_EQ(journal.status().code(), util::StatusCode::kInvalidArgument);
+      ++refused;
+      continue;
+    }
+    // Whatever survives is a record exactly as it was appended.
+    const auto pending = (*journal)->pending();
+    for (const auto& record : pending) {
+      ASSERT_TRUE(record.id >= 1 && record.id <= written.appended.size())
+          << "bit " << bit;
+      expectSameRecord(record, written.appended[record.id - 1]);
+    }
+    // Live records that end before the damage all survive.
+    const auto ids = idsOf(pending);
+    for (std::size_t i : {0u, 2u}) {
+      if (written.ends[i + 1] <= at) {
+        EXPECT_NE(std::find(ids.begin(), ids.end(), written.appended[i].id),
+                  ids.end())
+            << "bit " << bit << " lost record " << written.appended[i].id;
+      }
+    }
+    // A flip is never silent: it changes nothing or it is counted.
+    if (ids != live) {
+      EXPECT_GE((*journal)->recoveryDropped(), 1u) << "bit " << bit;
+      ++damaged;
+    } else if ((*journal)->recoveryDropped() > 0) {
+      ++damaged;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(damaged, 0u);
+}
+
+TEST_F(JournalDir, VersionOneFixtureReplaysAndIsRewrittenAsVersionTwo) {
+  // Written by the RAPJRNL-1 service: A1 (default), A2 (default,
+  // completed by a C record), A3 (tenant "edge", JSON).
+  const std::string file = path("v1.rapjrnl");
+  std::filesystem::copy_file(RAP_JOURNAL_V1_FIXTURE, file);
+  ASSERT_TRUE(readBytes(file).starts_with("RAPJRNL 1\n"));
+
+  svc::JobJournal::Record demo;
+  demo.id = 1;
+  demo.tenant = "default";
+  demo.content_type = "csv";
+  demo.query = "mode=async";
+  demo.body = csvBodyOf(demoTable(dataset::Schema::tiny()));
+  svc::JobJournal::Record edge;
+  edge.id = 3;
+  edge.tenant = "edge";
+  edge.priority = 1;
+  edge.content_type = "json";
+  edge.query = "mode=async&t_conf=0.85";
+  edge.body =
+      "{\"rows\":[[\"a1\",\"b1\",\"c1\",\"d1\",10,12],"
+      "[\"a2\",\"b2\",\"c1\",\"d1\",3,9]]}";
+
+  for (int open = 0; open < 2; ++open) {  // as v1, then as the rewrite
+    auto journal = svc::JobJournal::open({.path = file, .fsync = false});
+    ASSERT_TRUE(journal.isOk()) << journal.status().toString();
+    EXPECT_EQ((*journal)->recoveryDropped(), 0u);
+    const auto pending = (*journal)->pending();
+    ASSERT_EQ(pending.size(), 2u);
+    expectSameRecord(pending[0], demo);
+    expectSameRecord(pending[1], edge);
+    EXPECT_TRUE(readBytes(file).starts_with("RAPJRNL 2\n"));
+  }
+}
+
+TEST_F(JournalDir, OtherVersionsAreRefusedAndLeftAlone) {
+  const std::string file = path("v3.rapjrnl");
+  const std::string bytes = "RAPJRNL 3\nA 1 default 0 csv\n";
+  writeBytes(file, bytes);
+  const auto journal = svc::JobJournal::open({.path = file, .fsync = false});
+  ASSERT_FALSE(journal.isOk());
+  EXPECT_EQ(journal.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(journal.status().message().find("version '3'"), std::string::npos)
+      << journal.status().message();
+  EXPECT_EQ(readBytes(file), bytes);
 }
 
 TEST_F(JournalDir, ReplayedCompletedWorkIsBitIdenticalViaTheCache) {
