@@ -70,7 +70,8 @@ int main(int argc, char** argv) {
   flags.addInt("port", 8080, "listen port (0 = ephemeral, printed on stdout)");
   flags.addInt("http-workers", 2, "HTTP worker threads");
   flags.addInt("job-workers", 2,
-               "localization workers of the pool shared by all tenants");
+               "workers of the pool shared by all tenants: their jobs and "
+               "stream localizations");
   flags.addInt("queue-capacity", 64,
                "default tenant: queued jobs beyond which POSTs shed with 429");
   flags.addInt("max-active", 0,

@@ -337,10 +337,7 @@ util::Status AdminServer::start() {
   listen_fd_ = fd;
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
   stopping_.store(false, std::memory_order_release);
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { workerLoop(); });
-  }
+  pool_ = std::make_unique<util::ThreadPool>(options_.workers);
   acceptor_ = std::thread([this] { acceptLoop(); });
   started_.store(true, std::memory_order_release);
   RAP_LOG_KV(Info, {"address", options_.bind_address},
@@ -360,11 +357,8 @@ void AdminServer::stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  // Workers drain connections already accepted, then exit on the empty
-  // queue + stopping flag.
-  queue_cv_.notify_all();
-  for (auto& worker : workers_) worker.join();
-  workers_.clear();
+  // The pool serves the connections already accepted, then joins.
+  pool_.reset();
   RAP_LOG_KV(Info, {"requests", static_cast<std::int64_t>(requestsServed())})
       << "admin server stopped";
 }
@@ -379,17 +373,14 @@ void AdminServer::acceptLoop() {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;
     }
-    bool enqueued = false;
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (!stopping_.load(std::memory_order_acquire) &&
-          pending_.size() < options_.backlog) {
-        pending_.push_back(fd);
-        enqueued = true;
-      }
-    }
-    if (enqueued) {
-      queue_cv_.notify_one();
+    // Only this thread submits, so the count cannot grow between the
+    // check and the submit.
+    if (!stopping_.load(std::memory_order_acquire) &&
+        pool_->inFlight() < options_.workers + options_.backlog) {
+      pool_->submit([this, fd] {
+        serveConnection(fd);
+        ::close(fd);
+      });
     } else {
       static const std::string kBusy = [] {
         const std::string body =
@@ -402,23 +393,6 @@ void AdminServer::acceptLoop() {
       writeAll(fd, kBusy.data(), kBusy.size());
       ::close(fd);
     }
-  }
-}
-
-void AdminServer::workerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return !pending_.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      if (pending_.empty()) return;  // stopping and drained
-      fd = pending_.front();
-      pending_.pop_front();
-    }
-    serveConnection(fd);
-    ::close(fd);
   }
 }
 

@@ -2,7 +2,8 @@
 // the process.
 //
 // A dependency-free HTTP/1.1 server on POSIX sockets: one blocking
-// accept loop plus a small worker set serving requests against a route
+// accept loop hands each accepted connection to the server's own
+// util::ThreadPool, whose workers serve requests against a route
 // table.  Built for operational scraping (Prometheus, curl, health
 // probes) and for the bounded request/response API of the localization
 // service (src/svc), not for general traffic: responses always close
@@ -29,7 +30,7 @@
 //     8 MiB and sends nothing pins no 8 MiB; bytes past Content-Length
 //     are never read.
 //
-// Threading: handlers run on worker threads, concurrently with each
+// Threading: handlers run on the pool's workers, concurrently with each
 // other and with the rest of the process — they must only touch
 // thread-safe state (the metrics registry, the trace recorder, the
 // StreamEngine accessors and the svc::JobManager all qualify).
@@ -37,11 +38,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -52,6 +51,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace rap::obs {
 
@@ -124,10 +124,11 @@ class AdminServer {
     /// TCP port; 0 binds an ephemeral port (tests), read it back with
     /// port() after start().
     std::uint16_t port = 0;
-    /// Worker threads serving accepted connections.
+    /// Worker threads serving accepted connections (0 is read as 1).
     std::size_t workers = 2;
     /// Accepted connections waiting for a worker before new arrivals
-    /// are turned away with 503.
+    /// are turned away with 503: a connection is admitted while fewer
+    /// than workers + backlog are being served or queued.
     std::size_t backlog = 64;
     /// Per-connection socket read timeout in seconds (SO_RCVTIMEO); a
     /// stalled client gets 408 instead of pinning a worker.  0 disables.
@@ -173,7 +174,7 @@ class AdminServer {
   util::Status start();
 
   /// Graceful shutdown: stops accepting, serves connections already
-  /// queued, then joins every thread.  Idempotent; also run by the
+  /// accepted, then joins every thread.  Idempotent; also run by the
   /// destructor.
   void stop();
 
@@ -201,7 +202,6 @@ class AdminServer {
   };
 
   void acceptLoop();
-  void workerLoop();
   void serveConnection(int fd);
   /// Longest match for (path, method); sets `path_known` when the path
   /// matches a route of another method class (405 material).
@@ -217,12 +217,9 @@ class AdminServer {
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> requests_{0};
 
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> pending_;  ///< accepted fds awaiting a worker
-
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
+  /// Serves accepted connections; exists from start() to stop().
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 /// Installs the obs-backed endpoints on `server`:

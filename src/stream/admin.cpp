@@ -109,7 +109,6 @@ std::string renderStatusz(const StreamEngine& engine,
   w.field("detect_threshold", config.detect_threshold, kG9);
   w.field("detect_two_sided", config.detect_two_sided);
   w.field("top_k", config.top_k);
-  w.field("localize_threads", config.localize_threads);
   w.field("localize_deadline_seconds", config.localize_deadline_seconds, kG9);
   w.field("quarantine_capacity", config.quarantine_capacity);
   w.field("lag_sample_interval_seconds", config.lag_sample_interval_seconds,

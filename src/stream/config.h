@@ -13,6 +13,7 @@
 
 #include "alarm/monitor.h"
 #include "core/rapminer.h"
+#include "util/thread_pool.h"
 
 namespace rap::stream {
 
@@ -55,14 +56,18 @@ struct StreamConfig {
   bool detect_two_sided = false;
 
   /// Thresholds of the per-window RapMiner.  Each window's search runs
-  /// on a localize_threads worker and fans out to the workers idle at
-  /// that moment; localize_threads bounds how many windows localize at
-  /// once.
+  /// on a worker of the engine's localize pool and fans out to the
+  /// workers idle at that moment.
   core::RapMinerConfig miner;
   /// Patterns kept per localization (RapMiner::localize's k).
   std::int32_t top_k = 5;
-  /// Workers of the localization pool; search never blocks ingestion.
+  /// Workers of the pool a standalone engine owns; search never blocks
+  /// ingestion.  Unused when shared_pool is set.
   std::size_t localize_threads = 2;
+  /// Localize on this externally owned pool instead of owning one (the
+  /// multi-tenant catalog passes its shared pool).  The pool must
+  /// outlive the engine.  Wiring only: no spec or flag sets it.
+  util::ThreadPool* shared_pool = nullptr;
 
   /// Per-window localization budget, in wall seconds.  > 0 overrides
   /// miner.search.deadline_seconds: a search that exhausts the budget

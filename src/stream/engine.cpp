@@ -37,7 +37,13 @@ StreamEngine::StreamEngine(dataset::Schema schema, StreamConfig config)
       assembler_(config.shards, config.window_width),
       quarantine_(config.quarantine_capacity),
       detector_(config.detect_threshold, config.detect_two_sided),
-      miner_(minerConfigForStream(config)) {
+      miner_(minerConfigForStream(config)),
+      owned_pool_(config.shared_pool == nullptr
+                      ? std::make_unique<util::ThreadPool>(
+                            config.localize_threads)
+                      : nullptr),
+      pool_(config.shared_pool != nullptr ? config.shared_pool
+                                          : owned_pool_.get()) {
   RAP_CHECK(config_.shards >= 1);
   RAP_CHECK(config_.window_width >= 1);
   RAP_CHECK(config_.allowed_lateness >= 0);
@@ -122,7 +128,6 @@ void StreamEngine::setQuarantineCallback(
 void StreamEngine::start() {
   RAP_CHECK_MSG(!started_.load(), "engine started twice");
   RAP_CHECK_MSG(!stopped_.load(), "engine is terminal after stop()");
-  pool_ = std::make_unique<util::ThreadPool>(config_.localize_threads);
   for (auto& shard : shards_) shard->start();
   sealer_ = std::thread([this] { sealerLoop(); });
   start_time_ = std::chrono::steady_clock::now();
@@ -374,72 +379,86 @@ void StreamEngine::processWindow(SealedWindow window) {
   // search.  ThreadPool tasks must not throw — localize inputs were
   // validated at ingest, so the only throw paths left are injected
   // faults (and whatever a chaotic deployment surprises us with), which
-  // are contained here as counted failures.
+  // localizeWindow contains as counted failures.  The window counts as
+  // in flight until its result is delivered: drain() waits on that
+  // count, never on the pool, which other tenants may share.
   // Start the sealer -> localize-pool flow while still inside the seal
   // span: the arrow leaves this slice and lands on the pool worker's
   // localize slice, completing the window's cross-thread lane.
   obs::traceFlow('s', kWindowFlowName, windowFlowId(window.epoch, 0),
                  {{"epoch", window.epoch}});
-  pool_->submit([this, epoch = window.epoch, start = window.start_ts,
-                 end = window.end_ts, flagged, alarmed,
-                 first_seen = window.first_seen,
-                 table = std::move(table)]() mutable {
-    RAP_TRACE_SPAN("stream/localize", {{"epoch", epoch}});
-    obs::traceFlow('f', kWindowFlowName, windowFlowId(epoch, 0),
-                   {{"epoch", epoch}});
-    util::WallTimer localize_timer;
-    Localization out;
-    out.epoch = epoch;
-    out.start_ts = start;
-    out.end_ts = end;
-    out.rows = table.size();
-    out.anomalous_rows = flagged;
-    out.alarmed = alarmed;
-    try {
-      switch (RAP_FAULT_HIT("stream.localize")) {
-        case fault::Action::kError:
-        case fault::Action::kDrop:
-          localize_failures_.fetch_add(1, std::memory_order_relaxed);
-          if (obs::metricsEnabled()) metrics_.localize_failures->increment();
-          RAP_LOG_KV(Warn, {"epoch", epoch})
-              << "localization failed: injected fault";
-          return;
-        default:
-          break;
-      }
-      // miner_ persists across epochs, so its internal WorkspacePool
-      // retains the search scratch: steady-state epochs reuse capacity
-      // instead of reallocating, and concurrent localize_pool_ workers
-      // each lease their own workspace from it.  The search fans out to
-      // whichever localize workers are idle.
-      out.result = miner_.localize(table, config_.top_k, pool_.get());
-    } catch (const std::exception& e) {
-      localize_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::metricsEnabled()) metrics_.localize_failures->increment();
-      RAP_LOG_KV(Warn, {"epoch", epoch}, {"error", e.what()})
-          << "localization failed";
-      return;
-    }
-    localizations_.fetch_add(1, std::memory_order_relaxed);
-    if (out.result.degraded) {
-      localizations_degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metricsEnabled()) {
-      metrics_.localizations->increment();
-      if (out.result.degraded) metrics_.localizations_degraded->increment();
-      metrics_.localize_seconds->observe(localize_timer.elapsedSeconds());
-      if (first_seen != std::chrono::steady_clock::time_point{}) {
-        // Whole-pipeline latency: first fragment contribution (wall
-        // clock, stamped by the assembler) to localization done.
-        const std::chrono::duration<double> e2e =
-            std::chrono::steady_clock::now() - first_seen;
-        metrics_.window_e2e_seconds->observe(e2e.count());
-      }
-    }
-    if (localize_cb_) localize_cb_(out);
+  Localization out{window.epoch, window.start_ts, window.end_ts,
+                   table.size(),  flagged,         alarmed,
+                   {}};
+  {
     std::lock_guard<std::mutex> lock(results_mutex_);
-    results_.push_back(std::move(out));
+    ++windows_in_flight_;
+  }
+  pool_->submit([this, out = std::move(out), first_seen = window.first_seen,
+                 table = std::move(table)]() mutable {
+    const bool localized = localizeWindow(out, table, first_seen);
+    std::lock_guard<std::mutex> lock(results_mutex_);
+    if (localized) results_.push_back(std::move(out));
+    if (--windows_in_flight_ == 0) localized_cv_.notify_all();
   });
+}
+
+bool StreamEngine::localizeWindow(
+    Localization& out, const dataset::LeafTable& table,
+    std::chrono::steady_clock::time_point first_seen) {
+  const std::int64_t epoch = out.epoch;
+  RAP_TRACE_SPAN("stream/localize", {{"epoch", epoch}});
+  obs::traceFlow('f', kWindowFlowName, windowFlowId(epoch, 0),
+                 {{"epoch", epoch}});
+  util::WallTimer localize_timer;
+  try {
+    switch (RAP_FAULT_HIT("stream.localize")) {
+      case fault::Action::kError:
+      case fault::Action::kDrop:
+        localize_failures_.fetch_add(1, std::memory_order_relaxed);
+        if (obs::metricsEnabled()) metrics_.localize_failures->increment();
+        RAP_LOG_KV(Warn, {"epoch", epoch})
+            << "localization failed: injected fault";
+        return false;
+      default:
+        break;
+    }
+    // miner_ persists across epochs, so its internal WorkspacePool
+    // retains the search scratch: steady-state epochs reuse capacity
+    // instead of reallocating, and concurrent pool workers each lease
+    // their own workspace from it.  The search fans out to whichever
+    // workers of the pool are idle.
+    out.result = miner_.localize(table, config_.top_k, pool_);
+  } catch (const std::exception& e) {
+    localize_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::metricsEnabled()) metrics_.localize_failures->increment();
+    RAP_LOG_KV(Warn, {"epoch", epoch}, {"error", e.what()})
+        << "localization failed";
+    return false;
+  }
+  localizations_.fetch_add(1, std::memory_order_relaxed);
+  if (out.result.degraded) {
+    localizations_degraded_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (obs::metricsEnabled()) {
+    metrics_.localizations->increment();
+    if (out.result.degraded) metrics_.localizations_degraded->increment();
+    metrics_.localize_seconds->observe(localize_timer.elapsedSeconds());
+    if (first_seen != std::chrono::steady_clock::time_point{}) {
+      // Whole-pipeline latency: first fragment contribution (wall
+      // clock, stamped by the assembler) to localization done.
+      const std::chrono::duration<double> e2e =
+          std::chrono::steady_clock::now() - first_seen;
+      metrics_.window_e2e_seconds->observe(e2e.count());
+    }
+  }
+  if (localize_cb_) localize_cb_(out);
+  return true;
+}
+
+void StreamEngine::awaitLocalizations() {
+  std::unique_lock<std::mutex> lock(results_mutex_);
+  localized_cv_.wait(lock, [this] { return windows_in_flight_ == 0; });
 }
 
 util::Result<io::StreamCheckpoint> StreamEngine::captureCheckpoint() {
@@ -457,7 +476,7 @@ util::Result<io::StreamCheckpoint> StreamEngine::captureCheckpoint() {
   }
   // In-flight localizations finish before the cut is serialized, so a
   // restore never re-localizes a window this run already owned.
-  pool_->wait();
+  awaitLocalizations();
 
   // RAPCHKPT-1 stores rows as element ids: unpack each leaf key.
   const dataset::CuboidMask leaves = dataset::allAttributesMask(schema_);
@@ -598,7 +617,7 @@ void StreamEngine::drain() {
     std::unique_lock<std::mutex> lock(sealer_mutex_);
     drain_cv_.wait(lock, [this, token] { return sealer_acked_drain_ >= token; });
   }
-  pool_->wait();
+  awaitLocalizations();
   // The hot path only touches these gauges when events move; refresh
   // them here so a scrape right after a drain sees the settled state
   // (depth 0, final watermark) instead of the last in-flight sample.
@@ -623,7 +642,7 @@ void StreamEngine::stop() {
   }
   sealer_cv_.notify_all();
   sealer_.join();
-  pool_->wait();
+  awaitLocalizations();
   RAP_LOG_KV(Info, {"windows", windows_sealed_.load()},
              {"localizations", localizations_.load()})
       << "stream engine stopped";
@@ -662,9 +681,8 @@ std::vector<std::size_t> StreamEngine::shardQueueDepths() const {
 }
 
 std::size_t StreamEngine::localizeInFlight() const {
-  // pool_ exists from start() on and outlives stop(); before start()
-  // nothing can be in flight.
-  return pool_ ? pool_->inFlight() : 0;
+  std::lock_guard<std::mutex> lock(results_mutex_);
+  return windows_in_flight_;
 }
 
 std::vector<QuarantinedEvent> StreamEngine::takeQuarantined() {

@@ -10,17 +10,25 @@
 //              sealer thread: detect -> aggregate alarm -> trigger
 //                                            │ snapshot on trigger
 //                                            v
-//                         ThreadPool: RapMiner::localize (never blocks
-//                                     ingestion or sealing)
+//                 localize pool: RapMiner::localize (never blocks
+//                                    ingestion or sealing)
 //
 // Lifecycle: construct -> start() -> ingest()/ingestBatch() from any
 // number of threads -> drain() (flush everything buffered, wait for the
 // resulting localizations) -> stop() (drain + join; terminal).
 //
 // Threading contract:
+//   * threads: one consumer per shard plus the sealer.  Localizations
+//     run on StreamConfig::shared_pool when set (the catalog's pool,
+//     shared with other tenants' jobs and engines), else on a pool of
+//     localize_threads workers the engine owns.
 //   * ingest/ingestBatch: any thread, concurrently.
-//   * drain/stop: one control thread; quiesce producers first — events
-//     racing a drain may be counted late and dropped.
+//   * drain/checkpoint/stop: one control thread; quiesce producers
+//     first — events racing a drain may be counted late and dropped.
+//     They wait for this engine's dispatched windows, never for the
+//     whole pool, so never call them from a task on the pool the
+//     engine localizes on: that task could hold the worker a window
+//     needs.
 //   * callbacks: the window callback runs on the sealer thread, the
 //     localization callback on a pool worker; both must be thread-safe
 //     with respect to the caller's own state and must not call back
@@ -196,11 +204,13 @@ class StreamEngine {
   /// Per-shard producer-queue depths, indexed by shard id.
   std::vector<std::size_t> shardQueueDepths() const;
 
-  /// Localizations queued or running on the localization pool.
+  /// Windows dispatched for localization whose result is not yet
+  /// delivered (queued or running; helper tasks are not counted).
   std::size_t localizeInFlight() const;
 
+  /// Workers of the pool this engine localizes on (shared or owned).
   std::size_t localizeThreads() const noexcept {
-    return config_.localize_threads;
+    return pool_->threadCount();
   }
 
   /// steady_clock point of start(); epoch value before the engine starts.
@@ -242,6 +252,12 @@ class StreamEngine {
   void onShardProgress();
   void sealerLoop();
   void processWindow(SealedWindow window);
+  /// Runs one window's search on a pool worker and fills `out`; false
+  /// when it failed (counted and logged, nothing to deliver).
+  bool localizeWindow(Localization& out, const dataset::LeafTable& table,
+                      std::chrono::steady_clock::time_point first_seen);
+  /// Blocks until windows_in_flight_ is 0.
+  void awaitLocalizations();
   bool allShardsAcked(std::uint64_t token) const;
   bool allShardsSnapshotAcked(std::uint64_t token) const;
   util::Result<io::StreamCheckpoint> captureCheckpoint();
@@ -262,7 +278,9 @@ class StreamEngine {
   detect::RelativeDeviationDetector detector_;
   core::RapMiner miner_;
   std::unique_ptr<alarm::AlarmManager> alarm_;  ///< sealer thread only
-  std::unique_ptr<util::ThreadPool> pool_;
+  /// Null when config.shared_pool is set.
+  std::unique_ptr<util::ThreadPool> owned_pool_;
+  util::ThreadPool* const pool_;  ///< shared_pool or owned_pool_
   /// Background gauge sampler, owned iff
   /// config.lag_sample_interval_seconds > 0 (see stream/lag_collector.h).
   std::unique_ptr<PipelineLagCollector> lag_collector_;
@@ -287,8 +305,12 @@ class StreamEngine {
   std::uint64_t sealer_acked_snapshot_ = 0;  ///< guarded by sealer_mutex_
   std::atomic<std::uint64_t> snapshot_token_{0};
 
-  std::mutex results_mutex_;
+  mutable std::mutex results_mutex_;
   std::vector<Localization> results_;
+  /// Windows handed to pool_ and not yet delivered; guarded by
+  /// results_mutex_, signalled on localized_cv_ when it reaches 0.
+  std::size_t windows_in_flight_ = 0;
+  std::condition_variable localized_cv_;
 
   WindowCallback window_cb_;
   LocalizationCallback localize_cb_;

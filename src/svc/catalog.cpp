@@ -16,8 +16,8 @@ DatasetCatalog::DatasetCatalog(Options options)
 
 DatasetCatalog::~DatasetCatalog() {
   // Tear tenants down before pool_'s own destructor runs: each
-  // JobManager waits for its outstanding closures on the still-live
-  // shared pool.
+  // JobManager and StreamEngine waits for its outstanding closures on
+  // the still-live shared pool.
   std::map<std::string, std::shared_ptr<Tenant>> tenants;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -29,6 +29,12 @@ DatasetCatalog::~DatasetCatalog() {
 util::Status DatasetCatalog::put(TenantSpec spec) {
   RAP_RETURN_IF_ERROR(validateTenantName(spec.name));
 
+  // The engine is wired here once and stored that way: the supervisor
+  // rebuilds and restores a tenant's engine from tenant->spec.stream
+  // unchanged, so every engine of a tenant carries its metric identity
+  // and localizes on the shared pool.
+  spec.stream.metric_tenant = spec.name;
+  spec.stream.shared_pool = &pool_;
   auto tenant = std::make_shared<Tenant>();
   tenant->spec = spec;
 
@@ -46,9 +52,6 @@ util::Status DatasetCatalog::put(TenantSpec spec) {
       spec.schema, spec.miner, std::move(spec.service));
 
   if (spec.streaming) {
-    // parseTenantSpec already mirrored the miner knobs into
-    // spec.stream.miner; the catalog only stamps the metric identity.
-    spec.stream.metric_tenant = spec.name;
     auto engine = std::make_shared<stream::StreamEngine>(
         std::move(spec.schema), std::move(spec.stream));
     engine->start();

@@ -4,7 +4,8 @@
 // One catalog owns:
 //   * a shared util::ThreadPool that every tenant's JobManager draws
 //     workers from (per-tenant `max_active` quotas bound how much of it
-//     one tenant may hold at once), and
+//     one tenant may hold at once) and every streaming tenant's engine
+//     localizes its windows on, and
 //   * a name -> Tenant map, where each Tenant bundles the
 //     LocalizeService (jobs + result cache, labeled {tenant="<name>"})
 //     and, for streaming tenants, a running StreamEngine fed by
@@ -102,7 +103,9 @@ class DatasetCatalog {
   /// Registers a tenant: wires the spec's service options to this
   /// catalog (tenant label, jobs path prefix, shared pool), constructs
   /// the LocalizeService, and starts the StreamEngine for streaming
-  /// specs.  Create-only: kFailedPrecondition if the name is live.
+  /// specs, with spec.stream wired to the tenant label and shared pool
+  /// (and stored that way in Tenant::spec).  Create-only:
+  /// kFailedPrecondition if the name is live.
   util::Status put(TenantSpec spec);
 
   /// Unregisters `name` and returns the Tenant so the caller controls
@@ -126,8 +129,8 @@ class DatasetCatalog {
 
  private:
   Options options_;
-  /// Shared by every tenant's JobManager; declared before tenants_ so
-  /// it outlives their teardown waits.
+  /// Shared by every tenant's JobManager and StreamEngine; declared
+  /// before tenants_ so it outlives their teardown waits.
   util::ThreadPool pool_;
   obs::Gauge* tenants_gauge_ = nullptr;  ///< rap_svc_tenants
 

@@ -156,11 +156,9 @@ void EngineSupervisor::superviseLocked(
 
   std::shared_ptr<stream::StreamEngine> replacement;
   bool restored = false;
-  stream::StreamConfig config = spec.stream;
-  config.metric_tenant = spec.name;  // the catalog stamps this on put()
   if (fileExists(spec.checkpoint_path)) {
-    auto result =
-        stream::StreamEngine::restore(spec.schema, config, spec.checkpoint_path);
+    auto result = stream::StreamEngine::restore(spec.schema, spec.stream,
+                                                spec.checkpoint_path);
     if (result.isOk()) {
       replacement = std::shared_ptr<stream::StreamEngine>(
           std::move(result.value()));
@@ -174,7 +172,7 @@ void EngineSupervisor::superviseLocked(
     // No checkpoint to resume from: a fresh engine loses buffered
     // window state but revives ingest.
     replacement =
-        std::make_shared<stream::StreamEngine>(spec.schema, config);
+        std::make_shared<stream::StreamEngine>(spec.schema, spec.stream);
   }
 
   if (replacement != nullptr) {

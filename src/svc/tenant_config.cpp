@@ -183,10 +183,6 @@ util::Status parseStreamingField(const JsonValue& value,
       const auto v = intField(field, path, 1, 1 << 20);
       RAP_RETURN_IF_ERROR(v.status());
       spec.stream.top_k = static_cast<std::int32_t>(v.value());
-    } else if (key == "localize_threads") {
-      const auto v = intField(field, path, 1, 1024);
-      RAP_RETURN_IF_ERROR(v.status());
-      spec.stream.localize_threads = static_cast<std::size_t>(v.value());
     } else if (key == "detect_threshold") {
       const auto v = numberField(field, path);
       RAP_RETURN_IF_ERROR(v.status());
@@ -290,10 +286,6 @@ util::Result<TenantSpec> parseTenantSpec(const JsonValue& doc,
       const auto v = intField(field, key, 0, 1 << 24);
       RAP_RETURN_IF_ERROR(v.status());
       spec.service.jobs.queue_capacity = static_cast<std::size_t>(v.value());
-    } else if (key == "workers") {
-      const auto v = intField(field, key, 1, 1024);
-      RAP_RETURN_IF_ERROR(v.status());
-      spec.service.jobs.workers = static_cast<std::size_t>(v.value());
     } else if (key == "max_active") {
       const auto v = intField(field, key, 0, 1024);
       RAP_RETURN_IF_ERROR(v.status());

@@ -12,8 +12,8 @@
 //     "detect_threshold": 0.095,
 //     "sync_row_limit": 4096,                  // service routing
 //     "max_deadline_seconds": 0,               // per-request deadline cap
-//     "queue_capacity": 64, "workers": 2,      // job manager
-//     "max_active": 0, "retry_after_seconds": 1.0,  // <= 86400
+//     "queue_capacity": 64, "max_active": 0,   // job manager
+//     "retry_after_seconds": 1.0,              // <= 86400
 //     "cache_capacity": 128, "cache_ttl_seconds": 300,
 //     "overload": {                            // CoDel-style shedding
 //       "target_delay_seconds": 0, "interval_seconds": 1.0
@@ -24,14 +24,17 @@
 //     "streaming": {                           // optional StreamEngine
 //       "shards": 4, "window_width": 60,
 //       "trigger": "on-alarm" | "anomalous-window" | "every-window",
-//       "top_k": 5, "localize_threads": 2, "allowed_lateness": 0,
+//       "top_k": 5, "allowed_lateness": 0,
 //       "checkpoint_path": "",                 // supervisor restore source
 //       "checkpoint_interval_seconds": 0       // periodic checkpoint cadence
 //     }
 //   }
 //
 // Every field is optional except "schema"; defaults mirror the
-// single-tenant flag defaults of rap_server.  The sidecar file is
+// single-tenant flag defaults of rap_server.  No spec sizes a pool: a
+// tenant's jobs and stream localizations all run on the catalog's
+// shared pool (rap_server --job-workers), so "workers" and
+// "streaming.localize_threads" are unknown fields.  The sidecar file is
 // {"tenants": [{"name": "...", ...spec...}, ...]}.
 //
 // Validation philosophy matches the localize handler: everything
@@ -61,11 +64,13 @@ struct TenantSpec {
   dataset::Schema schema = dataset::Schema::tiny();
   core::RapMinerConfig miner;
   /// Service options (jobs + cache + routing); tenant/jobs_path_prefix
-  /// and the shared-pool wiring are overwritten by the catalog.
+  /// and the shared-pool wiring are set by the catalog on a copy.
   LocalizeService::Options service;
   /// When true the tenant also runs a StreamEngine fed by
   /// POST /api/v1/tenants/<name>/ingest.
   bool streaming = false;
+  /// The catalog stores it wired (metric_tenant, shared_pool), and the
+  /// supervisor builds every replacement engine from it as is.
   stream::StreamConfig stream;
   /// RAPCHKPT-1 file the supervisor restores a crashed engine from (and,
   /// with a positive interval, periodically checkpoints a healthy one

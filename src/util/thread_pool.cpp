@@ -52,11 +52,6 @@ std::size_t ThreadPool::submitToIdle(std::size_t max_tasks,
   return enqueued;
 }
 
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
 std::size_t ThreadPool::inFlight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return in_flight_;
@@ -86,7 +81,6 @@ void ThreadPool::workerLoop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
     }
   }
 }

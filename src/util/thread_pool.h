@@ -1,11 +1,16 @@
 // Minimal fixed-size thread pool plus a parallel-for helper.
 //
-// Runs the service's localization jobs and the stream engine's
-// localizations, fans evaluation sweeps across cores, and lends idle
+// Runs the service's localization jobs and the stream engines'
+// localizations, serves the admin server's connections, fans
+// evaluation sweeps across cores, and lends idle
 // workers to Algorithm 2: a search running on (or beside) a pool hands
 // it helper tasks through submitToIdle, which never queues more helpers
 // than there are idle workers, and waits only for helpers that started.
 // So a search inside a pool task cannot deadlock a saturated pool.
+//
+// A pool may be shared by several owners, so it offers no "wait for
+// everything": an owner that must know its own tasks finished counts
+// them itself (StreamEngine's windows in flight, JobManager's jobs).
 #pragma once
 
 #include <condition_variable>
@@ -21,6 +26,7 @@ class ThreadPool {
  public:
   /// `threads` == 0 picks hardware_concurrency (min 1).
   explicit ThreadPool(std::size_t threads = 0);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,11 +48,8 @@ class ThreadPool {
   std::size_t submitToIdle(std::size_t max_tasks,
                            const std::function<void()>& task);
 
-  /// Block until every submitted task has finished.
-  void wait();
-
   /// Tasks submitted but not yet finished (queued + running) — the
-  /// utilization signal the stream lag collector samples.
+  /// admin server's connection backlog signal.
   std::size_t inFlight() const;
 
  private:
@@ -59,7 +62,6 @@ class ThreadPool {
   std::size_t head_ = 0;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
   bool shutting_down_ = false;
 };

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <string>
@@ -27,17 +28,18 @@
 namespace rap {
 namespace {
 
-/// Minimal blocking HTTP client: one request, whole response as text.
-std::string httpRequest(std::uint16_t port, const std::string& request) {
+/// Connects and sends `request` whole; returns the socket (-1 on
+/// failure) with the response unread.
+int sendRequest(std::uint16_t port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
   std::size_t sent = 0;
   while (sent < request.size()) {
@@ -46,6 +48,12 @@ std::string httpRequest(std::uint16_t port, const std::string& request) {
     if (n <= 0) break;
     sent += static_cast<std::size_t>(n);
   }
+  return fd;
+}
+
+/// Reads the whole response from a sendRequest socket and closes it.
+std::string readResponse(int fd) {
+  if (fd < 0) return "";
   std::string response;
   char buf[4096];
   for (;;) {
@@ -55,6 +63,11 @@ std::string httpRequest(std::uint16_t port, const std::string& request) {
   }
   ::close(fd);
   return response;
+}
+
+/// Minimal blocking HTTP client: one request, whole response as text.
+std::string httpRequest(std::uint16_t port, const std::string& request) {
+  return readResponse(sendRequest(port, request));
 }
 
 std::string httpGet(std::uint16_t port, const std::string& target) {
@@ -331,6 +344,57 @@ TEST(AdminServer, OversizedHeaderSectionIs431) {
                                      "\r\n\r\n")),
             431);
   EXPECT_EQ(statusOf(httpGet(server.port(), "/x")), 200);
+}
+
+TEST(AdminServer, BacklogFullIs503AndStopServesWhatWasAccepted) {
+  std::atomic<int> entered{0};
+  std::latch release(1);  // outlives the server, whose stop() needs it
+  obs::AdminServer::Options options;
+  options.workers = 1;
+  options.backlog = 1;
+  obs::AdminServer server(options);
+  server.handle("/block", [&](const obs::HttpRequest&) {
+    entered.fetch_add(1);
+    release.wait();
+    return obs::HttpResponse{200, "text/plain; charset=utf-8", "done\n", {}};
+  });
+  ASSERT_TRUE(server.start().isOk());
+  const std::string get = "GET /block HTTP/1.1\r\nHost: x\r\n\r\n";
+
+  // Connection 1 holds the only worker.
+  const int first = sendRequest(server.port(), get);
+  ASSERT_GE(first, 0);
+  for (int i = 0; i < 5000 && entered.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(entered.load(), 1);
+  // Connection 2 fills the backlog.  The acceptor takes connections in
+  // arrival order, so it is queued before connection 3 arrives; the
+  // pause only lets it leave the listen queue first.
+  const int second = sendRequest(server.port(), get);
+  EXPECT_GE(second, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::string third = httpRequest(server.port(), get);
+  EXPECT_EQ(statusOf(third), 503);
+  EXPECT_NE(bodyOf(third).find("\"code\":\"overloaded\""), std::string::npos)
+      << third;
+  EXPECT_NE(bodyOf(third).find("connection backlog full"), std::string::npos);
+
+  // stop() begins while connection 2 is still queued, and serves it.
+  std::thread stopper([&server] { server.stop(); });
+  for (int i = 0; i < 5000 && server.running(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(entered.load(), 1);  // connection 2 has not been served yet
+  release.count_down();
+  const std::string first_response = readResponse(first);
+  const std::string second_response = readResponse(second);
+  stopper.join();
+  EXPECT_EQ(statusOf(first_response), 200);
+  EXPECT_EQ(statusOf(second_response), 200);
+  EXPECT_EQ(bodyOf(second_response), "done\n");
+  EXPECT_EQ(entered.load(), 2);
 }
 
 TEST(AdminServer, StalledClientIs408NotAHungWorker) {

@@ -16,30 +16,14 @@ namespace rap {
 namespace {
 
 TEST(ThreadPool, RunsEverySubmittedTask) {
-  util::ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+  {
+    util::ThreadPool pool(4);
+    for (int i = 0; i < 200; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1); });
+    }
   }
-  pool.wait();
   EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  util::ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, WaitOnIdlePoolReturns) {
-  util::ThreadPool pool(2);
-  pool.wait();  // nothing submitted — must not block
-  SUCCEED();
 }
 
 TEST(ThreadPool, DestructorJoinsCleanly) {
@@ -49,7 +33,6 @@ TEST(ThreadPool, DestructorJoinsCleanly) {
     for (int i = 0; i < 50; ++i) {
       pool.submit([&counter] { counter.fetch_add(1); });
     }
-    pool.wait();
   }
   EXPECT_EQ(counter.load(), 50);
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -195,12 +196,16 @@ TEST(ParallelSearch, PoolTasksLocalizeThroughTheirOwnPool) {
     for (const std::size_t workers : {1u, 2u}) {
       util::ThreadPool pool(workers);
       std::vector<LocalizationResult> pooled(cases.size());
+      // A latch, not the pool's destructor: once shutdown begins,
+      // submitToIdle enlists no helper and the fan-out goes untested.
+      std::latch done(static_cast<std::ptrdiff_t>(cases.size()));
       for (std::size_t i = 0; i < cases.size(); ++i) {
-        pool.submit([&miner, &cases, &pooled, &pool, i] {
+        pool.submit([&miner, &cases, &pooled, &pool, &done, i] {
           pooled[i] = miner.localize(cases[i].table, 0, &pool);
+          done.count_down();
         });
       }
-      pool.wait();
+      done.wait();
       for (std::size_t i = 0; i < cases.size(); ++i) {
         SCOPED_TRACE(::testing::Message() << "workers=" << workers
                                           << " case=" << i);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <latch>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -30,6 +31,7 @@
 #include "stream/window.h"
 #include "svc/json_value.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace rap::stream {
 namespace {
@@ -771,6 +773,47 @@ TEST(StreamEngine, LocalizationMatchesBatchPipeline) {
     }
     EXPECT_EQ(got, expected[i]) << "window " << i;
   }
+}
+
+TEST(StreamEngine, EnginesSharingAPoolDrainOnlyTheirOwnWindows) {
+  // Two engines localize on one 2-worker pool and A's localization
+  // blocks.  B's drain waits for B's windows, not for the pool: a
+  // barrier on the whole pool would hang here.
+  util::ThreadPool pool(2);
+  std::atomic<int> a_entered{0};
+  std::latch release_a(1);  // outlives the engines, whose stop() needs it
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamConfig config = testConfig();
+  config.trigger = TriggerPolicy::kEveryWindow;
+  config.shared_pool = &pool;
+  StreamEngine a(schema, config);
+  StreamEngine b(schema, config);
+  EXPECT_EQ(a.localizeThreads(), 2u);
+  a.setLocalizationCallback([&](const StreamEngine::Localization&) {
+    a_entered.fetch_add(1);
+    release_a.wait();
+  });
+  a.start();
+  b.start();
+
+  // Epoch 1's events seal epoch 0, whose localization then blocks.
+  a.ingestBatch(healthyGrid(config.window_width, 2));
+  for (int i = 0; i < 5000 && a_entered.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(a_entered.load(), 1);
+
+  b.ingestBatch(healthyGrid(config.window_width, 3));
+  b.drain();
+  EXPECT_EQ(b.takeLocalizations().size(), 3u);
+  EXPECT_EQ(b.localizeInFlight(), 0u);
+  EXPECT_EQ(a.localizeInFlight(), 1u);
+
+  release_a.count_down();
+  a.stop();
+  EXPECT_EQ(a.localizeInFlight(), 0u);
+  EXPECT_EQ(a.takeLocalizations().size(), 2u);
+  b.stop();
 }
 
 // ---------------------------------------------------------------------------

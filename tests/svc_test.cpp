@@ -1212,7 +1212,7 @@ TEST(TenantCatalog, StreamingTenantIngestsThroughTheRouter) {
   const std::string spec_json =
       "{\"schema\":{\"builtin\":\"tiny\"},"
       "\"streaming\":{\"shards\":1,\"window_width\":60,"
-      "\"trigger\":\"every-window\",\"localize_threads\":1}}";
+      "\"trigger\":\"every-window\"}}";
   const auto doc = svc::JsonValue::parse(spec_json);
   ASSERT_TRUE(doc.isOk());
   auto spec = svc::parseTenantSpec(*doc, "edge");
@@ -1247,6 +1247,56 @@ TEST(TenantCatalog, StreamingTenantIngestsThroughTheRouter) {
   EXPECT_GE(engine->stats().windows_sealed, 1u);
 }
 
+/// The `Threads:` line of /proc/self/status: this process's threads.
+int processThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(TenantCatalog, StreamingTenantsAddOnlyShardAndSealerThreads) {
+  svc::DatasetCatalog catalog({.pool_threads = 2});
+  for (const int shards : {1, 3}) {
+    const std::string name = "s" + std::to_string(shards);
+    const auto doc = svc::JsonValue::parse(
+        "{\"schema\":{\"builtin\":\"tiny\"},\"streaming\":{\"shards\":" +
+        std::to_string(shards) + "}}");
+    ASSERT_TRUE(doc.isOk());
+    auto spec = svc::parseTenantSpec(*doc, name);
+    ASSERT_TRUE(spec.isOk()) << spec.status().toString();
+    const int before = processThreads();
+    ASSERT_GT(before, 0);
+    ASSERT_TRUE(catalog.put(std::move(spec.value())).isOk());
+    // One consumer per shard plus the sealer; localizations run on the
+    // catalog's pool.
+    EXPECT_EQ(processThreads(), before + shards + 1) << name;
+    EXPECT_EQ(catalog.find(name)->engine()->localizeThreads(),
+              catalog.pool().threadCount());
+  }
+}
+
+TEST(TenantSpec, PoolSizingKeysAreUnknownFields) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"{\"schema\":{\"builtin\":\"tiny\"},\"workers\":2}", "workers"},
+      {"{\"schema\":{\"builtin\":\"tiny\"},"
+       "\"streaming\":{\"localize_threads\":1}}",
+       "streaming.localize_threads"},
+  };
+  for (const auto& [spec_json, field] : cases) {
+    const auto doc = svc::JsonValue::parse(spec_json);
+    ASSERT_TRUE(doc.isOk());
+    const auto spec = svc::parseTenantSpec(*doc, "edge");
+    ASSERT_FALSE(spec.isOk()) << spec_json;
+    EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("'" + field + "': unknown field"),
+              std::string::npos)
+        << spec.status().message();
+  }
+}
+
 TEST(LocalizeService, BadLabelIsA400NamingTheRow) {
   const auto schema = dataset::Schema::tiny();
   svc::LocalizeService service(schema, core::RapMinerConfig{});
@@ -1272,7 +1322,7 @@ TEST(TenantCatalog, IngestUsesTheHardenedCsvTokenizer) {
   const auto doc = svc::JsonValue::parse(
       "{\"schema\":{\"builtin\":\"tiny\"},"
       "\"streaming\":{\"shards\":1,\"window_width\":60,"
-      "\"trigger\":\"every-window\",\"localize_threads\":1}}");
+      "\"trigger\":\"every-window\"}}");
   ASSERT_TRUE(doc.isOk());
   auto spec = svc::parseTenantSpec(*doc, "edge");
   ASSERT_TRUE(spec.isOk()) << spec.status().toString();
@@ -2046,7 +2096,6 @@ TEST_F(JournalDir, SupervisorRestartsCrashedEngineFromCheckpoint) {
   const std::string spec_json =
       "{\"schema\":{\"builtin\":\"tiny\"},"
       "\"streaming\":{\"shards\":1,\"window_width\":60,"
-      "\"localize_threads\":1,"
       "\"checkpoint_path\":\"" + checkpoint + "\"}}";
   const auto doc = svc::JsonValue::parse(spec_json);
   ASSERT_TRUE(doc.isOk());
@@ -2068,6 +2117,7 @@ TEST_F(JournalDir, SupervisorRestartsCrashedEngineFromCheckpoint) {
   event.f = 100.0;
   ASSERT_EQ(original->ingest(event).accepted, 1u);
   ASSERT_TRUE(original->checkpoint(checkpoint).isOk());
+  const int threads_before_crash = processThreads();
   original->stop();
 
   svc::EngineSupervisor supervisor(catalog, {.max_restarts = 3});
@@ -2081,6 +2131,11 @@ TEST_F(JournalDir, SupervisorRestartsCrashedEngineFromCheckpoint) {
   EXPECT_EQ(supervisor.stats().restarts, 1u);
   EXPECT_EQ(supervisor.stats().restores, 1u);  // seeded from the checkpoint
   EXPECT_FALSE(tenant->quarantined());
+  // The replacement is wired like the original: it localizes on the
+  // catalog's pool, so the restart brings back exactly the threads the
+  // crash took down.
+  EXPECT_EQ(restarted->localizeThreads(), catalog.pool().threadCount());
+  EXPECT_EQ(processThreads(), threads_before_crash);
 
   // A healthy sweep resets the failure budget (and the engine ingests).
   supervisor.sweepAt(t0 + std::chrono::seconds(1));
@@ -2092,8 +2147,7 @@ TEST(EngineSupervisor, QuarantinesACrashLoopingTenant) {
   svc::TenantRouter router(catalog);
   const std::string spec_json =
       "{\"schema\":{\"builtin\":\"tiny\"},"
-      "\"streaming\":{\"shards\":1,\"window_width\":60,"
-      "\"localize_threads\":1}}";
+      "\"streaming\":{\"shards\":1,\"window_width\":60}}";
   const auto doc = svc::JsonValue::parse(spec_json);
   auto spec = svc::parseTenantSpec(*doc, "flaky");
   ASSERT_TRUE(spec.isOk());
