@@ -211,13 +211,6 @@ std::optional<std::string> HttpRequest::queryParam(
   return std::nullopt;
 }
 
-std::int64_t HttpRequest::queryInt(const std::string& key,
-                                   std::int64_t fallback) const {
-  std::int64_t value = 0;
-  return queryIntStrict(key, &value) == QueryIntResult::kValid ? value
-                                                               : fallback;
-}
-
 HttpRequest::QueryIntResult HttpRequest::queryIntStrict(
     const std::string& key, std::int64_t* out) const {
   const auto raw = queryParam(key);

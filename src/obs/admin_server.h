@@ -73,9 +73,6 @@ struct HttpRequest {
   /// percent-decoding is intentionally not performed.
   std::optional<std::string> queryParam(const std::string& key) const;
 
-  /// Integer query parameter `key`, or `fallback` when absent/garbled.
-  std::int64_t queryInt(const std::string& key, std::int64_t fallback) const;
-
   /// Strict integer parse for endpoints that must reject garbage with
   /// 400 instead of silently falling back (the /tracez contract).
   enum class QueryIntResult { kAbsent, kValid, kInvalid };

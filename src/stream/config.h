@@ -61,8 +61,10 @@ struct StreamConfig {
   core::RapMinerConfig miner;
   /// Patterns kept per localization (RapMiner::localize's k).
   std::int32_t top_k = 5;
-  /// Workers of the pool a standalone engine owns; search never blocks
-  /// ingestion.  Unused when shared_pool is set.
+  /// Most windows the engine localizes at once, and the workers of the
+  /// pool a standalone engine owns; search never blocks ingestion.  On
+  /// a shared_pool it bounds the pool tasks this engine holds (the
+  /// catalog keeps the default).
   std::size_t localize_threads = 2;
   /// Localize on this externally owned pool instead of owning one (the
   /// multi-tenant catalog passes its shared pool).  The pool must

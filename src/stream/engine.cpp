@@ -38,12 +38,7 @@ StreamEngine::StreamEngine(dataset::Schema schema, StreamConfig config)
       quarantine_(config.quarantine_capacity),
       detector_(config.detect_threshold, config.detect_two_sided),
       miner_(minerConfigForStream(config)),
-      owned_pool_(config.shared_pool == nullptr
-                      ? std::make_unique<util::ThreadPool>(
-                            config.localize_threads)
-                      : nullptr),
-      pool_(config.shared_pool != nullptr ? config.shared_pool
-                                          : owned_pool_.get()) {
+      pool_(config.shared_pool) {
   RAP_CHECK(config_.shards >= 1);
   RAP_CHECK(config_.window_width >= 1);
   RAP_CHECK(config_.allowed_lateness >= 0);
@@ -128,6 +123,10 @@ void StreamEngine::setQuarantineCallback(
 void StreamEngine::start() {
   RAP_CHECK_MSG(!started_.load(), "engine started twice");
   RAP_CHECK_MSG(!stopped_.load(), "engine is terminal after stop()");
+  if (pool_ == nullptr) {
+    owned_pool_ = std::make_unique<util::ThreadPool>(config_.localize_threads);
+    pool_ = owned_pool_.get();
+  }
   for (auto& shard : shards_) shard->start();
   sealer_ = std::thread([this] { sealerLoop(); });
   start_time_ = std::chrono::steady_clock::now();
@@ -379,27 +378,47 @@ void StreamEngine::processWindow(SealedWindow window) {
   // search.  ThreadPool tasks must not throw — localize inputs were
   // validated at ingest, so the only throw paths left are injected
   // faults (and whatever a chaotic deployment surprises us with), which
-  // localizeWindow contains as counted failures.  The window counts as
-  // in flight until its result is delivered: drain() waits on that
-  // count, never on the pool, which other tenants may share.
+  // localizeWindow contains as counted failures.
   // Start the sealer -> localize-pool flow while still inside the seal
   // span: the arrow leaves this slice and lands on the pool worker's
   // localize slice, completing the window's cross-thread lane.
   obs::traceFlow('s', kWindowFlowName, windowFlowId(window.epoch, 0),
                  {{"epoch", window.epoch}});
-  Localization out{window.epoch, window.start_ts, window.end_ts,
-                   table.size(),  flagged,         alarmed,
-                   {}};
+  PendingWindow pending{{window.epoch, window.start_ts, window.end_ts,
+                         table.size(), flagged, alarmed, {}},
+                        std::move(table),
+                        window.first_seen};
   {
     std::lock_guard<std::mutex> lock(results_mutex_);
     ++windows_in_flight_;
+    if (windows_on_pool_ == config_.localize_threads) {
+      waiting_windows_.push_back(std::move(pending));
+      return;
+    }
+    ++windows_on_pool_;
   }
-  pool_->submit([this, out = std::move(out), first_seen = window.first_seen,
-                 table = std::move(table)]() mutable {
-    const bool localized = localizeWindow(out, table, first_seen);
-    std::lock_guard<std::mutex> lock(results_mutex_);
-    if (localized) results_.push_back(std::move(out));
+  submitWindow(std::move(pending));
+}
+
+void StreamEngine::submitWindow(PendingWindow window) {
+  // The task that delivers a window submits the next waiting one, which
+  // queues behind whatever other owners of the pool submitted since: a
+  // backlog of this engine's windows never holds more than
+  // localize_threads of the pool's tasks, so it cannot starve them.
+  pool_->submit([this, window = std::move(window)]() mutable {
+    const bool localized =
+        localizeWindow(window.out, window.table, window.first_seen);
+    std::unique_lock<std::mutex> lock(results_mutex_);
+    if (localized) results_.push_back(std::move(window.out));
     if (--windows_in_flight_ == 0) localized_cv_.notify_all();
+    if (waiting_windows_.empty()) {
+      --windows_on_pool_;
+      return;
+    }
+    PendingWindow next = std::move(waiting_windows_.front());
+    waiting_windows_.pop_front();
+    lock.unlock();
+    submitWindow(std::move(next));
   });
 }
 

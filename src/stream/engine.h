@@ -21,7 +21,11 @@
 //   * threads: one consumer per shard plus the sealer.  Localizations
 //     run on StreamConfig::shared_pool when set (the catalog's pool,
 //     shared with other tenants' jobs and engines), else on a pool of
-//     localize_threads workers the engine owns.
+//     localize_threads workers the engine owns (made by start()).  At
+//     most localize_threads of the engine's windows are submitted to
+//     the pool at once; later ones wait in the engine and each finished
+//     window submits the next, so a backlog takes its turn with the
+//     pool's other owners instead of queueing ahead of them.
 //   * ingest/ingestBatch: any thread, concurrently.
 //   * drain/checkpoint/stop: one control thread; quiesce producers
 //     first — events racing a drain may be counted late and dropped.
@@ -39,6 +43,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -210,7 +215,13 @@ class StreamEngine {
 
   /// Workers of the pool this engine localizes on (shared or owned).
   std::size_t localizeThreads() const noexcept {
-    return pool_->threadCount();
+    return pool_ != nullptr ? pool_->threadCount() : config_.localize_threads;
+  }
+
+  /// Tasks of every owner queued or running on that pool: once it
+  /// reaches localizeThreads(), this engine's next window waits.
+  std::size_t localizePoolInFlight() const {
+    return pool_ != nullptr ? pool_->inFlight() : 0;
   }
 
   /// steady_clock point of start(); epoch value before the engine starts.
@@ -252,6 +263,13 @@ class StreamEngine {
   void onShardProgress();
   void sealerLoop();
   void processWindow(SealedWindow window);
+  /// A window dispatched for localization, with the snapshot it runs on.
+  struct PendingWindow {
+    Localization out;
+    dataset::LeafTable table;
+    std::chrono::steady_clock::time_point first_seen;
+  };
+  void submitWindow(PendingWindow window);
   /// Runs one window's search on a pool worker and fills `out`; false
   /// when it failed (counted and logged, nothing to deliver).
   bool localizeWindow(Localization& out, const dataset::LeafTable& table,
@@ -278,9 +296,9 @@ class StreamEngine {
   detect::RelativeDeviationDetector detector_;
   core::RapMiner miner_;
   std::unique_ptr<alarm::AlarmManager> alarm_;  ///< sealer thread only
-  /// Null when config.shared_pool is set.
+  /// Made by start() unless config.shared_pool is set.
   std::unique_ptr<util::ThreadPool> owned_pool_;
-  util::ThreadPool* const pool_;  ///< shared_pool or owned_pool_
+  util::ThreadPool* pool_;  ///< shared_pool, or owned_pool_ from start()
   /// Background gauge sampler, owned iff
   /// config.lag_sample_interval_seconds > 0 (see stream/lag_collector.h).
   std::unique_ptr<PipelineLagCollector> lag_collector_;
@@ -307,9 +325,14 @@ class StreamEngine {
 
   mutable std::mutex results_mutex_;
   std::vector<Localization> results_;
-  /// Windows handed to pool_ and not yet delivered; guarded by
+  /// Windows dispatched and not yet delivered; guarded by
   /// results_mutex_, signalled on localized_cv_ when it reaches 0.
   std::size_t windows_in_flight_ = 0;
+  /// Of those, the ones submitted to pool_ (at most localize_threads)
+  /// and the ones waiting for a slot, oldest first; guarded by
+  /// results_mutex_.
+  std::size_t windows_on_pool_ = 0;
+  std::deque<PendingWindow> waiting_windows_;
   std::condition_variable localized_cv_;
 
   WindowCallback window_cb_;

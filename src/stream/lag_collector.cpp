@@ -96,11 +96,12 @@ void PipelineLagCollector::sampleOnce() {
   queue_depth_->set(static_cast<double>(stats.queue_depth));
   watermark_->set(static_cast<double>(stats.watermark));
 
-  const std::size_t in_flight = engine_.localizeInFlight();
+  // Utilization is the pool's own load, other owners' tasks included:
+  // it reads 1 whenever this engine's next window would wait.
   const std::size_t workers = std::max<std::size_t>(1, engine_.localizeThreads());
-  pool_in_flight_->set(static_cast<double>(in_flight));
+  pool_in_flight_->set(static_cast<double>(engine_.localizeInFlight()));
   pool_utilization_->set(
-      std::min(1.0, static_cast<double>(in_flight) /
+      std::min(1.0, static_cast<double>(engine_.localizePoolInFlight()) /
                         static_cast<double>(workers)));
 
   samples_.fetch_add(1, std::memory_order_relaxed);

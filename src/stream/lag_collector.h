@@ -10,9 +10,11 @@
 //                                         (< window width while sealing
 //                                         keeps up; grows on a stall)
 //   rap_stream_shard_queue_depth{shard=i} per-shard buffered events
-//   rap_stream_localize_pool_in_flight    localizations queued + running
-//   rap_stream_localize_pool_utilization  in_flight / worker count,
-//                                         saturates at 1.0
+//   rap_stream_localize_pool_in_flight    this engine's windows queued
+//                                         or localizing
+//   rap_stream_localize_pool_utilization  tasks of every owner on the
+//                                         pool / its workers, saturates
+//                                         at 1.0
 //
 // It also refreshes the engine's own rap_stream_queue_depth and
 // rap_stream_watermark gauges, which the hot path only updates when

@@ -5,7 +5,8 @@
 //   * a shared util::ThreadPool that every tenant's JobManager draws
 //     workers from (per-tenant `max_active` quotas bound how much of it
 //     one tenant may hold at once) and every streaming tenant's engine
-//     localizes its windows on, and
+//     localizes its windows on (at most StreamConfig::localize_threads
+//     of one engine's windows at once), and
 //   * a name -> Tenant map, where each Tenant bundles the
 //     LocalizeService (jobs + result cache, labeled {tenant="<name>"})
 //     and, for streaming tenants, a running StreamEngine fed by

@@ -816,6 +816,64 @@ TEST(StreamEngine, EnginesSharingAPoolDrainOnlyTheirOwnWindows) {
   b.stop();
 }
 
+TEST(StreamEngine, WindowBacklogOnASharedPoolTakesTurnsWithOtherTasks) {
+  // One engine floods a 2-worker pool with windows while another owner
+  // submits one task.  Only localize_threads windows sit on the pool at
+  // once, so the task runs while the backlog is still waiting.  Windows
+  // past the first two block until it has run: had the whole backlog
+  // queued ahead of it, they would hold both workers until the deadline.
+  util::ThreadPool pool(2);
+  constexpr int kWindows = 20;
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamConfig config = testConfig();
+  config.trigger = TriggerPolicy::kEveryWindow;
+  config.shared_pool = &pool;
+  std::latch release(1);
+  std::atomic<int> delivered{0};
+  std::atomic<bool> task_ran{false};
+  std::atomic<bool> starved{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  StreamEngine engine(schema, config);
+  engine.setLocalizationCallback([&](const StreamEngine::Localization&) {
+    release.wait();
+    if (delivered.fetch_add(1) < 2) return;
+    while (!task_ran.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        starved.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  engine.start();
+
+  // kWindows + 1 epochs seal kWindows windows, all dispatched while the
+  // first two block on the latch.
+  engine.ingestBatch(healthyGrid(config.window_width, kWindows + 1));
+  for (int i = 0; i < 5000 && engine.localizeInFlight() < kWindows; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(engine.localizeInFlight(), static_cast<std::size_t>(kWindows));
+  EXPECT_EQ(pool.inFlight(), 2u);
+
+  std::atomic<std::size_t> waiting_at_task{0};
+  std::latch task_done(1);
+  pool.submit([&] {
+    waiting_at_task.store(engine.localizeInFlight());
+    task_ran.store(true);
+    task_done.count_down();
+  });
+  release.count_down();
+  task_done.wait();
+  engine.stop();
+  EXPECT_FALSE(starved.load());
+  EXPECT_GE(waiting_at_task.load(), static_cast<std::size_t>(kWindows - 2));
+  // stop() drains the open epoch too.
+  EXPECT_EQ(engine.takeLocalizations().size(),
+            static_cast<std::size_t>(kWindows + 1));
+}
+
 // ---------------------------------------------------------------------------
 // Engine: concurrency hammer (the ThreadSanitizer target).
 
