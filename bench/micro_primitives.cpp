@@ -22,9 +22,9 @@
 // columns are reserved up front, and nothing is allocated per row or
 // per field (docs/service.md, "Snapshot decoding").  Last, it drives a
 // warm window through the stream sealer's data path (4 sorted shard
-// fragments merged by the WindowAssembler, popped, its packed leaf
-// keys appended to a table) at 1k and at 9k rows and fails unless both make the same
-// number of heap allocations: nothing per row (docs/streaming.md).
+// fragments collected by the WindowAssembler, popped, merged into a
+// table) at 1k and at 9k rows and fails unless both make the same number
+// of heap allocations, at most 13: nothing per row (docs/streaming.md).
 // The probe's replacement operator new/delete are compiled into this
 // binary only (see src/util/alloc_probe.h).
 #include <benchmark/benchmark.h>
@@ -51,6 +51,7 @@
 #include "mining/fpgrowth.h"
 #include "obs/metrics.h"
 #include "stats/histogram.h"
+#include "stream/shard.h"
 #include "stream/window.h"
 #include "svc/snapshot.h"
 #include "util/alloc_probe.h"
@@ -438,20 +439,35 @@ void BM_ParseKpiText(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseKpiText);
 
-void BM_SealedTable(benchmark::State& state) {
-  // The sealer's table build on a ~9k-event cdn window: the rapmd case's
-  // rows as packed leaf keys in canonical order, appended key by key.
+/// The sealer's input for the ~9k-event cdn window: the rapmd case's
+/// rows routed into `shards` fragments as ingest routes them, each
+/// fragment sorted as its shard sorts it.
+std::vector<std::vector<stream::LeafEvent>> cdnWindowFragments(
+    std::size_t shards) {
   const auto& table = rapmdCase().table;
-  std::vector<stream::LeafEvent> events;
-  for (dataset::RowId r = 0; r < table.size(); ++r) {
-    events.push_back({table.key(r), 0, table.v(r), table.f(r)});
+  std::vector<std::vector<stream::LeafEvent>> fragments(shards);
+  for (const dataset::LeafRow& row : table.rows()) {
+    fragments[stream::shardOf(row.ac, shards)].push_back(
+        {table.schema().pack(row.ac.slots()), 0, row.v, row.f});
   }
-  std::sort(events.begin(), events.end(), stream::canonicalLess);
+  for (auto& fragment : fragments) {
+    std::sort(fragment.begin(), fragment.end(), stream::canonicalLess);
+  }
+  return fragments;
+}
+
+void BM_SealedTable(benchmark::State& state) {
+  // The sealer's seal of a ~9k-event cdn window: the k-way merge of its
+  // 4 sorted shard fragments straight into the table's columns.
+  const auto fragments = cdnWindowFragments(4);
+  const dataset::Schema& schema = rapmdCase().table.schema();
+  std::size_t rows = 0;
+  for (const auto& fragment : fragments) rows += fragment.size();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(stream::sealedTable(table.schema(), events));
+    benchmark::DoNotOptimize(stream::sealedTable(schema, fragments));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(events.size()));
+                          static_cast<std::int64_t>(rows));
 }
 BENCHMARK(BM_SealedTable);
 
@@ -664,8 +680,9 @@ int assertPooledSearchAllocs() {
 
 /// Heap allocations of one warm window of `rows` cdn leaves through the
 /// sealer's data path: 4 sorted fragments contributed, the window
-/// popped, its table filled.  The fragments are copied before the probe
-/// is armed, as shards hand theirs over already built.
+/// popped, its fragments merged into its table.  The fragments are
+/// copied before the probe is armed, as shards hand theirs over already
+/// built.
 std::uint64_t windowAssemblyAllocs(std::size_t rows) {
   const dataset::Schema schema = dataset::Schema::cdn();
   constexpr std::int32_t kShards = 4;
@@ -691,7 +708,7 @@ std::uint64_t windowAssemblyAllocs(std::size_t rows) {
       assembler.sealShardUpTo(shard, epoch);
     }
     auto window = assembler.popReady();
-    const auto table = stream::sealedTable(schema, window->rows);
+    const auto table = stream::sealedTable(schema, window->fragments);
     benchmark::DoNotOptimize(table.size());
     if (epoch == 1) allocs = util::allocProbeDisarm();
   }
@@ -699,16 +716,25 @@ std::uint64_t windowAssemblyAllocs(std::size_t rows) {
 }
 
 /// The window-assembly half of --assert-zero-alloc: the same allocation
-/// count at 1k and at 9k rows, so nothing is allocated per row.
+/// count at 1k and at 9k rows, so nothing is allocated per row, and at
+/// most 13 in all.
 int assertWindowAssemblyAllocs() {
+  constexpr std::uint64_t budget = 13;
   const std::uint64_t small = windowAssemblyAllocs(1000);
   const std::uint64_t large = windowAssemblyAllocs(9000);
   std::printf("window assembly alloc check: %llu heap allocations at 1000 "
-              "rows, %llu at 9000 rows (4 fragments -> merge -> table)\n",
+              "rows, %llu at 9000 rows (4 fragments -> merge -> table), "
+              "budget %llu\n",
               static_cast<unsigned long long>(small),
-              static_cast<unsigned long long>(large));
+              static_cast<unsigned long long>(large),
+              static_cast<unsigned long long>(budget));
   if (small != large) {
     std::fprintf(stderr, "FAIL: window assembly allocates per row\n");
+    return 1;
+  }
+  if (large > budget) {
+    std::fprintf(stderr, "FAIL: window assembly exceeds its allocation "
+                         "budget\n");
     return 1;
   }
   std::printf("OK: window assembly allocates nothing per row\n");

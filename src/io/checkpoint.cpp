@@ -132,12 +132,16 @@ util::Result<StreamCheckpoint> loadStreamCheckpoint(const std::string& path) {
   }
 
   while (nextLine()) {
-    if (line == "end") return checkpoint;
+    if (line == "end") {
+      // A file cut just before the trailer's newline is cut all the same.
+      if (file.eof()) return parseError(path, line_no, "truncated 'end'");
+      return checkpoint;
+    }
     std::istringstream in(line);
     std::string key;
     std::int64_t shard = 0;
     std::int64_t epoch = 0;
-    std::uint64_t row_count = 0;
+    std::int64_t row_count = 0;
     in >> key >> shard >> epoch >> row_count;
     if (key != "fragment" || in.fail()) {
       return parseError(path, line_no, "expected 'fragment' or 'end'");
@@ -145,11 +149,15 @@ util::Result<StreamCheckpoint> loadStreamCheckpoint(const std::string& path) {
     if (shard < -1 || shard >= checkpoint.shards) {
       return parseError(path, line_no, "fragment shard out of range");
     }
+    if (row_count < 0) {
+      return parseError(path, line_no, "negative fragment row count");
+    }
+    // The count is outside input: rows are appended as they parse, never
+    // reserved from it, so a hostile count fails on the missing rows.
     StreamCheckpoint::Fragment fragment;
     fragment.shard = static_cast<std::int32_t>(shard);
     fragment.epoch = epoch;
-    fragment.rows.reserve(row_count);
-    for (std::uint64_t r = 0; r < row_count; ++r) {
+    for (std::int64_t r = 0; r < row_count; ++r) {
       if (!nextLine()) {
         return parseError(path, line_no, "truncated fragment rows");
       }

@@ -84,6 +84,7 @@ std::string renderStatusz(const StreamEngine& engine,
   w.field("localizations", stats.localizations);
   w.field("localizations_degraded", stats.localizations_degraded);
   w.field("localize_failures", stats.localize_failures);
+  w.field("localizations_overflowed", stats.localizations_overflowed);
   w.field("queue_depth", stats.queue_depth);
   timestamp("watermark", stats.watermark);
   w.endObject();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "dataset/cuboid.h"
@@ -73,6 +74,8 @@ StreamEngine::StreamEngine(dataset::Schema schema, StreamConfig config)
       &reg.counter("rap_stream_localizations_degraded_total", labels);
   metrics_.localize_failures =
       &reg.counter("rap_stream_localize_failures_total", labels);
+  metrics_.localizations_overflowed =
+      &reg.counter("rap_stream_localizations_overflowed_total", labels);
   metrics_.queue_depth = &reg.gauge("rap_stream_queue_depth", labels);
   metrics_.watermark = &reg.gauge("rap_stream_watermark", labels);
   metrics_.seal_seconds =
@@ -177,7 +180,6 @@ PushResult StreamEngine::ingestBatch(std::vector<StreamEvent> events) {
     total.dropped_newest = events.size();
   } else {
     std::vector<std::vector<LeafEvent>> parts(shards_.size());
-    dataset::AcHash hasher;
     for (auto& event : events) {
       if (const char* reason =
               invalidReason(event.leaf.slots(), event.v, event.f)) {
@@ -188,7 +190,7 @@ PushResult StreamEngine::ingestBatch(std::vector<StreamEvent> events) {
       }
       // Routing hashes the combination, as it always has; from here on
       // the leaf travels as its packed key.
-      const std::size_t shard = hasher(event.leaf) % shards_.size();
+      const std::size_t shard = shardOf(event.leaf, shards_.size());
       parts[shard].push_back(LeafEvent{schema_.pack(event.leaf.slots()),
                                        event.ts, event.v, event.f});
     }
@@ -325,7 +327,7 @@ void StreamEngine::processWindow(SealedWindow window) {
   util::WallTimer timer;
   RAP_TRACE_SPAN("stream/seal_window",
                  {{"epoch", window.epoch},
-                  {"rows", static_cast<std::int64_t>(window.rows.size())}});
+                  {"rows", static_cast<std::int64_t>(window.rowCount())}});
   if (obs::tracingEnabled()) {
     // Terminate each contributing shard's seal -> sealer flow inside
     // this span, so Perfetto draws one arrow per fragment converging on
@@ -337,8 +339,9 @@ void StreamEngine::processWindow(SealedWindow window) {
                      {{"epoch", window.epoch}, {"shard", shard}});
     }
   }
-  // The assembler released the rows in canonical order already.
-  dataset::LeafTable table = sealedTable(schema_, window.rows);
+  // One k-way merge of the shards' sorted fragments, straight into the
+  // table's columns.
+  dataset::LeafTable table = sealedTable(schema_, window.fragments);
 
   const std::uint32_t flagged = detector_.run(table);
   bool alarmed = false;
@@ -409,7 +412,7 @@ void StreamEngine::submitWindow(PendingWindow window) {
     const bool localized =
         localizeWindow(window.out, window.table, window.first_seen);
     std::unique_lock<std::mutex> lock(results_mutex_);
-    if (localized) results_.push_back(std::move(window.out));
+    if (localized) keepLocalizationLocked(std::move(window.out));
     if (--windows_in_flight_ == 0) localized_cv_.notify_all();
     if (waiting_windows_.empty()) {
       --windows_on_pool_;
@@ -420,6 +423,20 @@ void StreamEngine::submitWindow(PendingWindow window) {
     lock.unlock();
     submitWindow(std::move(next));
   });
+}
+
+void StreamEngine::keepLocalizationLocked(Localization out) {
+  if (results_.size() == kMaxUntakenLocalizations) {
+    results_.pop_front();
+    if (localizations_overflowed_.fetch_add(1, std::memory_order_relaxed) ==
+        0) {
+      RAP_LOG_KV(Warn, {"kept", static_cast<std::int64_t>(
+                                    kMaxUntakenLocalizations)})
+          << "untaken localizations overflowed: evicting the oldest";
+    }
+    if (obs::metricsEnabled()) metrics_.localizations_overflowed->increment();
+  }
+  results_.push_back(std::move(out));
 }
 
 bool StreamEngine::localizeWindow(
@@ -687,6 +704,8 @@ StreamStats StreamEngine::stats() const {
       localizations_degraded_.load(std::memory_order_relaxed);
   stats.localize_failures =
       localize_failures_.load(std::memory_order_relaxed);
+  stats.localizations_overflowed =
+      localizations_overflowed_.load(std::memory_order_relaxed);
   stats.queue_depth = counters_.queued.load(std::memory_order_relaxed);
   stats.watermark = watermark_.watermark();
   return stats;
@@ -709,11 +728,13 @@ std::vector<QuarantinedEvent> StreamEngine::takeQuarantined() {
 }
 
 std::vector<StreamEngine::Localization> StreamEngine::takeLocalizations() {
-  std::vector<Localization> out;
+  std::deque<Localization> taken;
   {
     std::lock_guard<std::mutex> lock(results_mutex_);
-    out.swap(results_);
+    taken.swap(results_);
   }
+  std::vector<Localization> out(std::make_move_iterator(taken.begin()),
+                                std::make_move_iterator(taken.end()));
   std::sort(out.begin(), out.end(),
             [](const Localization& a, const Localization& b) {
               return a.epoch < b.epoch;

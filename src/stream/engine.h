@@ -4,10 +4,11 @@
 //   (validate, encode                        │ watermark seals: each shard
 //    StreamEvent -> LeafEvent)               │ sorts its fragment
 //                                            v
-//                                     WindowAssembler (merges)
-//                                            │ canonical windows, epoch order
+//                                     WindowAssembler (collects)
+//                                            │ fragment lists, epoch order
 //                                            v
-//              sealer thread: detect -> aggregate alarm -> trigger
+//              sealer thread: k-way merge -> table -> detect
+//                             -> aggregate alarm -> trigger
 //                                            │ snapshot on trigger
 //                                            v
 //                 localize pool: RapMiner::localize (never blocks
@@ -96,6 +97,11 @@ struct StreamStats {
   std::uint64_t localizations_degraded = 0;
   /// Localize tasks that failed outright (injected fault / exception).
   std::uint64_t localize_failures = 0;
+  /// Finished localizations evicted, oldest first, because more than
+  /// StreamEngine::kMaxUntakenLocalizations were waiting for
+  /// takeLocalizations() (each was still counted in `localizations` and
+  /// handed to the localization callback).
+  std::uint64_t localizations_overflowed = 0;
   std::int64_t queue_depth = 0;  ///< events buffered across all shards
   std::int64_t watermark = WatermarkTracker::kNone;
 };
@@ -124,6 +130,11 @@ class StreamEngine {
     bool alarmed = false;
     core::LocalizationResult result;
   };
+
+  /// Finished localizations kept for takeLocalizations(): the newest this
+  /// many, so an engine whose results nobody takes (a served tenant
+  /// reports through callbacks and metrics) holds a bounded amount.
+  static constexpr std::size_t kMaxUntakenLocalizations = 4096;
 
   using WindowCallback = std::function<void(const WindowInfo&)>;
   using LocalizationCallback = std::function<void(const Localization&)>;
@@ -183,7 +194,8 @@ class StreamEngine {
 
   StreamStats stats() const;
 
-  /// Moves out the localizations finished so far, sorted by epoch.
+  /// Moves out the localizations finished so far (the newest
+  /// kMaxUntakenLocalizations of them), sorted by epoch.
   std::vector<Localization> takeLocalizations();
 
   /// Moves out the quarantined records buffered so far, oldest first.
@@ -243,6 +255,7 @@ class StreamEngine {
     obs::Counter* localizations = nullptr;
     obs::Counter* localizations_degraded = nullptr;
     obs::Counter* localize_failures = nullptr;
+    obs::Counter* localizations_overflowed = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* watermark = nullptr;
     obs::Histogram* seal_seconds = nullptr;
@@ -274,6 +287,9 @@ class StreamEngine {
   /// when it failed (counted and logged, nothing to deliver).
   bool localizeWindow(Localization& out, const dataset::LeafTable& table,
                       std::chrono::steady_clock::time_point first_seen);
+  /// Appends a delivered localization to results_, evicting the oldest
+  /// past kMaxUntakenLocalizations; results_mutex_ held.
+  void keepLocalizationLocked(Localization out);
   /// Blocks until windows_in_flight_ is 0.
   void awaitLocalizations();
   bool allShardsAcked(std::uint64_t token) const;
@@ -310,6 +326,7 @@ class StreamEngine {
   std::atomic<std::uint64_t> localizations_{0};
   std::atomic<std::uint64_t> localizations_degraded_{0};
   std::atomic<std::uint64_t> localize_failures_{0};
+  std::atomic<std::uint64_t> localizations_overflowed_{0};
   std::atomic<std::int64_t> last_broadcast_epoch_{WatermarkTracker::kNone};
 
   std::thread sealer_;
@@ -324,7 +341,7 @@ class StreamEngine {
   std::atomic<std::uint64_t> snapshot_token_{0};
 
   mutable std::mutex results_mutex_;
-  std::vector<Localization> results_;
+  std::deque<Localization> results_;  ///< delivery order, bounded
   /// Windows dispatched and not yet delivered; guarded by
   /// results_mutex_, signalled on localized_cv_ when it reaches 0.
   std::size_t windows_in_flight_ = 0;

@@ -9,7 +9,7 @@
 // WindowAssembler, and drops events that arrive for epochs it has
 // already sealed (counted, never silent).  Each fragment is sorted into
 // canonical order (canonicalLess) on this thread before it is handed
-// over, so the assembler only merges and the sealer never sorts.
+// over, so the sealer only merges and never sorts.
 #pragma once
 
 #include <atomic>
@@ -54,6 +54,13 @@ struct ShardState {
   std::int64_t sealed_up_to = WatermarkTracker::kNone;
   std::map<std::int64_t, std::vector<LeafEvent>> open;
 };
+
+/// The shard of `shards` an ingested leaf is routed to; every event of
+/// one leaf goes to the same shard.
+inline std::size_t shardOf(const dataset::AttributeCombination& leaf,
+                           std::size_t shards) noexcept {
+  return dataset::AcHash{}(leaf) % shards;
+}
 
 class Shard {
  public:

@@ -9,9 +9,16 @@
 // in strictly increasing epoch order, which is what keeps the
 // aggregate-KPI alarm's seasonal phase arithmetic honest downstream.
 //
-// Fragments arrive sorted in canonical order (canonicalLess); the
-// assembler merges each one into the epoch's pending rows, so a released
-// window is already canonical and the sealer only decodes it.
+// Fragments arrive sorted in canonical order (canonicalLess).  The
+// assembler only keeps them, in contribution order, so a shard's hand-off
+// costs O(1) under its lock; the sealer merges a released window's
+// fragments once, k-way, straight into the window's table (sealedTable).
+//
+//   shard 0 ─ sorted fragment ─┐
+//   shard 1 ─ sorted fragment ─┼─> WindowAssembler ─ popReady ─> sealer:
+//     ...                      │   (appends per epoch)   sealedTable =
+//   shard k-1 ─ sorted frag. ──┘                         loser-tree merge
+//                                                        -> LeafTable
 #pragma once
 
 #include <chrono>
@@ -32,7 +39,9 @@ struct SealedWindow {
   std::int64_t epoch = 0;
   std::int64_t start_ts = 0;  ///< inclusive
   std::int64_t end_ts = 0;    ///< exclusive
-  std::vector<LeafEvent> rows;  ///< merged shard fragments, canonical order
+  /// The contributed fragments in contribution order, each in canonical
+  /// order; sealedTable merges them.
+  std::vector<std::vector<LeafEvent>> fragments;
   /// Shard ids that contributed fragments, ascending; -1 entries come
   /// from checkpoint-restored fragments whose origin is gone.  The
   /// sealer terminates each shard's trace flow against this list.
@@ -40,6 +49,8 @@ struct SealedWindow {
   /// Wall clock of the first fragment contribution for this epoch — the
   /// start of the rap_stream_window_e2e_seconds pipeline-latency clock.
   std::chrono::steady_clock::time_point first_seen{};
+
+  std::size_t rowCount() const noexcept;
 };
 
 /// Trace-flow id for one window's hop between pipeline stages.  Lane 0
@@ -66,11 +77,12 @@ class WindowAssembler {
   WindowAssembler(const WindowAssembler&) = delete;
   WindowAssembler& operator=(const WindowAssembler&) = delete;
 
-  /// Merges one shard's fragment for `epoch`, which must be sorted by
-  /// canonicalLess, into the epoch's pending rows.  Must happen before
-  /// that shard seals past the epoch.  `shard` identifies the
-  /// contributor for trace correlation; pass -1 for fragments restored
-  /// from a checkpoint (their producing shard no longer exists).
+  /// Appends one shard's fragment for `epoch`, which must be sorted by
+  /// canonicalLess, to the epoch's pending fragments; nothing is merged
+  /// here.  Must happen before that shard seals past the epoch.  `shard`
+  /// identifies the contributor for trace correlation; pass -1 for
+  /// fragments restored from a checkpoint (their producing shard no
+  /// longer exists).
   void contribute(std::int32_t shard, std::int64_t epoch,
                   std::vector<LeafEvent> rows);
 
@@ -88,13 +100,13 @@ class WindowAssembler {
   /// while any shard has not sealed anything yet).
   std::int64_t sealedUpTo() const;
 
-  /// Copy of every pending (partially sealed) epoch's rows, canonical
-  /// order, for checkpoints.
+  /// Every pending (partially sealed) epoch's fragments merged into one
+  /// canonical run, as sealedTable orders them, for checkpoints.
   std::map<std::int64_t, std::vector<LeafEvent>> snapshotPending() const;
 
  private:
   struct Pending {
-    std::vector<LeafEvent> rows;  ///< canonical order
+    std::vector<std::vector<LeafEvent>> fragments;  ///< contribution order
     std::vector<std::int32_t> contributors;
     std::chrono::steady_clock::time_point first_seen{};
   };
@@ -108,9 +120,14 @@ class WindowAssembler {
   std::vector<std::int64_t> shard_sealed_;  ///< per shard, kNone initially
 };
 
-/// The leaf table of a sealed window's rows, in their order: each packed
-/// leaf key appended as it is, every verdict false until detection runs.
-dataset::LeafTable sealedTable(const dataset::Schema& schema,
-                               std::span<const LeafEvent> rows);
+/// The leaf table of a sealed window: its sorted fragments merged into
+/// canonical order, ties going to the earlier fragment (so the rows are
+/// std::stable_sort of the fragments' concatenation), each packed leaf
+/// key appended as it is, every verdict false until detection runs.
+/// The merge is a loser tree: ceil(log2 k) comparisons per row for k
+/// fragments.
+dataset::LeafTable sealedTable(
+    const dataset::Schema& schema,
+    std::span<const std::vector<LeafEvent>> fragments);
 
 }  // namespace rap::stream

@@ -735,6 +735,75 @@ TEST_F(TempDir, CheckpointRejectsTruncation) {
   EXPECT_FALSE(loadStreamCheckpoint(path("chk")).isOk());
 }
 
+std::string checkpointBytes(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeCheckpointBytes(const std::string& file, std::string_view bytes) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+TEST_F(TempDir, CheckpointRejectsHostileRowCounts) {
+  ASSERT_TRUE(saveStreamCheckpoint(sampleCheckpoint(), path("chk")).isOk());
+  const std::string text = checkpointBytes(path("chk"));
+  const std::string header = "fragment 0 6 1\n";
+  const std::size_t at = text.find(header);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* count : {"-1", "1000000000000"}) {
+    SCOPED_TRACE(count);
+    std::string hostile = text;
+    hostile.replace(at, header.size(),
+                    std::string("fragment 0 0 ") + count + "\n");
+    writeCheckpointBytes(path("hostile"), hostile);
+    const auto loaded = loadStreamCheckpoint(path("hostile"));
+    ASSERT_FALSE(loaded.isOk());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(TempDir, CheckpointRejectsEveryTruncation) {
+  ASSERT_TRUE(saveStreamCheckpoint(sampleCheckpoint(), path("chk")).isOk());
+  const std::string text = checkpointBytes(path("chk"));
+  ASSERT_TRUE(loadStreamCheckpoint(path("chk")).isOk());
+  // The 'end' trailer is required, so every cut short of the whole file
+  // is refused, whatever line it falls in.
+  for (std::size_t cut = 0; cut < text.size(); ++cut) {
+    writeCheckpointBytes(path("cut"), std::string_view(text).substr(0, cut));
+    const auto loaded = loadStreamCheckpoint(path("cut"));
+    ASSERT_FALSE(loaded.isOk()) << "cut " << cut;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << "cut " << cut;
+  }
+}
+
+TEST_F(TempDir, CheckpointByteMutantsLoadOrFailCleanly) {
+  ASSERT_TRUE(saveStreamCheckpoint(sampleCheckpoint(), path("chk")).isOk());
+  const std::string text = checkpointBytes(path("chk"));
+  std::size_t refused = 0;
+  std::size_t loaded_ok = 0;
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (const char mutant : {'-', '9', ' ', '\n', '\0', 'x'}) {
+      if (text[at] == mutant) continue;
+      std::string bytes = text;
+      bytes[at] = mutant;
+      writeCheckpointBytes(path("mutant"), bytes);
+      const auto loaded = loadStreamCheckpoint(path("mutant"));
+      if (loaded.isOk()) {
+        ++loaded_ok;
+        continue;
+      }
+      EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+          << "byte " << at << " -> " << static_cast<int>(mutant);
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(loaded_ok, 0u);
+}
+
 TEST(Checkpoint, MissingFileIsNotFound) {
   EXPECT_EQ(loadStreamCheckpoint("/nonexistent/chk").status().code(),
             util::StatusCode::kNotFound);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -290,7 +291,7 @@ TEST(WindowAssembler, ReleasesEpochsInOrderOnceEveryShardSealed) {
   EXPECT_EQ(first->epoch, 0);
   EXPECT_EQ(first->start_ts, 0);
   EXPECT_EQ(first->end_ts, 10);
-  ASSERT_EQ(first->rows.size(), 1u);
+  ASSERT_EQ(first->rowCount(), 1u);
   EXPECT_FALSE(assembler.hasReady());  // epoch 1 still held back by shard 1
 
   assembler.sealShardUpTo(1, 1);
@@ -314,10 +315,12 @@ TEST(WindowAssembler, MergesFragmentsFromAllShards) {
   ASSERT_TRUE(window.has_value());
   EXPECT_EQ(window->epoch, 5);
   // The sorted fragments merge into one canonical run.
+  const dataset::LeafTable table =
+      sealedTable(dataset::Schema::synthetic({4}), window->fragments);
   using Row = std::tuple<std::uint64_t, double, double>;
   std::vector<Row> rows;
-  for (const LeafEvent& row : window->rows) {
-    rows.emplace_back(row.leaf, row.v, row.f);
+  for (dataset::RowId r = 0; r < table.size(); ++r) {
+    rows.emplace_back(table.key(r), table.v(r), table.f(r));
   }
   EXPECT_EQ(rows, (std::vector<Row>{{0, 1.0, 1.0},
                                     {1, 2.0, 2.0},
@@ -326,6 +329,94 @@ TEST(WindowAssembler, MergesFragmentsFromAllShards) {
                                     {3, 0.0, 0.0}}));
   // The contributor list drives trace-flow termination in the sealer.
   EXPECT_EQ(window->contributors, (std::vector<std::int32_t>{0, 1, 2}));
+}
+
+/// Random sorted fragments over a {16, 16} schema: few distinct leaves
+/// and values, so rows tie across fragments, -0.0 and 0.0 among them.
+/// Each row's ts is unique, naming its fragment and position.
+std::vector<std::vector<LeafEvent>> randomFragments(const dataset::Schema& schema,
+                                                    std::size_t k,
+                                                    util::Rng& rng) {
+  constexpr double kValues[] = {-0.0, 0.0, 1.0, 2.5};
+  std::vector<std::vector<LeafEvent>> fragments(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto rows = static_cast<std::size_t>(rng.uniformInt(0, 12));
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::vector<dataset::ElemId> slots = {
+          static_cast<dataset::ElemId>(rng.uniformInt(0, 2)),
+          static_cast<dataset::ElemId>(rng.uniformInt(0, 15))};
+      fragments[i].push_back(
+          {schema.pack(slots), static_cast<std::int64_t>(i * 1000 + r),
+           kValues[rng.uniformInt(0, 3)], kValues[rng.uniformInt(0, 3)]});
+    }
+    std::sort(fragments[i].begin(), fragments[i].end(), canonicalLess);
+  }
+  return fragments;
+}
+
+/// A row with its doubles as bit patterns, so -0.0 and 0.0 differ.
+using ExactRow = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>;
+
+ExactRow exactRow(std::uint64_t leaf, double v, double f) {
+  return {leaf, std::bit_cast<std::uint64_t>(v), std::bit_cast<std::uint64_t>(f)};
+}
+
+std::vector<ExactRow> exactRows(const dataset::LeafTable& table) {
+  std::vector<ExactRow> rows;
+  for (dataset::RowId r = 0; r < table.size(); ++r) {
+    rows.push_back(exactRow(table.key(r), table.v(r), table.f(r)));
+  }
+  return rows;
+}
+
+TEST(WindowAssembler, MergeEqualsStableSortOfFragmentsInContributionOrder) {
+  const auto schema = dataset::Schema::synthetic({16, 16});
+  util::Rng rng(20220627);
+  for (const std::size_t k : {1u, 2u, 4u, 7u, 64u, 1024u}) {
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " round " << round);
+      const auto fragments = randomFragments(schema, k, rng);
+      std::vector<LeafEvent> expected;
+      for (const auto& fragment : fragments) {
+        expected.insert(expected.end(), fragment.begin(), fragment.end());
+      }
+      std::stable_sort(expected.begin(), expected.end(), canonicalLess);
+      std::vector<ExactRow> expected_rows;
+      for (const LeafEvent& row : expected) {
+        expected_rows.push_back(exactRow(row.leaf, row.v, row.f));
+      }
+
+      // Straight from the fragments, empty ones included.
+      EXPECT_EQ(exactRows(sealedTable(schema, fragments)), expected_rows);
+
+      // Through the assembler, which skips empty fragments.
+      WindowAssembler assembler(static_cast<std::int32_t>(k), 10);
+      for (std::size_t i = 0; i < k; ++i) {
+        assembler.contribute(static_cast<std::int32_t>(i), 0, fragments[i]);
+      }
+      const auto pending = assembler.snapshotPending();
+      if (expected.empty()) {
+        EXPECT_TRUE(pending.empty());
+      } else {
+        ASSERT_EQ(pending.size(), 1u);
+        const std::vector<LeafEvent>& snapshot = pending.at(0);
+        ASSERT_EQ(snapshot.size(), expected.size());
+        for (std::size_t r = 0; r < expected.size(); ++r) {
+          // ts names the source row: ties keep contribution order.
+          EXPECT_EQ(snapshot[r].ts, expected[r].ts) << "row " << r;
+        }
+      }
+      for (std::size_t i = 0; i < k; ++i) {
+        assembler.sealShardUpTo(static_cast<std::int32_t>(i), 0);
+      }
+      const auto window = assembler.popReady();
+      ASSERT_EQ(window.has_value(), !expected.empty());
+      if (window) {
+        EXPECT_EQ(exactRows(sealedTable(schema, window->fragments)),
+                  expected_rows);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -872,6 +963,38 @@ TEST(StreamEngine, WindowBacklogOnASharedPoolTakesTurnsWithOtherTasks) {
   // stop() drains the open epoch too.
   EXPECT_EQ(engine.takeLocalizations().size(),
             static_cast<std::size_t>(kWindows + 1));
+}
+
+TEST(StreamEngine, UntakenLocalizationsKeepTheNewestAndCountTheRest) {
+  // Nobody takes the results, as under a served tenant: the engine keeps
+  // the newest kMaxUntakenLocalizations and counts every one it evicts.
+  constexpr std::size_t kCap = StreamEngine::kMaxUntakenLocalizations;
+  constexpr std::size_t kExtra = 7;
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamConfig config = testConfig();
+  config.shards = 1;
+  config.trigger = TriggerPolicy::kEveryWindow;
+  config.localize_threads = 1;  // windows deliver in epoch order
+  StreamEngine engine(schema, config);
+  engine.start();
+  std::vector<StreamEvent> events;
+  for (std::size_t e = 0; e < kCap + kExtra; ++e) {
+    events.push_back(makeEvent(
+        {0, 0}, static_cast<std::int64_t>(e) * config.window_width, 1.0, 1.0));
+  }
+  engine.ingestBatch(std::move(events));
+  engine.drain();
+
+  const StreamStats stats = engine.stats();
+  EXPECT_EQ(stats.localizations, kCap + kExtra);
+  EXPECT_EQ(stats.localizations_overflowed, kExtra);
+  const auto kept = engine.takeLocalizations();
+  ASSERT_EQ(kept.size(), kCap);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    ASSERT_EQ(kept[i].epoch, static_cast<std::int64_t>(kExtra + i));
+  }
+  EXPECT_TRUE(engine.takeLocalizations().empty());
+  engine.stop();
 }
 
 // ---------------------------------------------------------------------------
