@@ -255,14 +255,7 @@ void StreamEngine::onShardProgress() {
 
 bool StreamEngine::allShardsAcked(std::uint64_t token) const {
   for (const auto& shard : shards_) {
-    if (shard->drainAck() < token) return false;
-  }
-  return true;
-}
-
-bool StreamEngine::allShardsSnapshotAcked(std::uint64_t token) const {
-  for (const auto& shard : shards_) {
-    if (shard->snapshotAck() < token) return false;
+    if (shard->barrierAck() < token) return false;
   }
   return true;
 }
@@ -291,21 +284,14 @@ void StreamEngine::sealerLoop() {
     }
 
     lock.lock();
-    const std::uint64_t token = drain_token_.load(std::memory_order_acquire);
-    if (token > sealer_acked_drain_ && allShardsAcked(token) &&
+    const std::uint64_t token = barrier_token_.load(std::memory_order_acquire);
+    if (token > sealer_acked_barrier_ && allShardsAcked(token) &&
         !assembler_.hasReady()) {
-      sealer_acked_drain_ = token;
-      drain_cv_.notify_all();
-    }
-    const std::uint64_t snapshot_token =
-        snapshot_token_.load(std::memory_order_acquire);
-    if (snapshot_token > sealer_acked_snapshot_ &&
-        allShardsSnapshotAcked(snapshot_token) && !assembler_.hasReady()) {
-      // Every shard has recorded its cut and no window is left ready:
-      // the assembler's pending set is now exactly the partially sealed
-      // fragments the checkpoint must carry.
-      sealer_acked_snapshot_ = snapshot_token;
-      drain_cv_.notify_all();
+      // Every shard has flushed to its cut and no window is left ready:
+      // the assembler's pending set is exactly the partially sealed
+      // fragments a checkpoint must carry.
+      sealer_acked_barrier_ = token;
+      barrier_cv_.notify_all();
     }
     if (stopping && !progress_ && !assembler_.hasReady()) return;
   }
@@ -497,19 +483,22 @@ void StreamEngine::awaitLocalizations() {
   localized_cv_.wait(lock, [this] { return windows_in_flight_ == 0; });
 }
 
+void StreamEngine::barrier(bool flush) {
+  const std::uint64_t token =
+      barrier_token_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  for (auto& shard : shards_) shard->requestBarrier(token, flush);
+  std::unique_lock<std::mutex> lock(sealer_mutex_);
+  barrier_cv_.wait(lock,
+                   [this, token] { return sealer_acked_barrier_ >= token; });
+}
+
 util::Result<io::StreamCheckpoint> StreamEngine::captureCheckpoint() {
+  std::lock_guard<std::mutex> control(control_mutex_);
   if (!running()) {
     return util::Status::failedPrecondition(
         "checkpoint() requires a running engine");
   }
-  const std::uint64_t token =
-      snapshot_token_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (auto& shard : shards_) shard->requestSnapshot(token);
-  {
-    std::unique_lock<std::mutex> lock(sealer_mutex_);
-    drain_cv_.wait(lock,
-                   [this, token] { return sealer_acked_snapshot_ >= token; });
-  }
+  barrier(/*flush=*/false);
   // In-flight localizations finish before the cut is serialized, so a
   // restore never re-localizes a window this run already owned.
   awaitLocalizations();
@@ -646,13 +635,13 @@ util::Result<std::unique_ptr<StreamEngine>> StreamEngine::restore(
 
 void StreamEngine::drain() {
   RAP_CHECK_MSG(started_.load(), "drain() requires a started engine");
-  const std::uint64_t token =
-      drain_token_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  for (auto& shard : shards_) shard->requestDrain(token);
-  {
-    std::unique_lock<std::mutex> lock(sealer_mutex_);
-    drain_cv_.wait(lock, [this, token] { return sealer_acked_drain_ >= token; });
-  }
+  std::lock_guard<std::mutex> control(control_mutex_);
+  // stop() drained before it joined the shards; nothing is left.
+  if (!stopped_.load()) drainLocked();
+}
+
+void StreamEngine::drainLocked() {
+  barrier(/*flush=*/true);
   awaitLocalizations();
   // The hot path only touches these gauges when events move; refresh
   // them here so a scrape right after a drain sees the settled state
@@ -665,9 +654,10 @@ void StreamEngine::drain() {
 }
 
 void StreamEngine::stop() {
+  std::lock_guard<std::mutex> control(control_mutex_);
   if (!started_.load() || stopped_.load()) return;
   if (lag_collector_) lag_collector_->stop();
-  drain();
+  drainLocked();
   stopped_.store(true, std::memory_order_release);
   for (auto& shard : shards_) shard->close();
   for (auto& shard : shards_) shard->join();

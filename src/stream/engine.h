@@ -16,7 +16,11 @@
 //
 // Lifecycle: construct -> start() -> ingest()/ingestBatch() from any
 // number of threads -> drain() (flush everything buffered, wait for the
-// resulting localizations) -> stop() (drain + join; terminal).
+// resulting localizations) -> stop() (drain + join; terminal).  drain()
+// and checkpoint() share one control barrier: every shard flushes its
+// queue, seals (drain: everything; checkpoint: what the watermark
+// allows) and records its state, then the sealer finishes every ready
+// window and acks.
 //
 // Threading contract:
 //   * threads: one consumer per shard plus the sealer.  Localizations
@@ -28,8 +32,11 @@
 //     window submits the next, so a backlog takes its turn with the
 //     pool's other owners instead of queueing ahead of them.
 //   * ingest/ingestBatch: any thread, concurrently.
-//   * drain/checkpoint/stop: one control thread; quiesce producers
-//     first — events racing a drain may be counted late and dropped.
+//   * drain/checkpoint/stop: any thread; one control mutex serializes
+//     them, so a checkpoint racing stop() either completes first or
+//     fails with kFailedPrecondition, and drain() after stop() returns
+//     at once.  Quiesce producers first — events racing a drain may be
+//     counted late and dropped.
 //     They wait for this engine's dispatched windows, never for the
 //     whole pool, so never call them from a task on the pool the
 //     engine localizes on: that task could hold the worker a window
@@ -172,9 +179,11 @@ class StreamEngine {
   /// Flushes every buffered event into sealed windows and blocks until
   /// the resulting localizations finish.  The engine keeps running, but
   /// every epoch is sealed afterwards: later events count as late.
+  /// Returns at once after stop() (which drained already).
   void drain();
 
-  /// drain() + join every thread.  Terminal and idempotent.
+  /// drain() + join every thread.  Terminal and idempotent; concurrent
+  /// calls join the threads once.
   void stop();
 
   /// Writes a consistent checkpoint to `path` while the engine keeps
@@ -184,7 +193,7 @@ class StreamEngine {
   /// fragments.  Quiesce producers for the duration of the call (as with
   /// drain()) — events racing a checkpoint may land on either side of
   /// the cut.  Fails (Status, never a crash) on I/O errors or when the
-  /// engine is not running.
+  /// engine is not running, also when stop() won the race for it.
   util::Status checkpoint(const std::string& path);
 
   bool running() const noexcept {
@@ -293,7 +302,13 @@ class StreamEngine {
   /// Blocks until windows_in_flight_ is 0.
   void awaitLocalizations();
   bool allShardsAcked(std::uint64_t token) const;
-  bool allShardsSnapshotAcked(std::uint64_t token) const;
+  /// One control barrier (see Shard::requestBarrier): every shard flushes
+  /// its queue, seals (to +infinity when `flush`) and records its state,
+  /// then the sealer finishes every ready window and acks.  Returns once
+  /// acked; control_mutex_ held.
+  void barrier(bool flush);
+  /// drain() with control_mutex_ held.
+  void drainLocked();
   util::Result<io::StreamCheckpoint> captureCheckpoint();
   /// invalidArgument when a fragment row fails invalidReason; restore()
   /// then discards the engine.
@@ -332,13 +347,14 @@ class StreamEngine {
   std::thread sealer_;
   std::mutex sealer_mutex_;
   std::condition_variable sealer_cv_;
-  std::condition_variable drain_cv_;
+  std::condition_variable barrier_cv_;
   bool progress_ = false;            ///< guarded by sealer_mutex_
   bool sealer_should_stop_ = false;  ///< guarded by sealer_mutex_
-  std::uint64_t sealer_acked_drain_ = 0;  ///< guarded by sealer_mutex_
-  std::atomic<std::uint64_t> drain_token_{0};
-  std::uint64_t sealer_acked_snapshot_ = 0;  ///< guarded by sealer_mutex_
-  std::atomic<std::uint64_t> snapshot_token_{0};
+  std::uint64_t sealer_acked_barrier_ = 0;  ///< guarded by sealer_mutex_
+  /// Written only under control_mutex_, read by the sealer.
+  std::atomic<std::uint64_t> barrier_token_{0};
+  /// Serializes drain, checkpoint and stop (and so every barrier).
+  std::mutex control_mutex_;
 
   mutable std::mutex results_mutex_;
   std::deque<Localization> results_;  ///< delivery order, bounded

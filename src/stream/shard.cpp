@@ -53,19 +53,9 @@ PushResult Shard::offer(std::vector<LeafEvent>&& batch) {
   return result;
 }
 
-void Shard::requestDrain(std::uint64_t token) {
-  std::uint64_t seen = drain_requested_.load(std::memory_order_relaxed);
-  while (token > seen && !drain_requested_.compare_exchange_weak(
-                             seen, token, std::memory_order_release)) {
-  }
-  queue_.nudge();
-}
-
-void Shard::requestSnapshot(std::uint64_t token) {
-  std::uint64_t seen = snapshot_requested_.load(std::memory_order_relaxed);
-  while (token > seen && !snapshot_requested_.compare_exchange_weak(
-                             seen, token, std::memory_order_release)) {
-  }
+void Shard::requestBarrier(std::uint64_t token, bool flush) {
+  barrier_flush_.store(flush, std::memory_order_relaxed);
+  barrier_requested_.store(token, std::memory_order_release);
   queue_.nudge();
 }
 
@@ -114,22 +104,17 @@ void Shard::bucketEvents(std::vector<LeafEvent>& batch) {
 void Shard::sealUpTo(std::int64_t epoch) {
   for (auto it = open_.begin(); it != open_.end() && it->first <= epoch;) {
     std::vector<LeafEvent>& rows = it->second;
-    if (obs::tracingEnabled()) {
-      // The ingest-side stage of the window's trace lane: a span over
-      // this shard's fragment sort and hand-off, starting the flow the
-      // sealer terminates in processWindow.
-      RAP_TRACE_SPAN("stream/shard_seal",
-                     {{"epoch", it->first},
-                      {"shard", id_},
-                      {"rows", static_cast<std::int64_t>(rows.size())}});
-      std::sort(rows.begin(), rows.end(), canonicalLess);
-      obs::traceFlow('s', kWindowFlowName, windowFlowId(it->first, id_ + 1),
-                     {{"epoch", it->first}, {"shard", id_}});
-      assembler_.contribute(id_, it->first, std::move(rows));
-    } else {
-      std::sort(rows.begin(), rows.end(), canonicalLess);
-      assembler_.contribute(id_, it->first, std::move(rows));
-    }
+    // The ingest-side stage of the window's trace lane: a span over this
+    // shard's fragment sort and hand-off, starting the flow the sealer
+    // terminates in processWindow.  Both are inert unless tracing is on.
+    RAP_TRACE_SPAN("stream/shard_seal",
+                   {{"epoch", it->first},
+                    {"shard", id_},
+                    {"rows", static_cast<std::int64_t>(rows.size())}});
+    std::sort(rows.begin(), rows.end(), canonicalLess);
+    obs::traceFlow('s', kWindowFlowName, windowFlowId(it->first, id_ + 1),
+                   {{"epoch", it->first}, {"shard", id_}});
+    assembler_.contribute(id_, it->first, std::move(rows));
     it = open_.erase(it);
   }
   assembler_.sealShardUpTo(id_, epoch);
@@ -144,48 +129,33 @@ void Shard::consumerLoop() {
     const bool alive = queue_.drainOrWait(batch);
     bucketEvents(batch);
 
-    const std::uint64_t drain_token =
-        drain_requested_.load(std::memory_order_acquire);
-    if (drain_token > drain_acked_.load(std::memory_order_relaxed)) {
-      // Pick up events racing with the drain request, then flush all.
+    const std::uint64_t token =
+        barrier_requested_.load(std::memory_order_acquire);
+    const bool barrier = token > barrier_acked_.load(std::memory_order_relaxed);
+    const std::int64_t target =
+        barrier && barrier_flush_.load(std::memory_order_relaxed)
+            ? std::numeric_limits<std::int64_t>::max()
+            : watermark_.sealableEpoch(config_.window_width);
+    const bool seal =
+        target != WatermarkTracker::kNone && target > sealed_up_to_;
+    if (barrier || seal) {
+      // offer() queues events before it advances the watermark, so every
+      // event backing the observed watermark (or racing the barrier) is
+      // drainable now; bucket them before sealing or they would count as
+      // late.
       queue_.drainNow(batch);
       bucketEvents(batch);
-      sealUpTo(std::numeric_limits<std::int64_t>::max());
-      drain_acked_.store(drain_token, std::memory_order_release);
-      on_progress_();
-    } else {
-      const std::int64_t sealable =
-          watermark_.sealableEpoch(config_.window_width);
-      if (sealable != WatermarkTracker::kNone && sealable > sealed_up_to_) {
-        // offer() queues events before it advances the watermark, so
-        // every event backing the observed watermark is drainable now;
-        // bucket them before sealing or they would count as late.
-        queue_.drainNow(batch);
-        bucketEvents(batch);
-        sealUpTo(sealable);
-      }
+      if (seal) sealUpTo(target);
     }
-
-    const std::uint64_t snapshot_token =
-        snapshot_requested_.load(std::memory_order_acquire);
-    if (snapshot_token > snapshot_acked_.load(std::memory_order_relaxed)) {
-      // Pick up events racing with the request, seal everything the
-      // current watermark allows (so the recorded frontier matches the
-      // promises already made to the assembler), then copy — the shard
-      // keeps its state and continues serving after the checkpoint.
-      queue_.drainNow(batch);
-      bucketEvents(batch);
-      const std::int64_t sealable =
-          watermark_.sealableEpoch(config_.window_width);
-      if (sealable != WatermarkTracker::kNone && sealable > sealed_up_to_) {
-        sealUpTo(sealable);
-      }
+    if (barrier) {
+      // The recorded frontier matches the promises already made to the
+      // assembler; the shard keeps its state and goes on serving.
       {
         std::lock_guard<std::mutex> lock(snapshot_mutex_);
         snapshot_.sealed_up_to = sealed_up_to_;
         snapshot_.open = open_;
       }
-      snapshot_acked_.store(snapshot_token, std::memory_order_release);
+      barrier_acked_.store(token, std::memory_order_release);
       on_progress_();
     }
 

@@ -2,9 +2,10 @@
 // thread that buckets its hash-partition of the stream into per-epoch
 // window fragments and seals them against the watermark.
 //
-// Producers only ever touch the queue (offer); the consumer thread owns
-// every other member, so the shard needs no lock of its own beyond the
-// queue's.  Sealing decisions are local: the shard compares the shared
+// Producers only ever touch the queue (offer); the engine's control
+// calls only the barrier atomics and the state the barrier records
+// (under its own mutex); the consumer thread owns every other member.
+// Sealing decisions are local: the shard compares the shared
 // watermark against its own open epochs, hands sealed fragments to the
 // WindowAssembler, and drops events that arrive for epochs it has
 // already sealed (counted, never silent).  Each fragment is sorted into
@@ -48,8 +49,8 @@ struct ShardMetrics {
 };
 
 /// One shard's durable state: its seal frontier plus the window
-/// fragments it has bucketed but not yet contributed.  Captured by the
-/// snapshot protocol (checkpoint) and re-injected by restore().
+/// fragments it has bucketed but not yet contributed.  Recorded at each
+/// control barrier (read by checkpoint) and re-injected by restore().
 struct ShardState {
   std::int64_t sealed_up_to = WatermarkTracker::kNone;
   std::map<std::int64_t, std::vector<LeafEvent>> open;
@@ -80,30 +81,25 @@ class Shard {
   /// (exactly-once sealing across a kill/restore cycle).
   void restore(ShardState state);
 
-  /// Snapshot request: the consumer flushes its queue into buckets,
-  /// seals everything the current watermark allows, records a copy of
-  /// its state (non-destructive — the shard keeps running), and acks
-  /// `token`.  Quiesce producers first, as with requestDrain.
-  void requestSnapshot(std::uint64_t token);
-  std::uint64_t snapshotAck() const {
-    return snapshot_acked_.load(std::memory_order_acquire);
-  }
-  /// The state recorded by the latest acked snapshot.
-  ShardState snapshotState() const;
-
   /// Producer side: offers events to the bounded queue (backpressure
   /// policy applies) and advances the watermark by the accepted events.
   PushResult offer(std::vector<LeafEvent>&& batch);
 
-  /// Flush request: the consumer will move every buffered event into its
-  /// window fragments, seal ALL open epochs, and acknowledge `token`.
-  /// After a drain the shard treats every future event as late.
-  void requestDrain(std::uint64_t token);
-  std::uint64_t drainAck() const {
-    return drain_acked_.load(std::memory_order_acquire);
+  /// Control barrier: the consumer moves every queued event into its
+  /// window fragments, seals to +infinity when `flush` (after which
+  /// every future event counts late) or else as far as the current
+  /// watermark allows, records a copy of its state for snapshotState()
+  /// (the shard keeps running) and acks `token`.  One barrier at a time:
+  /// the engine serializes requests and awaits each ack.  Quiesce
+  /// producers first — events racing a barrier may land on either side.
+  void requestBarrier(std::uint64_t token, bool flush);
+  std::uint64_t barrierAck() const {
+    return barrier_acked_.load(std::memory_order_acquire);
   }
+  /// The state recorded by the latest acked barrier.
+  ShardState snapshotState() const;
 
-  /// Wakes the consumer to re-check the watermark / drain state.
+  /// Wakes the consumer to re-check the watermark / barrier state.
   void nudge() { queue_.nudge(); }
 
   /// Terminal: closes the queue; the consumer flushes and exits.
@@ -133,11 +129,9 @@ class Shard {
   std::map<std::int64_t, std::vector<LeafEvent>> open_;
   std::int64_t sealed_up_to_ = WatermarkTracker::kNone;
 
-  std::atomic<std::uint64_t> drain_requested_{0};
-  std::atomic<std::uint64_t> drain_acked_{0};
-
-  std::atomic<std::uint64_t> snapshot_requested_{0};
-  std::atomic<std::uint64_t> snapshot_acked_{0};
+  std::atomic<std::uint64_t> barrier_requested_{0};
+  std::atomic<bool> barrier_flush_{false};  ///< stored before the token
+  std::atomic<std::uint64_t> barrier_acked_{0};
   mutable std::mutex snapshot_mutex_;
   ShardState snapshot_;  ///< guarded by snapshot_mutex_
 

@@ -10,11 +10,13 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <latch>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -739,6 +741,83 @@ TEST(StreamEngine, StopDrainsBufferedWindows) {
 
   EXPECT_EQ(collector.windows(), groupByEpoch(events, config.window_width));
   EXPECT_EQ(engine.stats().windows_sealed, 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Control calls: drain, checkpoint and stop from any thread.
+
+TEST(StreamEngine, DrainAfterStopReturns) {
+  StreamConfig config = testConfig();
+  config.allowed_lateness = 1000000;
+  StreamEngine engine(dataset::Schema::synthetic({4, 3}), config);
+  engine.start();
+  engine.ingestBatch(healthyGrid(config.window_width, 2));
+  engine.stop();
+  engine.drain();  // the shards have exited: nothing may wait on them
+  EXPECT_EQ(engine.stats().windows_sealed, 2u);
+}
+
+TEST(StreamEngine, ConcurrentStopsJoinOnce) {
+  StreamConfig config = testConfig();
+  config.allowed_lateness = 1000000;
+  StreamEngine engine(dataset::Schema::synthetic({4, 3}), config);
+  WindowCollector collector;
+  collector.install(engine);
+  engine.start();
+  const auto events = healthyGrid(config.window_width, 3);
+  engine.ingestBatch(events);
+
+  std::latch go(2);
+  const auto stopper = [&] {
+    go.arrive_and_wait();
+    engine.stop();
+  };
+  std::thread a(stopper);
+  std::thread b(stopper);
+  a.join();
+  b.join();
+  EXPECT_FALSE(engine.running());
+  EXPECT_EQ(engine.stats().windows_sealed, 3u);
+  EXPECT_EQ(collector.windows(), groupByEpoch(events, config.window_width));
+}
+
+TEST(StreamEngine, CheckpointRacingStopNeverBlocks) {
+  const auto schema = dataset::Schema::synthetic({4, 3});
+  StreamConfig config = testConfig();
+  config.shards = 4;
+  config.allowed_lateness = 1000000;  // fragments stay open for the cut
+  util::ThreadPool pool(1);
+  config.shared_pool = &pool;
+  const auto events = healthyGrid(config.window_width, 2);
+  const std::string path =
+      ::testing::TempDir() + "/rap_stream_checkpoint_vs_stop.chk";
+
+  for (int i = 0; i < 500; ++i) {
+    StreamEngine engine(schema, config);
+    engine.start();
+    engine.ingestBatch(events);
+    // Alternate which side is already running when the other starts.
+    const bool checkpoint_first = i % 2 == 0;
+    std::latch go(2);
+    util::Status status = util::Status::ok();
+    std::thread checkpointer([&] {
+      go.arrive_and_wait();
+      if (!checkpoint_first) std::this_thread::yield();
+      status = engine.checkpoint(path);
+    });
+    std::thread stopper([&] {
+      go.arrive_and_wait();
+      if (checkpoint_first) std::this_thread::yield();
+      engine.stop();
+    });
+    checkpointer.join();
+    stopper.join();
+    ASSERT_TRUE(status.isOk() ||
+                status.code() == util::StatusCode::kFailedPrecondition)
+        << "iteration " << i << ": " << status.message();
+    EXPECT_EQ(engine.stats().windows_sealed, 2u) << "iteration " << i;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(StreamEngine, MalformedEventsAreRejectedNotFatal) {
